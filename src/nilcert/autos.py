@@ -10,6 +10,7 @@ exponentials, eigenline tests, and the seeded H-element sampler.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -135,14 +136,22 @@ def shear_space(L: LieAlgebra, c: Subspace) -> Subspace:
     return kernel_basis(Matrix.from_rows(rows))
 
 
+def wedge_square_base(amb: int) -> int:
+    """The n >= 2 with n(n-1)/2 = amb, the dimension of wedge^2 Q^n.
+
+    n(n-1)/2 = amb means (2n-1)^2 = 8 amb + 1, so n is read off an exact
+    integer square root."""
+    disc = 8 * amb + 1
+    s = math.isqrt(max(disc, 0))
+    if s * s != disc or s < 3:
+        raise ValueError(f"ambient dim {amb} is not of the form n(n-1)/2")
+    return (s + 1) // 2
+
+
 def stabilizer_algebra(w: Subspace) -> StabilizerAlgebra:
     """{x in gl(n) : the induced derivation action on wedge^2 preserves w},
     computed as one kernel over the n^2 matrix coordinates."""
-    # ambient of w must be a wedge-square dimension n(n-1)/2
-    amb = w.ambient_dim
-    n = next((k for k in range(2, 40) if k * (k - 1) // 2 == amb), None)
-    if n is None:
-        raise ValueError(f"ambient dim {amb} is not of the form n(n-1)/2")
+    n = wedge_square_base(w.ambient_dim)
     qmap = QuotientMap(w)
     basis_images = []  # for each E_rc: the induced action applied to w's basis
     rows_out = []
@@ -198,6 +207,8 @@ def exp_nilpotent(m: Matrix) -> Matrix:
     """Exact exp of a nilpotent matrix (the finite sum of m^k / k!)."""
     if not m.is_square:
         raise ValueError("exponential of a non-square matrix")
+    if m.trace() != 0:  # a nilpotent matrix has trace 0
+        raise ValueError("matrix is not nilpotent")
     n = m.rows
     term = Matrix.identity(n)
     total = term

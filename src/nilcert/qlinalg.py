@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` throughout; nothing in this package ever
-touches floating point.  Matrices act on column vectors, so the composite map
-"apply h, then g" is the product ``g * h``.  Subspaces are stored as reduced
-row-echelon bases with the zero rows dropped, which makes subspace equality a
-plain data comparison.
+Scalars are ``fractions.Fraction`` at every interface; nothing in this
+package ever touches floating point.  Internally, ``char_poly`` and
+``rational_roots`` clear denominators once and run on plain Python ints,
+which gives the same exact results with far less ``Fraction`` overhead.
+Matrices act on column vectors, so the composite map "apply h, then g" is
+the product ``g * h``.  Subspaces are stored as reduced row-echelon bases
+with the zero rows dropped, which makes subspace equality a plain data
+comparison.
 """
 
 from __future__ import annotations
@@ -585,23 +588,50 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
+def _int_matmul(a: list[int], b: list[int], n: int) -> list[int]:
+    """Product of two row-major n-by-n integer matrices, skipping zeros."""
+    out = [0] * (n * n)
+    for i in range(0, n * n, n):
+        for k in range(n):
+            aik = a[i + k]
+            if aik:
+                kn = k * n
+                for j in range(n):
+                    bkj = b[kn + j]
+                    if bkj:
+                        out[i + j] += aik * bkj
+    return out
+
+
 def char_poly(m: Matrix) -> Polynomial:
     """Monic characteristic polynomial det(xI - m).
 
-    Uses the Faddeev-LeVerrier recurrence: every division is by an integer
-    step count, which keeps intermediate values tame without any factoring.
+    Denominators are cleared once: with d the lcm of the entry denominators,
+    A = d m is an integer matrix whose characteristic polynomial has integer
+    coefficients c_i = d^(n-i) times those of m.  The Faddeev-LeVerrier
+    recurrence runs on A in plain ints, where every division by the step
+    count k is exact.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    coeffs = [_ZERO] * (n + 1)
-    coeffs[n] = _ONE
-    mk = Matrix.zero(n, n)
-    ident = Matrix.identity(n)
+    d = math.lcm(*(e.denominator for e in m.entries))
+    a = [e.numerator * (d // e.denominator) for e in m.entries]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    mk = [0] * (n * n)  # M_k = A M_(k-1) + c_(n-k+1) I, starting from M_1 = I
+    mk[::n + 1] = [1] * n
     for k in range(1, n + 1):
-        mk = m * mk + ident.scale(coeffs[n - k + 1])
-        coeffs[n - k] = -(m * mk).trace() / k
-    return Polynomial(coeffs)
+        amk = _int_matmul(a, mk, n)
+        c, r = divmod(-sum(amk[::n + 1]), k)
+        if r:
+            raise ArithmeticError(
+                f"Faddeev-LeVerrier step {k} left a remainder on an integer matrix")
+        coeffs[n - k] = c
+        for i in range(0, n * n, n + 1):
+            amk[i] += c
+        mk = amk
+    return Polynomial([Fraction(c, d ** (n - i)) for i, c in enumerate(coeffs)])
 
 
 def is_nilpotent(m: Matrix) -> bool:
@@ -663,29 +693,55 @@ def rational_roots(p: Polynomial) -> dict[Fraction, int]:
         roots[_ZERO] = zero_mult
     if len(coeffs) <= 1:
         return roots
-    work = Polynomial(coeffs)
-    lcm = 1
-    for c in work.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in work.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
+    # a primitive integer multiple of the polynomial
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
+    g = math.gcd(*ints)
     ints = [c // g for c in ints]
-    candidates: set[Fraction] = set()
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-    for cand in sorted(candidates):
+    n = len(ints) - 1
+    # a root num/den in lowest terms has num | ints[0] and den | ints[-1];
+    # it is one exactly when sum a_i num^i den^(n-i) vanishes.
+    nums = _divisors(ints[0])
+    dens = _divisors(ints[-1])
+    found = []
+    for den in dens:
+        den_pows = [den ** (n - i) for i in range(n + 1)]
+        for num in nums:
+            if math.gcd(num, den) != 1:
+                continue
+            for s in (num, -num):
+                acc = ints[n]
+                for i in range(n - 1, -1, -1):
+                    acc = acc * s + ints[i] * den_pows[i]
+                if acc == 0:
+                    found.append((s, den))
+    found.sort(key=lambda r: Fraction(*r))
+    for num, den in found:
         mult = 0
-        while work.degree >= 1 and work.eval(cand) == 0:
-            work, rem = divmod(work, Polynomial([-cand, 1]))
-            assert rem.is_zero
+        while len(ints) > 1:
+            quo = _divide_linear(ints, num, den)
+            if quo is None:
+                break
+            ints = quo
             mult += 1
-        if mult:
-            roots[cand] = mult
+        if not mult:
+            raise ArithmeticError(f"root {num}/{den} did not divide out")
+        roots[Fraction(num, den)] = mult
     return roots
+
+
+def _divide_linear(ints: list[int], num: int, den: int) -> list[int] | None:
+    """Quotient of the integer polynomial ints (lowest degree first) by the
+    primitive factor den x - num, or None when it does not divide.  By
+    Gauss's lemma the quotient of an exact division is again integral."""
+    quo = [0] * (len(ints) - 1)
+    carry = 0
+    for i in range(len(ints) - 1, 0, -1):
+        carry, r = divmod(carry * num + ints[i], den)
+        if r:
+            return None
+        quo[i - 1] = carry
+    return quo if carry * num + ints[0] == 0 else None
 
 
 def strip_rational_roots(p: Polynomial) -> tuple[dict[Fraction, int], Polynomial]:
@@ -696,7 +752,8 @@ def strip_rational_roots(p: Polynomial) -> tuple[dict[Fraction, int], Polynomial
         lin = Polynomial([-root, 1])
         for _ in range(mult):
             work, rem = divmod(work, lin)
-            assert rem.is_zero
+            if not rem.is_zero:
+                raise ArithmeticError(f"root {root} did not divide out")
     return roots, work
 
 
@@ -709,7 +766,8 @@ def count_real_roots(p: Polynomial) -> int:
     # square-free part
     g = _poly_gcd(p, p.derivative())
     sqfree, rem = divmod(p, g)
-    assert rem.is_zero
+    if not rem.is_zero:
+        raise ArithmeticError("polynomial gcd does not divide the polynomial")
     chain = [sqfree, sqfree.derivative()]
     while not chain[-1].is_zero:
         _, r = divmod(chain[-2], chain[-1])

@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcert.autos import (
     EIGEN_RELATION_PAIRS,
@@ -22,6 +25,7 @@ from nilcert.autos import (
     sample_in_subspace,
     shear_space,
     stabilizer_algebra,
+    wedge_square_base,
 )
 from nilcert.liecore import (
     abelian_lie_algebra,
@@ -194,6 +198,15 @@ def test_stabilizer_full_wedge_space():
     assert stabilizer_algebra(Subspace.full(10)).dim == 25
 
 
+def test_wedge_square_base_is_an_exact_solve():
+    assert wedge_square_base(780) == 40  # beyond the old n < 40 search
+    assert [wedge_square_base(k * (k - 1) // 2) for k in range(2, 200)] \
+        == list(range(2, 200))
+    for amb in (0, 2, 11, 779, 781):
+        with pytest.raises(ValueError, match="not of the form"):
+            wedge_square_base(amb)
+
+
 def test_stabilizer_W_is_the_four_dimensional_span():
     stab = stabilizer_algebra(DATA.W)
     expected = Subspace.span(25, [
@@ -259,6 +272,42 @@ def test_exp_nilpotent_basics():
     assert exp_nilpotent(nu) == expected
     with pytest.raises(ValueError, match="not nilpotent"):
         exp_nilpotent(Matrix.identity(2))
+
+
+def test_exp_nilpotent_rejects_nonzero_and_zero_trace_alike():
+    for m in (Matrix.diagonal((1, 0, 0)),             # trace 1
+              Matrix.from_rows([(0, 1), (1, 0)]),     # trace 0, m^2 = I
+              Matrix.from_rows([(1, 0), (0, -1)])):   # trace 0, diagonal
+        with pytest.raises(ValueError, match="^matrix is not nilpotent$"):
+            exp_nilpotent(m)
+
+
+@st.composite
+def nilpotent_matrices(draw, max_n=6):
+    """L U L^-1 for a strictly upper triangular U and a unit lower
+    triangular L: nilpotent, but in general with no zero pattern."""
+    n = draw(st.integers(1, max_n))
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    u = Matrix(n, n, (draw(small) if j > i else Q(0)
+                      for i in range(n) for j in range(n)))
+    e = Matrix(n, n, (draw(small) if j < i else Q(0)
+                      for i in range(n) for j in range(n)))
+    ident = Matrix.identity(n)
+    l_inv = ident
+    for k in range(1, n):
+        l_inv = l_inv + (-e) ** k
+    return (ident + e) * u * l_inv
+
+
+@settings(max_examples=40, deadline=None)
+@given(nilpotent_matrices())
+def test_exp_nilpotent_is_the_truncated_series(m):
+    n = m.rows
+    assert (m ** n).is_zero()
+    series = Matrix.zero(n, n)
+    for k in range(n):
+        series = series + (m ** k).scale(Q(1, math.factorial(k)))
+    assert exp_nilpotent(m) == series
 
 
 def test_exp_of_nilpotent_derivations_are_unipotent_automorphisms():

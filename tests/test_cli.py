@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -112,3 +113,30 @@ def test_json_flag_round_trips_through_stdout(capsys):
     parsed = Report.from_json(out)
     assert parsed.results[0].id == "jacobi.G"
     assert parsed.results[0].status == "pass"
+
+
+# the 30 registry ids pinned by the benchmark's verify workload, in registry
+# order; copied here so that the test suite does not import the benchmark.
+PINNED_SUITE = (
+    "jacobi.G", "jacobi.N", "lcs.G-12-7-0", "lcs.N-12-7-1-0",
+    "nilclass.G-2", "nilclass.N-3", "weights.V", "weights.Vprime",
+    "ident.G", "w.invariant", "irred.V-commutant-1", "wedge.commutant-2",
+    "wedge.W-Wprime-decomp", "thm.stabilizer-dim4", "thm.no-open-orbit",
+    "thm.stabilizer-Wprime", "thm.eigen-relations", "der.G-dim-39",
+    "der.G-decomposition", "n.der-dim-32", "n.der-decomposition",
+    "n.derivations-nilpotent", "n.exp-unipotent", "p.line-stabilizer-zero",
+    "p.sampled-nonfixing", "bound.eigenspace-max3", "fixed.sampled-nonzero",
+    "fixed.specific-lines", "oracle.heisenberg-der6", "oracle.abelian-der-n2",
+)
+
+#: sha256 of ``verify --json`` stdout over PINNED_SUITE at seed 0, recorded
+#: before the integer kernels of char_poly and rational_roots went in.  A
+#: speed-up must not change a single byte of the report.
+PINNED_REPORT_SHA256 = (
+    "7b485556d05b271f24c650862669a86c5a674c6f49907f220b5c509781adc7c0")
+
+
+def test_verify_json_is_byte_identical_to_recorded_digest(capsys):
+    main(["verify", "--json", "--suite", ",".join(PINNED_SUITE), "--seed", "0"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORT_SHA256

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nilcert.qlinalg import (
     Matrix,
@@ -121,6 +123,35 @@ def test_char_poly_block_triangular_product_randomized():
         assert char_poly(block) == char_poly(a) * char_poly(b)
 
 
+# small rationals, with zero and non-integer entries both common
+RATIONALS = st.one_of(st.just(Q(0)),
+                      st.fractions(min_value=-12, max_value=12,
+                                   max_denominator=9))
+
+
+@st.composite
+def square_matrices(draw, max_n=7):
+    n = draw(st.integers(0, max_n))
+    return Matrix(n, n, draw(st.lists(RATIONALS, min_size=n * n,
+                                      max_size=n * n)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(square_matrices())
+@example(Matrix.zero(7, 7))
+@example(Matrix.zero(3, 3))
+@example(Matrix.zero(0, 0))
+@example(Matrix.diagonal([Q(1, 2), Q(-1, 3), Q(5, 7)]))
+def test_char_poly_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    sm = sympy.Matrix(m.rows, m.cols,
+                      [sympy.Rational(e.numerator, e.denominator)
+                       for e in m.entries])
+    expected = [Q(int(c.p), int(c.q))
+                for c in reversed(sm.charpoly().all_coeffs())]
+    assert char_poly(m) == Polynomial(expected)
+
+
 def test_nilpotent_unipotent():
     nu = Matrix.from_rows([(0, 1, 0), (0, 0, 1), (0, 0, 0)])
     assert is_nilpotent(nu)
@@ -219,6 +250,43 @@ def test_rational_roots():
 def test_rational_roots_with_zero_root():
     p = Polynomial([0, 0, -1, 1])  # x^2 (x - 1)
     assert rational_roots(p) == {Q(0): 2, Q(1): 1}
+
+
+@st.composite
+def polynomials_with_rational_roots(draw):
+    """A product of rational linear factors, some repeated, times a small
+    random cofactor that may carry further (or no) rational roots."""
+    p = Polynomial([draw(RATIONALS.filter(bool))])
+    for _ in range(draw(st.integers(0, 4))):
+        root = Q(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
+        for _ in range(draw(st.integers(1, 3))):
+            p = p * Polynomial([-root, 1])
+    cofactor = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+    if any(cofactor):
+        p = p * Polynomial(cofactor)
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomials_with_rational_roots())
+@example(Polynomial([0, 0, -1, 1]))
+@example(Polynomial([Q(1, 3)]))
+def test_rational_roots_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                     for c in reversed(p.coeffs)], x, domain="QQ")
+    expected = {}
+    for factor, mult in sp.factor_list()[1]:
+        if factor.degree() == 1:
+            c1, c0 = factor.all_coeffs()
+            root = -c0 / c1
+            expected[Q(int(root.p), int(root.q))] = mult
+    roots = rational_roots(p)
+    assert roots == expected
+    # the zero root first, then the others in ascending order
+    nonzero = sorted(r for r in roots if r)
+    assert list(roots) == ([Q(0)] if Q(0) in roots else []) + nonzero
 
 
 def test_count_real_roots():
