@@ -156,6 +156,8 @@ class Context:
 
     def __init__(self, config: Config):
         self.config = config
+        self._samples: dict[int, tuple[str, Matrix]] = {}
+        self._samples_on_Vprime: dict[int, Matrix] = {}
 
     @cached_property
     def data(self) -> ModelData:
@@ -182,8 +184,19 @@ class Context:
         from .models import induced_sl2_on_wedge
         return induced_sl2_on_wedge()
 
-    def action_on_Vprime(self, g5: Matrix) -> Matrix:
-        return quotient_action(induced_group_action(g5), self.data.W)
+    def sample(self, index: int) -> tuple[str, Matrix]:
+        """The index-th seeded H-element acting on V, with its kind."""
+        if index not in self._samples:
+            self._samples[index] = sample_action_on_V(self.config.seed, index)
+        return self._samples[index]
+
+    def sample_on_Vprime(self, index: int) -> Matrix:
+        """The index-th seeded H-element acting on V'."""
+        if index not in self._samples_on_Vprime:
+            g5 = self.sample(index)[1]
+            self._samples_on_Vprime[index] = quotient_action(
+                induced_group_action(g5), self.data.W)
+        return self._samples_on_Vprime[index]
 
 
 @dataclass(frozen=True)
@@ -527,10 +540,10 @@ def _line_stab(ctx):
 def _sampled_nonfixing(ctx):
     fixing = []
     for i in range(ctx.config.trials):
-        kind, g5 = sample_action_on_V(ctx.config.seed, i)
+        kind, g5 = ctx.sample(i)
         if g5 == Matrix.identity(5):
             continue
-        g7 = ctx.action_on_Vprime(g5)
+        g7 = ctx.sample_on_Vprime(i)
         if line_fixed_by(ctx.config.p, g7):
             fixing.append((i, kind))
     if fixing:
@@ -548,8 +561,8 @@ def _eigenspace_bound(ctx):
     worst = 0
     details = []
     for i in range(9):
-        kind, g5 = sample_action_on_V(ctx.config.seed, i)
-        g7 = ctx.action_on_Vprime(g5)
+        kind = ctx.sample(i)[0]
+        g7 = ctx.sample_on_Vprime(i)
         try:
             d = max_eigenspace_dim(g7)
         except IrrationalEigenvalueError:
@@ -570,7 +583,7 @@ def _eigenspace_bound(ctx):
 def _coran_fixed(ctx):
     bad = []
     for i in range(25):
-        kind, g5 = sample_action_on_V(ctx.config.seed, i)
+        kind, g5 = ctx.sample(i)
         if fixed_space(g5).dim == 0:
             bad.append((i, kind))
     return (_status(not bad), "all 25 sampled elements fix a nonzero vector",

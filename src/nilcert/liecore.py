@@ -182,8 +182,9 @@ def nilpotency_class(L: LieAlgebra) -> int:
 
 
 def derived_subalgebra(L: LieAlgebra) -> Subspace:
-    full = Subspace.full(L.dim)
-    return bracket_subspace(L, full, full)
+    """[L, L], the span of the structure constants sc[i][j] over i < j."""
+    return Subspace.span(L.dim, [L.sc[i][j] for i, j in
+                                 itertools.combinations(range(L.dim), 2)])
 
 
 def center(L: LieAlgebra) -> Subspace:

@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` at every interface; nothing in this
-package ever touches floating point.  Internally, ``char_poly`` and
-``rational_roots`` clear denominators once and run on plain Python ints,
-which gives the same exact results with far less ``Fraction`` overhead.
+package ever touches floating point.  Internally, the heavy routines clear
+denominators once and run on plain Python ints, which gives the same exact
+results with far less ``Fraction`` overhead: one sparse fraction-free
+Gauss-Jordan elimination (``_rref_int``) serves ``rref``, ``kernel_basis``
+and every ``Subspace``, ``det`` is a Bareiss elimination, and ``char_poly``
+and ``rational_roots`` work on integer matrices and polynomials.
 Matrices act on column vectors, so the composite map "apply h, then g" is
 the product ``g * h``.  Subspaces are stored as reduced row-echelon bases
 with the zero rows dropped, which makes subspace equality a plain data
@@ -212,40 +215,83 @@ class Matrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
-def _rref_in_place(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Full reduced row echelon form; returns the pivot columns."""
-    pivots: list[int] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        inv = prow[c]
-        if inv != 1:
-            for k in range(c, ncols):
-                if prow[k]:
-                    prow[k] /= inv
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                ri = rows[i]
-                for k in range(c, ncols):
-                    if prow[k]:
-                        ri[k] -= f * prow[k]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide a nonzero sparse integer row by its content, in place."""
+    g = math.gcd(*row.values())
+    if g != 1:
+        for j, x in row.items():
+            row[j] = x // g
+    return row
+
+
+def _int_row(row: Sequence[Fraction]) -> dict[int, int]:
+    """The primitive integer multiple of a rational row as {column: entry};
+    empty for the zero row."""
+    nz = {j: x for j, x in enumerate(row) if x}
+    if not nz:
+        return nz
+    d = math.lcm(*(x.denominator for x in nz.values()))
+    return _primitive({j: x.numerator * (d // x.denominator)
+                       for j, x in nz.items()})
+
+
+def _reduce(row: dict[int, int],
+            pivot_rows: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    """The primitive multiple of row minus a combination of the pivot rows
+    that is zero at each of their pivot columns.  Every pivot row must be
+    zero at the other pivot columns, so each one clears its own column;
+    row is scaled once, by the least factor that keeps everything
+    integral."""
+    scale = math.lcm(*(prow[c] // math.gcd(prow[c], row[c])
+                       for c, prow in pivot_rows))
+    out = {j: scale * x for j, x in row.items()} if scale != 1 else dict(row)
+    for c, prow in pivot_rows:
+        f = scale * row[c] // prow[c]
+        for j, x in prow.items():
+            w = out.get(j, 0) - f * x
+            if w:
+                out[j] = w
+            else:
+                del out[j]
+    return _primitive(out) if out else out
+
+
+def _rref_int(rows: Iterable[dict[int, int]],
+              ncols: int) -> list[tuple[int, dict[int, int]]]:
+    """Sparse fraction-free Gauss-Jordan elimination over the integers.
+
+    Each incoming row is reduced against the pivot rows found so far and,
+    if anything is left, its leading column becomes a new pivot, which is
+    then cleared from the older pivot rows.  Every update is a primitive
+    integer combination, so no Fraction is built and entries stay small.
+    An older row only changes at a column right of its own pivot, so the
+    pivot rows stay in echelon shape.  Returns (pivot column, primitive row)
+    pairs by increasing pivot; row / row[pivot] is the RREF row.
+    """
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if len(basis) == ncols:
             break
-    return pivots
+        hits = [(c, basis[c]) for c in row if c in basis]
+        if hits:
+            row = _reduce(row, hits)
+        if not row:
+            continue
+        c = min(row)
+        for pc, brow in basis.items():
+            if c in brow:
+                basis[pc] = _reduce(brow, [(c, row)])
+        basis[c] = row
+    return sorted(basis.items())
+
+
+def _fraction_row(row: dict[int, int], c: int, ncols: int) -> list[Fraction]:
+    """Dense rational row of a pivot row scaled to a leading 1."""
+    a = row[c]
+    out = [_ZERO] * ncols
+    for j, x in row.items():
+        out[j] = Fraction(x, a)
+    return out
 
 
 @dataclass(frozen=True)
@@ -257,10 +303,11 @@ class RrefResult:
 
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form of m, with rank and pivot columns."""
-    rows = m.row_list()
-    pivots = _rref_in_place(rows, m.cols)
+    echelon = _rref_int((_int_row(m.row(i)) for i in range(m.rows)), m.cols)
+    rows = [_fraction_row(row, c, m.cols) for c, row in echelon]
+    rows += [[_ZERO] * m.cols for _ in range(m.rows - len(rows))]
     return RrefResult(Matrix.from_rows(rows) if rows else m,
-                      len(pivots), tuple(pivots))
+                      len(echelon), tuple(c for c, _ in echelon))
 
 
 def rank(m: Matrix) -> int:
@@ -268,46 +315,53 @@ def rank(m: Matrix) -> int:
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant by fraction-exact elimination with sign tracking."""
+    """Determinant by Bareiss elimination on the integer matrix A = d m,
+    d the lcm of the entry denominators: det m = det A / d^n.  Every
+    division in the Bareiss recurrence is exact."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
-    rows = m.row_list()
+    d = math.lcm(*(e.denominator for e in m.entries))
+    a = [[e.numerator * (d // e.denominator) for e in m.row(i)]
+         for i in range(n)]
     sign = 1
-    result = _ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot_row is None:
-            return _ZERO
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return _ZERO
+            a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        prow = rows[c]
-        result *= prow[c]
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            if f:
-                f /= prow[c]
-                ri = rows[i]
-                for k in range(c, n):
-                    if prow[k]:
-                        ri[k] -= f * prow[k]
-    return result if sign > 0 else -result
+        ak = a[k]
+        akk = ak[k]
+        for i in range(k + 1, n):
+            ai = a[i]
+            aik = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
+        prev = akk
+    return Fraction(sign * a[n - 1][n - 1], d ** n) if n else _ONE
 
 
 class Subspace:
     """Subspace of Q^n, canonically represented.
 
     The basis is the RREF of any spanning set with zero rows removed, so two
-    Subspace values describe the same subspace exactly when their fields are
-    equal.
+    Subspace values describe the same subspace exactly when their bases are
+    equal.  The pivot columns that elimination found are kept alongside.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_pivots")
 
-    def __init__(self, ambient_dim: int, basis: Matrix):
+    def __init__(self, ambient_dim: int, basis: Matrix,
+                 pivots: tuple[int, ...] | None = None):
         self.ambient_dim = ambient_dim
         self.basis = basis
+        if pivots is None:
+            pivots = tuple(next(j for j, x in enumerate(basis.row(i)) if x)
+                           for i in range(basis.rows))
+        self._pivots = pivots
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -317,19 +371,25 @@ class Subspace:
             if len(row) != ambient_dim:
                 raise ValueError(
                     f"vector length {len(row)} != ambient dim {ambient_dim}")
-            rows.append(row)
-        pivots = _rref_in_place(rows, ambient_dim)
-        basis_rows = rows[:len(pivots)]
-        return cls(ambient_dim, Matrix.from_rows(basis_rows)
-                   if basis_rows else Matrix.zero(0, ambient_dim))
+            rows.append(_int_row(row))
+        return cls._from_echelon(ambient_dim, _rref_int(rows, ambient_dim))
+
+    @classmethod
+    def _from_echelon(cls, ambient_dim: int,
+                      echelon: list[tuple[int, dict[int, int]]]) -> "Subspace":
+        rows = [_fraction_row(row, c, ambient_dim) for c, row in echelon]
+        return cls(ambient_dim, Matrix.from_rows(rows) if rows
+                   else Matrix.zero(0, ambient_dim),
+                   tuple(c for c, _ in echelon))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.zero(0, ambient_dim))
+        return cls(ambient_dim, Matrix.zero(0, ambient_dim), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        return cls(ambient_dim, Matrix.identity(ambient_dim),
+                   tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -339,18 +399,14 @@ class Subspace:
         return tuple(self.basis.row(i) for i in range(self.basis.rows))
 
     def pivot_columns(self) -> tuple[int, ...]:
-        cols = []
-        for i in range(self.basis.rows):
-            row = self.basis.row(i)
-            cols.append(next(j for j, x in enumerate(row) if x))
-        return tuple(cols)
+        return self._pivots
 
     def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Canonical representative of v modulo this subspace."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         out = list(v)
-        for i, pc in enumerate(self.pivot_columns()):
+        for i, pc in enumerate(self._pivots):
             f = out[pc]
             if f:
                 brow = self.basis.row(i)
@@ -433,20 +489,28 @@ def subspace_contains(a: Subspace, v: Sequence[Fraction]) -> bool:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of {x : m x = 0}."""
-    rows = m.row_list()
-    pivots = _rref_in_place(rows, m.cols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
+    """Canonical basis of {x : m x = 0}.
+
+    With the integer RREF rows r_i (pivot column p_i), each free column f
+    gives the kernel vector x_f = 1, x_(p_i) = -r_i[f] / r_i[p_i], here
+    scaled to integers by the lcm of those pivot entries."""
+    echelon = _rref_int((_int_row(m.row(i)) for i in range(m.rows)), m.cols)
+    pivot_set = {c for c, _ in echelon}
+    hits: dict[int, list[tuple[int, int, int]]] = {
+        f: [] for f in range(m.cols) if f not in pivot_set}
+    for c, row in echelon:
+        a = row[c]
+        for f, x in row.items():
+            if f != c:
+                hits[f].append((c, x, a))
     vectors = []
-    for f in free_cols:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
-        for i, pc in enumerate(pivots):
-            if rows[i][f]:
-                v[pc] = -rows[i][f]
-        vectors.append(v)
-    return Subspace.span(m.cols, vectors)
+    for f, entries in hits.items():
+        scale = math.lcm(*(a for _, _, a in entries))
+        v = {f: scale}
+        for c, x, a in entries:
+            v[c] = -x * (scale // a)
+        vectors.append(_primitive(v))
+    return Subspace._from_echelon(m.cols, _rref_int(vectors, m.cols))
 
 
 class QuotientMap:

@@ -140,3 +140,32 @@ def test_verify_json_is_byte_identical_to_recorded_digest(capsys):
     main(["verify", "--json", "--suite", ",".join(PINNED_SUITE), "--seed", "0"])
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORT_SHA256
+
+
+SAMPLED_CHECKS = ["p.sampled-nonfixing", "bound.eigenspace-max3",
+                  "fixed.sampled-nonzero"]
+
+
+def test_sampled_checks_agree_alone_together_and_out_of_order():
+    """The sampled checks share each seeded element through the context;
+    a check sees the same element whichever checks ran before it."""
+    from nilcert.autos import sample_action_on_V
+    from nilcert.cli import _REGISTRY, Context
+    from nilcert.wedgerep import induced_group_action, quotient_action
+
+    config = Config(seed=5, trials=20)
+    together = {r.id: r.as_dict() for r in run(SAMPLED_CHECKS, config).results}
+    for cid in SAMPLED_CHECKS:
+        assert run([cid], config).results[0].as_dict() == together[cid]
+    ctx = Context(config)
+    fns = {c.id: c.fn for c in _REGISTRY}
+    for cid in reversed(SAMPLED_CHECKS):
+        status, expected, actual = fns[cid](ctx)
+        assert [status, expected, actual] == [
+            together[cid][k] for k in ("status", "expected", "actual")]
+    fresh = Context(config)
+    g7 = fresh.sample_on_Vprime(7)
+    assert fresh.sample(7) == sample_action_on_V(5, 7)
+    assert g7 == quotient_action(
+        induced_group_action(sample_action_on_V(5, 7)[1]), fresh.data.W)
+    assert fresh.sample_on_Vprime(7) is g7
