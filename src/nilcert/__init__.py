@@ -18,9 +18,6 @@ from .qlinalg import (
     qf,
     rank,
     rref,
-    subspace_contains,
-    subspace_intersect,
-    subspace_sum,
 )
 from .liecore import (
     Element,

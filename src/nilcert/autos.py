@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .liecore import LieAlgebra, bracket, derived_subalgebra
 from .models import SL2Element, group_action_on_V, sym2_embed
@@ -22,7 +22,9 @@ from .qlinalg import (
     QuotientMap,
     Subspace,
     char_poly,
+    clear_denominators,
     count_real_roots,
+    int_kernel,
     kernel_basis,
     rank,
     strip_rational_roots,
@@ -71,58 +73,43 @@ class StabilizerAlgebra:
                      for row in self.space.basis_vectors())
 
 
-def _leibniz_rows(L: LieAlgebra) -> list[list[Fraction]]:
+def _leibniz_rows(L: LieAlgebra) -> Iterator[dict[int, int]]:
     """One row per (pair i<j, output coordinate m) of
-    D[bi,bj] - [D bi, bj] - [bi, D bj] = 0, unknowns D[r,c] at r*dim+c."""
+    D[bi,bj] - [D bi, bj] - [bi, D bj] = 0, unknowns D[r,c] at r*dim+c,
+    in integers (scaled by the structure-constant denominator)."""
     d = L.dim
-    sc = L.sc
-    rows = []
+    table = L.int_sc.table
     for i, j in itertools.combinations(range(d), 2):
-        cij = sc[i][j]
-        for m in range(d):
-            row = [_ZERO] * (d * d)
-            nonzero = False
-            for k in range(d):
-                if cij[k]:
-                    row[m * d + k] += cij[k]
-                    nonzero = True
-                ckj_m = sc[k][j][m]
-                if ckj_m:
-                    row[k * d + i] -= ckj_m
-                    nonzero = True
-                cik_m = sc[i][k][m]
-                if cik_m:
-                    row[k * d + j] -= cik_m
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
-    return rows
+        rows: list[dict[int, int]] = [{} for _ in range(d)]
+        for k, t in table[i][j]:
+            for m in range(d):
+                rows[m][m * d + k] = t
+        for k in range(d):
+            col = k * d + i
+            for m, t in table[k][j]:
+                rows[m][col] = rows[m].get(col, 0) - t
+            col = k * d + j
+            for m, t in table[i][k]:
+                rows[m][col] = rows[m].get(col, 0) - t
+        for row in rows:
+            yield {c: x for c, x in row.items() if x}
 
 
 def derivation_algebra(L: LieAlgebra) -> DerivationSpace:
     """All D with D[x,y] = [Dx,y] + [x,Dy], as one exact kernel."""
-    rows = _leibniz_rows(L)
-    d = L.dim
-    if not rows:
-        return DerivationSpace(L, Subspace.full(d * d))
-    return DerivationSpace(L, kernel_basis(Matrix.from_rows(rows)))
+    return DerivationSpace(L, int_kernel(_leibniz_rows(L), L.dim * L.dim))
 
 
-def _membership_rows(d: int, c: Subspace) -> list[list[Fraction]]:
-    """Rows forcing every column of D into the subspace c of Q^d."""
-    qmap = QuotientMap(c)
+def _membership_rows(d: int, c: Subspace) -> Iterator[dict[int, int]]:
+    """Rows forcing every column of D into the subspace c of Q^d: for each
+    non-pivot coordinate t, x_t = sum_r c.basis[r, t] x_(pivot r)."""
     pivots = c.pivot_columns()
-    rows = []
+    conditions = [clear_denominators(
+        [(t, _ONE)] + [(pc, -c.basis[r, t]) for r, pc in enumerate(pivots)])[1]
+        for t in QuotientMap(c).reps]
     for col in range(d):
-        for t in qmap.reps:
-            row = [_ZERO] * (d * d)
-            row[t * d + col] += _ONE
-            for r, pc in enumerate(pivots):
-                val = c.basis[r, t]
-                if val:
-                    row[pc * d + col] -= val
-            rows.append(row)
-    return rows
+        for cond in conditions:
+            yield {r * d + col: x for r, x in cond.items()}
 
 
 def shear_space(L: LieAlgebra, c: Subspace) -> Subspace:
@@ -130,10 +117,9 @@ def shear_space(L: LieAlgebra, c: Subspace) -> Subspace:
     shear derivations: they kill the derived subalgebra)."""
     if c.ambient_dim != L.dim:
         raise ValueError("subspace ambient dimension does not match the algebra")
-    rows = _leibniz_rows(L) + _membership_rows(L.dim, c)
-    if not rows:
-        return Subspace.full(L.dim * L.dim)
-    return kernel_basis(Matrix.from_rows(rows))
+    return int_kernel(itertools.chain(_leibniz_rows(L),
+                                      _membership_rows(L.dim, c)),
+                      L.dim * L.dim)
 
 
 def wedge_square_base(amb: int) -> int:

@@ -36,8 +36,10 @@ from .liecore import (
 from .models import (
     DEFAULT_P,
     ModelData,
+    SL2Element,
     VPRIME_LABELS,
     group_action_on_V,
+    induced_sl2_on_wedge,
     model_data,
     subspace_in_algebra,
     sym2_embed,
@@ -45,7 +47,9 @@ from .models import (
 )
 from .qlinalg import Matrix, Subspace, is_unipotent, qf, unit_vector
 from .wedgerep import (
+    WedgeBasis,
     commutant,
+    induced_algebra_action,
     induced_group_action,
     quotient_action,
     weight_decomposition,
@@ -181,7 +185,6 @@ class Context:
 
     @cached_property
     def induced_on_wedge(self):
-        from .models import induced_sl2_on_wedge
         return induced_sl2_on_wedge()
 
     def sample(self, index: int) -> tuple[str, Matrix]:
@@ -403,9 +406,8 @@ def _stab_wprime(ctx):
 def _eigen_relations(ctx):
     ker = eigen_relation_kernel()
     pairs_in_w = set()
+    wb = WedgeBasis(5)
     for bv in ctx.data.W.basis_vectors():
-        from .wedgerep import WedgeBasis
-        wb = WedgeBasis(5)
         for idx, val in enumerate(bv):
             if val:
                 i, j = wb.pairs[idx]
@@ -432,7 +434,6 @@ def _der_g_decomp(ctx):
     d = ctx.data
     lift_rows = []
     for x in ctx.stab_W.basis_matrices():
-        from .wedgerep import induced_algebra_action
         xq = quotient_action(induced_algebra_action(x), d.W)
         big = [[Fraction(0)] * 12 for _ in range(12)]
         for i in range(5):
@@ -595,7 +596,6 @@ def _coran_fixed(ctx):
         "the hyperbolic representative fixes exactly the line of s3; the "
         "exponential of the raising action fixes exactly the line of s1")
 def _coran_specific(ctx):
-    from .models import SL2Element
     hyp = group_action_on_V(sym2_embed(SL2Element.hyperbolic(2)))
     fs_h = fixed_space(hyp)
     uni = group_action_on_V(exp_nilpotent(

@@ -4,21 +4,31 @@ An algebra is its dimension plus the full antisymmetric bracket tensor
 ``sc[i][j]`` = coordinates of [b_i, b_j].  Everything downstream (central
 series, centers, derivations) is exact rational linear algebra on that
 tensor.
+
+The computations read a sparse integer view of the tensor, built once per
+algebra and kept on it (``LieAlgebra.int_sc``): the lcm D of all
+structure-constant denominators and, for each pair (i, j), the nonzero
+entries (k, D c_ij^k).  The bracket, the Jacobi scan, the center and the
+Leibniz system of ``autos`` run on it in plain ints and visit only nonzero
+entries; ``Fraction`` appears only in what they return.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .qlinalg import (
     Matrix,
     Subspace,
+    clear_denominators,
+    int_kernel,
     is_zero_vector,
-    kernel_basis,
     qf,
     unit_vector,
     vec_add,
@@ -30,6 +40,16 @@ _ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
+class IntStructure:
+    """Structure constants as integers: [b_i, b_j] is the sum of
+    t / denom * b_k over the (k, t) in table[i][j], which lists the nonzero
+    entries only, by increasing k."""
+
+    denom: int
+    table: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+
+@dataclass(frozen=True)
 class LieAlgebra:
     dim: int
     sc: tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -37,6 +57,25 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim {self.dim}: {', '.join(self.labels)})"
+
+    @cached_property
+    def int_sc(self) -> IntStructure:
+        """The sparse integer view of sc, built on first use."""
+        denom = math.lcm(*(x.denominator for row in self.sc for v in row
+                           for x in v if x))
+        return IntStructure(denom, tuple(
+            tuple(tuple((k, x.numerator * (denom // x.denominator))
+                        for k, x in enumerate(v) if x)
+                  for v in row)
+            for row in self.sc))
+
+    @cached_property
+    def derived(self) -> Subspace:
+        """[L, L], the span of the structure constants; built on first use."""
+        table = self.int_sc.table
+        return Subspace.from_int_rows(self.dim, (
+            dict(table[i][j])
+            for i, j in itertools.combinations(range(self.dim), 2)))
 
     def basis_vector(self, i: int) -> tuple[Fraction, ...]:
         return unit_vector(self.dim, i)
@@ -105,40 +144,50 @@ def make_lie_algebra(dim: int,
     return LieAlgebra(dim, sc, labels)
 
 
+def _int_bracket(L: LieAlgebra, x: dict[int, int],
+                 y: dict[int, int]) -> list[int]:
+    """denom * [x, y] for integer coordinate maps x and y, over the nonzero
+    coordinates and nonzero structure constants only."""
+    out = [0] * L.dim
+    table = L.int_sc.table
+    for i, xi in x.items():
+        ti = table[i]
+        for j, yj in y.items():
+            c = xi * yj
+            for k, t in ti[j]:
+                out[k] += c * t
+    return out
+
+
 def bracket(L: LieAlgebra,
             x: Sequence[Fraction],
             y: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Bilinear extension of the structure constants."""
     if len(x) != L.dim or len(y) != L.dim:
         raise ValueError("element length does not match algebra dimension")
-    out = [_ZERO] * L.dim
-    sc = L.sc
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        sci = sc[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            cij = sci[j]
-            c = xi * yj
-            for k, ck in enumerate(cij):
-                if ck:
-                    out[k] += c * ck
-    return tuple(out)
+    dx, xi = clear_denominators(enumerate(x))
+    dy, yi = clear_denominators(enumerate(y))
+    den = L.int_sc.denom * dx * dy
+    return tuple(Fraction(a, den) if a else _ZERO
+                 for a in _int_bracket(L, xi, yi))
 
 
 def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
-    """All basis triples i<j<k violating the Jacobi identity (empty = pass)."""
+    """All basis triples i<j<k violating the Jacobi identity (empty = pass).
+
+    [b_a, [b_b, b_c]] has coordinate n equal to the sum over m of
+    c_bc^m c_am^n; the three cyclic terms are summed in integers, scaled by
+    denom^2, which does not change which sums vanish."""
+    table = L.int_sc.table
     violations = []
-    basis = [L.basis_vector(i) for i in range(L.dim)]
     for i, j, k in itertools.combinations(range(L.dim), 3):
-        s = vec_add(
-            bracket(L, basis[i], bracket(L, basis[j], basis[k])),
-            vec_add(
-                bracket(L, basis[j], bracket(L, basis[k], basis[i])),
-                bracket(L, basis[k], bracket(L, basis[i], basis[j]))))
-        if not is_zero_vector(s):
+        acc: dict[int, int] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            ta = table[a]
+            for m, x in table[b][c]:
+                for n, y in ta[m]:
+                    acc[n] = acc.get(n, 0) + x * y
+        if any(acc.values()):
             violations.append((i, j, k))
     return violations
 
@@ -154,9 +203,11 @@ def bracket_subspace(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of [x, y] over basis pairs of the two subspaces."""
     if a.ambient_dim != L.dim or b.ambient_dim != L.dim:
         raise ValueError("subspace ambient dimension does not match the algebra")
-    products = [bracket(L, x, y)
-                for x in a.basis_vectors() for y in b.basis_vectors()]
-    return Subspace.span(L.dim, products)
+    xs = [clear_denominators(enumerate(x))[1] for x in a.basis_vectors()]
+    ys = [clear_denominators(enumerate(y))[1] for y in b.basis_vectors()]
+    return Subspace.from_int_rows(L.dim, (
+        {k: v for k, v in enumerate(_int_bracket(L, x, y)) if v}
+        for x in xs for y in ys))
 
 
 def lower_central_series(L: LieAlgebra) -> list[Subspace]:
@@ -182,19 +233,23 @@ def nilpotency_class(L: LieAlgebra) -> int:
 
 
 def derived_subalgebra(L: LieAlgebra) -> Subspace:
-    """[L, L], the span of the structure constants sc[i][j] over i < j."""
-    return Subspace.span(L.dim, [L.sc[i][j] for i, j in
-                                 itertools.combinations(range(L.dim), 2)])
+    """[L, L], the span of the structure constants sc[i][j] over i < j,
+    computed once per algebra."""
+    return L.derived
 
 
 def center(L: LieAlgebra) -> Subspace:
-    """{x : [x, L] = 0}, the kernel of the stacked adjoint maps."""
+    """{x : [x, L] = 0}, the kernel of the stacked adjoint maps: one row
+    per (j, k), sum_i x_i c_ij^k = 0."""
+    table = L.int_sc.table
     rows = []
     for j in range(L.dim):
-        # row block: x -> [x, b_j], i.e. columns are ad(b_i) applied to b_j
-        for k in range(L.dim):
-            rows.append([L.sc[i][j][k] for i in range(L.dim)])
-    return kernel_basis(Matrix.from_rows(rows))
+        block: list[dict[int, int]] = [{} for _ in range(L.dim)]
+        for i in range(L.dim):
+            for k, t in table[i][j]:
+                block[k][i] = t
+        rows += block
+    return int_kernel(rows, L.dim)
 
 
 def abelian_lie_algebra(n: int) -> LieAlgebra:

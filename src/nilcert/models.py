@@ -190,6 +190,7 @@ def group_action_on_V(h: Matrix) -> Matrix:
     return Matrix(5, 5, (cols[j][i] for i in range(5) for j in range(5)))
 
 
+@lru_cache(maxsize=1)
 def build_W() -> Subspace:
     """Span of s1^s4 - s2^s3, s1^s5 - s2^s4, s2^s5 - s3^s4 in wedge^2 V."""
     e = [unit_vector(5, i) for i in range(5)]
@@ -208,6 +209,7 @@ def induced_sl2_on_wedge() -> GeneratorSet:
                         tuple(induced_algebra_action(m) for m in gens))
 
 
+@lru_cache(maxsize=1)
 def build_Wprime() -> Subspace:
     """Closure of s1^s2 under the induced algebra generators (dimension 7)."""
     e = [unit_vector(5, i) for i in range(5)]
@@ -263,6 +265,7 @@ def _two_step_brackets() -> dict[tuple[int, int], tuple[Fraction, ...]]:
     return brackets
 
 
+@lru_cache(maxsize=1)
 def build_two_step() -> LieAlgebra:
     """The 12-dim 2-step algebra G: [u, v] = u^v mod W, V' central."""
     L = make_lie_algebra(12, _two_step_brackets(), ALGEBRA_LABELS)
@@ -301,16 +304,17 @@ def build_three_step(p: Sequence | None = None) -> LieAlgebra:
 
 @dataclass(frozen=True)
 class ModelData:
-    """Everything the verification suite consumes, built once and shared."""
+    """Everything the verification suite consumes, built once and shared.
 
-    basis: tuple[Matrix, ...]
+    The parts that do not depend on the hook target p (G, W, W', the sl2
+    actions) are cached per process, so a new p builds only N."""
+
     cartan_action: Matrix
     raising_action: Matrix
     lowering_action: Matrix
     W: Subspace
     Wprime: Subspace
     qmap: QuotientMap
-    vprime_labels: tuple[str, ...]
     vprime_actions: GeneratorSet
     L: Subspace
     Lprime: Subspace
@@ -329,14 +333,12 @@ class ModelData:
 def _model_data_cached(p: tuple[Fraction, ...]) -> ModelData:
     gens = sl2_actions_on_V()
     return ModelData(
-        basis=v_basis(),
         cartan_action=gens.matrices[0],
         raising_action=gens.matrices[1],
         lowering_action=gens.matrices[2],
         W=build_W(),
         Wprime=build_Wprime(),
         qmap=vprime_quotient(),
-        vprime_labels=VPRIME_LABELS,
         vprime_actions=sl2_actions_on_Vprime(),
         L=L_subspace(),
         Lprime=Lprime_subspace(),

@@ -6,7 +6,12 @@ denominators once and run on plain Python ints, which gives the same exact
 results with far less ``Fraction`` overhead: one sparse fraction-free
 Gauss-Jordan elimination (``_rref_int``) serves ``rref``, ``kernel_basis``
 and every ``Subspace``, ``det`` is a Bareiss elimination, and ``char_poly``
-and ``rational_roots`` work on integer matrices and polynomials.
+and ``rational_roots`` work on integer matrices and polynomials.  Systems
+that other modules can write down in integers (the Leibniz, shear, center
+and commutant systems) skip the dense matrix: they pass sparse rows
+``{column: int}`` to ``int_kernel``, which ``kernel_basis`` also calls, or
+to ``Subspace.from_int_rows``; ``clear_denominators`` gives the exact
+integer form of a rational vector for that.
 Matrices act on column vectors, so the composite map "apply h, then g" is
 the product ``g * h``.  Subspaces are stored as reduced row-echelon bases
 with the zero rows dropped, which makes subspace equality a plain data
@@ -174,18 +179,19 @@ class Matrix:
         return result
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Matrix-vector product (column vector convention)."""
+        """Matrix-vector product (column vector convention).  Only the
+        nonzero coordinates of v and the nonzero entries of their columns
+        are visited."""
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
         e = self.entries
-        out = []
-        for i in range(self.rows):
-            s = _ZERO
-            base = i * self.cols
-            for j, vj in enumerate(v):
-                if vj:
-                    s += e[base + j] * vj
-            out.append(s)
+        n = self.cols
+        out = [_ZERO] * self.rows
+        for j, vj in enumerate(v):
+            if vj:
+                for i, a in enumerate(e[j::n]):
+                    if a:
+                        out[i] += a * vj
         return tuple(out)
 
     def transpose(self) -> "Matrix":
@@ -224,15 +230,21 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
+def clear_denominators(
+        entries: Iterable[tuple[int, Fraction]]) -> tuple[int, dict[int, int]]:
+    """The exact integer form of a sparse rational vector: (d, {j: d x})
+    over the nonzero (j, x), where d is the lcm of their denominators
+    (1 when there are none)."""
+    nz = [(j, x) for j, x in entries if x]
+    d = math.lcm(*(x.denominator for _, x in nz))
+    return d, {j: x.numerator * (d // x.denominator) for j, x in nz}
+
+
 def _int_row(row: Sequence[Fraction]) -> dict[int, int]:
     """The primitive integer multiple of a rational row as {column: entry};
     empty for the zero row."""
-    nz = {j: x for j, x in enumerate(row) if x}
-    if not nz:
-        return nz
-    d = math.lcm(*(x.denominator for x in nz.values()))
-    return _primitive({j: x.numerator * (d // x.denominator)
-                       for j, x in nz.items()})
+    _, out = clear_denominators(enumerate(row))
+    return _primitive(out) if out else out
 
 
 def _reduce(row: dict[int, int],
@@ -372,7 +384,16 @@ class Subspace:
                 raise ValueError(
                     f"vector length {len(row)} != ambient dim {ambient_dim}")
             rows.append(_int_row(row))
-        return cls._from_echelon(ambient_dim, _rref_int(rows, ambient_dim))
+        return cls.from_int_rows(ambient_dim, rows)
+
+    @classmethod
+    def from_int_rows(cls, ambient_dim: int,
+                      rows: Iterable[dict[int, int]]) -> "Subspace":
+        """Span of sparse integer rows {column: entry}, which list nonzero
+        entries only; each row is divided by its content in place."""
+        return cls._from_echelon(
+            ambient_dim, _rref_int((_primitive(r) for r in rows if r),
+                                   ambient_dim))
 
     @classmethod
     def _from_echelon(cls, ambient_dim: int,
@@ -476,28 +497,25 @@ class Subspace:
                 f"ambient dimension mismatch: {self.ambient_dim} vs {other.ambient_dim}")
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a.sum(b)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
-def subspace_contains(a: Subspace, v: Sequence[Fraction]) -> bool:
-    return a.contains(v)
-
-
 def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of {x : m x = 0}.
+    """Canonical basis of {x : m x = 0}."""
+    return int_kernel((_int_row(m.row(i)) for i in range(m.rows)), m.cols)
 
-    With the integer RREF rows r_i (pivot column p_i), each free column f
-    gives the kernel vector x_f = 1, x_(p_i) = -r_i[f] / r_i[p_i], here
-    scaled to integers by the lcm of those pivot entries."""
-    echelon = _rref_int((_int_row(m.row(i)) for i in range(m.rows)), m.cols)
+
+def int_kernel(rows: Iterable[dict[int, int]], ncols: int) -> Subspace:
+    """Canonical basis of the solutions x in Q^ncols of the linear system
+    whose equations are the sparse integer rows {column: coefficient}.
+
+    Every row lists nonzero entries only, and is divided by its content in
+    place.  Callers that can write their system in integers pass it here
+    directly, without a dense rational matrix.  With the integer RREF rows
+    r_i (pivot column p_i), each free column f gives the kernel vector
+    x_f = 1, x_(p_i) = -r_i[f] / r_i[p_i], here scaled to integers by the
+    lcm of those pivot entries."""
+    echelon = _rref_int((_primitive(r) for r in rows if r), ncols)
     pivot_set = {c for c, _ in echelon}
     hits: dict[int, list[tuple[int, int, int]]] = {
-        f: [] for f in range(m.cols) if f not in pivot_set}
+        f: [] for f in range(ncols) if f not in pivot_set}
     for c, row in echelon:
         a = row[c]
         for f, x in row.items():
@@ -510,7 +528,7 @@ def kernel_basis(m: Matrix) -> Subspace:
         for c, x, a in entries:
             v[c] = -x * (scale // a)
         vectors.append(_primitive(v))
-    return Subspace._from_echelon(m.cols, _rref_int(vectors, m.cols))
+    return Subspace._from_echelon(ncols, _rref_int(vectors, ncols))
 
 
 class QuotientMap:

@@ -14,12 +14,12 @@ from .qlinalg import (
     Matrix,
     QuotientMap,
     Subspace,
+    clear_denominators,
+    int_kernel,
     kernel_basis,
     qf,
     unit_vector,
 )
-
-_ZERO = Fraction(0)
 
 
 class NotInvariantError(ValueError):
@@ -178,15 +178,20 @@ def commutant(gens: GeneratorSet, dim: int | None = None) -> Subspace:
     n = gens.dim
     rows = []
     for g in gens:
-        for r in range(n):
+        # row (r, c) is (Xg - gX)[r, c] = 0, g scaled to integers; the
+        # entry g[p, q] = x enters row (r, q) at X[r, p] and row (p, c)
+        # at X[q, c]
+        block: list[dict[int, int]] = [{} for _ in range(n * n)]
+        for idx, x in clear_denominators(enumerate(g.entries))[1].items():
+            p, q = divmod(idx, n)
+            for r in range(n):
+                row = block[r * n + q]
+                row[r * n + p] = row.get(r * n + p, 0) + x
             for c in range(n):
-                row = [_ZERO] * (n * n)
-                # (Xg - gX)[r, c]
-                for k in range(n):
-                    row[r * n + k] += g[k, c]
-                    row[k * n + c] -= g[r, k]
-                rows.append(row)
-    return kernel_basis(Matrix.from_rows(rows))
+                row = block[p * n + c]
+                row[q * n + c] = row.get(q * n + c, 0) - x
+        rows += [{j: x for j, x in row.items() if x} for row in block]
+    return int_kernel(rows, n * n)
 
 
 def invariant_closure(seeds: Sequence[Sequence[Fraction]],

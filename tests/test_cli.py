@@ -142,6 +142,34 @@ def test_verify_json_is_byte_identical_to_recorded_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORT_SHA256
 
 
+#: the seven deterministic checks whose answer depends on the hook target p
+P_DEPENDENT_SUITE = (
+    "jacobi.N", "lcs.N-12-7-1-0", "nilclass.N-3", "n.der-dim-32",
+    "n.der-decomposition", "n.derivations-nilpotent", "p.line-stabilizer-zero",
+)
+
+#: sha256 of ``verify --json --suite P_DEPENDENT_SUITE --p P`` stdout at a
+#: sparse p (p13/2 - 2 p45), a dense p and a p with p13 = 0 (p14 + p25,
+#: where every abelianization factor vanishes), recorded before the
+#: structure-constant computations moved to integers.
+PINNED_P_REPORTS = {
+    "0,1/2,0,0,0,0,-2":
+        "fe3c5ed66a0c78436f509cb1ee151e8b5ca0f6e779403fe18326846d5f47e8b7",
+    "0,1,-1/2,2,-3/2,1,1/2":
+        "5b46aea9954cf4634bb76ef18851e84205da534ae96fc1df940a319e2b714172",
+    "0,0,1,0,1,0,0":
+        "2eb6ab5249fbeb0de91af50adef15c79fd7b9561ccec64635ec619af4a5f8441",
+}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_P_REPORTS))
+def test_verify_json_at_non_default_p_is_byte_identical(capsys, p):
+    main(["verify", "--json", "--suite", ",".join(P_DEPENDENT_SUITE),
+          "--p", p])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_P_REPORTS[p]
+
+
 SAMPLED_CHECKS = ["p.sampled-nonfixing", "bound.eigenspace-max3",
                   "fixed.sampled-nonzero"]
 

@@ -190,15 +190,6 @@ def test_subspace_membership():
     assert not s.contains((1, 0, 0))
 
 
-def test_subspace_functional_forms():
-    from nilcert.qlinalg import subspace_contains, subspace_intersect, subspace_sum
-    a = Subspace.span(3, [(1, 0, 0)])
-    b = Subspace.span(3, [(0, 1, 0)])
-    assert subspace_sum(a, b).dim == 2
-    assert subspace_intersect(a, b).dim == 0
-    assert subspace_contains(a, (5, 0, 0))
-
-
 def test_subspace_modular_pair_randomized():
     rng = random.Random(23)
     for _ in range(20):
