@@ -30,7 +30,12 @@ from .qlinalg import (
     strip_rational_roots,
     vector,
 )
-from .wedgerep import GeneratorSet, induced_algebra_action, wedge_vector
+from .wedgerep import (
+    GeneratorSet,
+    induced_algebra_action,
+    quotient_action,
+    wedge_vector,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -136,43 +141,30 @@ def wedge_square_base(amb: int) -> int:
 
 def stabilizer_algebra(w: Subspace) -> StabilizerAlgebra:
     """{x in gl(n) : the induced derivation action on wedge^2 preserves w},
-    computed as one kernel over the n^2 matrix coordinates."""
+    computed as one kernel over the n^2 matrix coordinates: the column of
+    the matrix unit E_rc is its induced action on w's basis, modulo w."""
     n = wedge_square_base(w.ambient_dim)
     qmap = QuotientMap(w)
-    basis_images = []  # for each E_rc: the induced action applied to w's basis
-    rows_out = []
     wbasis = w.basis_vectors()
+    images = []
     for r in range(n):
         for cc in range(n):
             e = Matrix(n, n, (_ONE if (a, b) == (r, cc) else _ZERO
                               for a in range(n) for b in range(n)))
             ind = induced_algebra_action(e)
-            basis_images.append([qmap.project(ind.apply(bv)) for bv in wbasis])
-    for bidx in range(len(wbasis)):
-        for t in range(qmap.dim):
-            rows_out.append([basis_images[var][bidx][t]
-                             for var in range(n * n)])
-    if not rows_out:  # w is everything: no constraint at all
-        return StabilizerAlgebra(n, Subspace.full(n * n))
-    return StabilizerAlgebra(n, kernel_basis(Matrix.from_rows(rows_out)))
+            images.append([x for bv in wbasis
+                           for x in qmap.project(ind.apply(bv))])
+    return StabilizerAlgebra(n, kernel_basis(Matrix.from_columns(images)))
 
 
 def factor_on_abelianization(L: LieAlgebra, d_mat: Matrix) -> Matrix:
     """Factor of a derivation (or automorphism) on L / [L, L].
 
     Requires the derived subalgebra to be preserved; for derivations and
-    automorphisms that is automatic, but it is checked and reported.
+    automorphisms that is automatic, but it is checked: NotInvariantError
+    carries a basis vector of [L, L] that d_mat moves out of it.
     """
-    if d_mat.rows != L.dim or d_mat.cols != L.dim:
-        raise ValueError("matrix size does not match the algebra")
-    derived = derived_subalgebra(L)
-    for bv in derived.basis_vectors():
-        if not derived.contains(d_mat.apply(bv)):
-            raise ValueError("derived subalgebra is not preserved")
-    qmap = QuotientMap(derived)
-    k = qmap.dim
-    cols = [qmap.project(d_mat.apply(qmap.lift(t))) for t in range(k)]
-    return Matrix(k, k, (cols[j][i] for i in range(k) for j in range(k)))
+    return quotient_action(d_mat, derived_subalgebra(L))
 
 
 def is_automorphism(L: LieAlgebra, t_mat: Matrix) -> bool:
@@ -249,11 +241,8 @@ def infinitesimal_line_stabilizer(p: Sequence[Fraction],
     pv = vector(p)
     if all(x == 0 for x in pv):
         raise ValueError("p must be nonzero")
-    cols = [wedge_vector(g.apply(pv), pv) for g in gens]
-    nrows = len(cols[0])
-    return kernel_basis(Matrix(nrows, len(cols),
-                               (cols[j][i] for i in range(nrows)
-                                for j in range(len(cols)))))
+    return kernel_basis(Matrix.from_columns(
+        [wedge_vector(g.apply(pv), pv) for g in gens]))
 
 
 def max_eigenspace_dim(m: Matrix) -> int:
@@ -360,16 +349,7 @@ def sample_in_subspace(space: Subspace, seed: int, index: int,
     """Small-coefficient random combination of a subspace basis; nonzero
     whenever the subspace is."""
     stream = SampleStream(seed, index)
-    out = [_ZERO] * space.ambient_dim
-    picked_nonzero = False
-    for row in space.basis_vectors():
-        c = Fraction(stream.int_in(-bound, bound))
-        if c:
-            picked_nonzero = True
-            for k, val in enumerate(row):
-                if val:
-                    out[k] += c * val
-    if not picked_nonzero and space.dim:
-        for k, val in enumerate(space.basis.row(0)):
-            out[k] = val
-    return tuple(out)
+    coeffs = [Fraction(stream.int_in(-bound, bound)) for _ in range(space.dim)]
+    if space.dim and not any(coeffs):
+        coeffs[0] = _ONE
+    return space.combination(coeffs)

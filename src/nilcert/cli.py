@@ -183,10 +183,6 @@ class Context:
     def stab_Wprime(self):
         return stabilizer_algebra(self.data.Wprime)
 
-    @cached_property
-    def induced_on_wedge(self):
-        return induced_sl2_on_wedge()
-
     def sample(self, index: int) -> tuple[str, Matrix]:
         """The index-th seeded H-element acting on V, with its kind."""
         if index not in self._samples:
@@ -297,7 +293,7 @@ def _weights_v(ctx):
         "the quotient Cartan action on V' is diagonal with weights "
         "6, 4, 2, 0, -2, -4, -6")
 def _weights_vprime(ctx):
-    m = quotient_action(ctx.induced_on_wedge.matrices[0], ctx.data.W)
+    m = quotient_action(induced_sl2_on_wedge().matrices[0], ctx.data.W)
     expected = Matrix.diagonal((6, 4, 2, 0, -2, -4, -6))
     wd = weight_decomposition(m, (6, 4, 2, 0, -2, -4, -6))
     ok = m == expected and wd.complete
@@ -324,7 +320,7 @@ def _ident_g(ctx):
 def _w_invariant(ctx):
     w = ctx.data.W
     ok = w.dim == 3
-    for m in ctx.induced_on_wedge:
+    for m in induced_sl2_on_wedge():
         for bv in w.basis_vectors():
             ok = ok and w.contains(m.apply(bv))
     return _status(ok), "dim 3, invariant under all three", \
@@ -345,7 +341,7 @@ def _commutant_v(ctx):
         "the induced action on wedge^2 V has a 2-dimensional commutant: "
         "exactly two irreducible summands")
 def _commutant_wedge(ctx):
-    d = commutant(ctx.induced_on_wedge).dim
+    d = commutant(induced_sl2_on_wedge()).dim
     return _status(d == 2), "2", str(d)
 
 

@@ -194,9 +194,8 @@ def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
 
 def ad_matrix(L: LieAlgebra, x: Sequence[Fraction]) -> Matrix:
     """Matrix of y -> [x, y] in the algebra basis."""
-    cols = [bracket(L, x, L.basis_vector(j)) for j in range(L.dim)]
-    return Matrix(L.dim, L.dim,
-                  (cols[j][i] for i in range(L.dim) for j in range(L.dim)))
+    return Matrix.from_columns([bracket(L, x, L.basis_vector(j))
+                                for j in range(L.dim)])
 
 
 def bracket_subspace(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -266,23 +265,39 @@ def heisenberg3() -> LieAlgebra:
 # ---------------------------------------------------------------------------
 #
 # Schema: {"dim": int, "labels": [str, ...]?, "brackets": [[i, j, coords], ...]}
-# where coords is a list of dim rationals written as ints or "num/den" strings.
-# Omitted pairs are zero; antisymmetry is completed automatically; the Jacobi
+# where dim >= 0, i and j are basis indices, and coords is a list of dim
+# rationals written as ints or "num/den" strings.  dim and the indices must be
+# JSON integers: a float or a boolean is rejected, not truncated.  Omitted
+# pairs are zero; antisymmetry is completed automatically; the Jacobi
 # identity is verified on load and violations are reported.
+
+def _json_int(value, name: str) -> int:
+    # bool is a subclass of int, and int() would truncate a float
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
 
 def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
     data = json.loads(source) if isinstance(source, str) else source
     if "dim" not in data:
         raise ValueError("missing field: dim")
-    dim = int(data["dim"])
+    dim = _json_int(data["dim"], "dim")
+    if dim < 0:
+        raise ValueError(f"dim must be nonnegative, got {dim}")
     labels = data.get("labels")
+    entries = data.get("brackets", [])
+    if not isinstance(entries, list):
+        raise ValueError("brackets must be a list of [i, j, coords] entries, "
+                         f"got {entries!r}")
     brackets = {}
-    for entry in data.get("brackets", ()):
-        try:
-            i, j, coords = entry
-        except (TypeError, ValueError):
-            raise ValueError(f"malformed bracket entry: {entry!r}") from None
-        brackets[(int(i), int(j))] = [qf(c) for c in coords]
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ValueError("each brackets entry must be a list [i, j, coords], "
+                             f"got {entry!r}")
+        i, j, coords = entry
+        brackets[(_json_int(i, "bracket index i"),
+                  _json_int(j, "bracket index j"))] = [qf(c) for c in coords]
     L = make_lie_algebra(dim, brackets, labels)
     violations = check_jacobi(L)
     if violations:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .liecore import LieAlgebra, check_jacobi, make_lie_algebra
 from .qlinalg import Matrix, QuotientMap, Subspace, qf, unit_vector, vector
@@ -77,14 +77,20 @@ def algebra_action_on_V(xi: Matrix) -> Matrix:
     if xi.rows != 3 or xi.cols != 3:
         raise ValueError("expected a 3x3 matrix")
     xit = xi.transpose()
+    return _action_on_V(lambda s: xi * s + s * xit, "xi s + s xi^t")
+
+
+def _action_on_V(image: Callable[[Matrix], Matrix], formula: str) -> Matrix:
+    """The matrix of s -> image(s) on V, one column per basis matrix;
+    raises NotInvariantError at the first basis matrix sent out of V."""
     cols = []
     for idx, s in enumerate(v_basis()):
-        image = xi * s + s * xit
-        if not in_V(image):
+        m = image(s)
+        if not in_V(m):
             raise NotInvariantError(
-                f"xi s + s xi^t leaves V on basis matrix s{idx + 1}", s)
-        cols.append(v_coordinates(image))
-    return Matrix(5, 5, (cols[j][i] for i in range(5) for j in range(5)))
+                f"{formula} leaves V on basis matrix s{idx + 1}", s)
+        cols.append(v_coordinates(m))
+    return Matrix.from_columns(cols)
 
 
 @lru_cache(maxsize=1)
@@ -180,14 +186,7 @@ def group_action_on_V(h: Matrix) -> Matrix:
     if h.rows != 3 or h.cols != 3:
         raise ValueError("expected a 3x3 matrix")
     ht = h.transpose()
-    cols = []
-    for idx, s in enumerate(v_basis()):
-        image = h * s * ht
-        if not in_V(image):
-            raise NotInvariantError(
-                f"h s h^t leaves V on basis matrix s{idx + 1}", s)
-        cols.append(v_coordinates(image))
-    return Matrix(5, 5, (cols[j][i] for i in range(5) for j in range(5)))
+    return _action_on_V(lambda s: h * s * ht, "h s h^t")
 
 
 @lru_cache(maxsize=1)

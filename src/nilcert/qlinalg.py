@@ -13,9 +13,11 @@ and commutant systems) skip the dense matrix: they pass sparse rows
 to ``Subspace.from_int_rows``; ``clear_denominators`` gives the exact
 integer form of a rational vector for that.
 Matrices act on column vectors, so the composite map "apply h, then g" is
-the product ``g * h``.  Subspaces are stored as reduced row-echelon bases
-with the zero rows dropped, which makes subspace equality a plain data
-comparison.
+the product ``g * h``, and a linear map is built column by column from the
+images of the basis vectors with ``Matrix.from_columns``.  Subspaces are
+stored as reduced row-echelon bases with the zero rows dropped, which makes
+subspace equality a plain data comparison; ``Subspace.combination`` turns
+coefficients on such a basis back into a vector.
 """
 
 from __future__ import annotations
@@ -80,6 +82,14 @@ class Matrix:
         ncols = len(rows[0]) if nrows else 0
         flat = [e for row in rows for e in row]
         return cls(nrows, ncols, flat)
+
+    @classmethod
+    def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
+        """The matrix whose j-th column is cols[j]: the matrix of the linear
+        map sending the j-th basis vector to cols[j] (0x0 for no columns)."""
+        nrows = len(cols[0]) if cols else 0
+        return cls(nrows, len(cols),
+                   itertools.chain.from_iterable(zip(*cols, strict=True)))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -449,30 +459,26 @@ class Subspace:
                              self.basis_vectors() + other.basis_vectors())
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked-bases system."""
+        """Intersection via the kernel of (a, b) -> sum a_i s_i - sum b_j o_j
+        over the two bases; each kernel vector's a gives one common vector."""
         self._same_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        # columns: coefficients on self's basis, then on other's basis;
-        # rows: one linear condition per ambient coordinate.
-        scols, ocols = self.dim, other.dim
-        rows = []
-        for coord in range(self.ambient_dim):
-            row = ([self.basis[i, coord] for i in range(scols)]
-                   + [-other.basis[j, coord] for j in range(ocols)])
-            rows.append(row)
-        ker = kernel_basis(Matrix.from_rows(rows))
-        vectors = []
-        for coeffs in ker.basis_vectors():
-            v = [_ZERO] * self.ambient_dim
-            for i in range(scols):
-                if coeffs[i]:
-                    brow = self.basis.row(i)
-                    for k in range(self.ambient_dim):
-                        if brow[k]:
-                            v[k] += coeffs[i] * brow[k]
-            vectors.append(v)
-        return Subspace.span(self.ambient_dim, vectors)
+        ker = kernel_basis(Matrix.from_columns(
+            self.basis_vectors()
+            + tuple(tuple(-x for x in v) for v in other.basis_vectors())))
+        return Subspace.span(self.ambient_dim,
+                             (self.combination(c[:self.dim])
+                              for c in ker.basis_vectors()))
+
+    def combination(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """sum_i coeffs[i] * basis[i], over the nonzero coefficients and
+        nonzero basis entries only."""
+        out = [_ZERO] * self.ambient_dim
+        for c, row in zip(coeffs, self.basis_vectors(), strict=True):
+            if c:
+                for k, x in enumerate(row):
+                    if x:
+                        out[k] += c * x
+        return tuple(out)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         return self.sum(other)
@@ -655,13 +661,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def eval(self, x) -> Fraction:
-        x = qf(x)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self) -> str:
         if self.is_zero:

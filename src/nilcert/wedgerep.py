@@ -90,32 +90,23 @@ def induced_algebra_action(x: Matrix) -> Matrix:
     if not x.is_square:
         raise ValueError("inducing from a non-square matrix")
     n = x.rows
-    wb = WedgeBasis(n)
-    d = wb.dim
     cols = []
-    for (i, j) in wb.pairs:
+    for (i, j) in WedgeBasis(n).pairs:
         ei = unit_vector(n, i)
         ej = unit_vector(n, j)
         xi = x.apply(ei)
         xj = x.apply(ej)
         col = [a + b for a, b in zip(wedge_vector(xi, ej), wedge_vector(ei, xj))]
         cols.append(col)
-    return Matrix(d, d, (cols[j][i] for i in range(d) for j in range(d)))
+    return Matrix.from_columns(cols)
 
 
 def induced_group_action(g: Matrix) -> Matrix:
     """Multiplicative extension of g: u^v -> gu^gv."""
     if not g.is_square:
         raise ValueError("inducing from a non-square matrix")
-    n = g.rows
-    wb = WedgeBasis(n)
-    d = wb.dim
-    cols = []
-    for (i, j) in wb.pairs:
-        gi = g.col(i)
-        gj = g.col(j)
-        cols.append(wedge_vector(gi, gj))
-    return Matrix(d, d, (cols[j][i] for i in range(d) for j in range(d)))
+    return Matrix.from_columns([wedge_vector(g.col(i), g.col(j))
+                                for (i, j) in WedgeBasis(g.rows).pairs])
 
 
 def quotient_action(m: Matrix, w: Subspace) -> Matrix:
@@ -133,11 +124,10 @@ def quotient_action(m: Matrix, w: Subspace) -> Matrix:
         image = m.apply(bv)
         if not w.contains(image):
             raise NotInvariantError(
-                "subspace is not invariant under the given matrix", bv)
+                "subspace is not preserved by the given matrix", bv)
     qmap = QuotientMap(w)
-    d = qmap.dim
-    cols = [qmap.project(m.apply(qmap.lift(k))) for k in range(d)]
-    return Matrix(d, d, (cols[j][i] for i in range(d) for j in range(d)))
+    return Matrix.from_columns([qmap.project(m.apply(qmap.lift(k)))
+                                for k in range(qmap.dim)])
 
 
 @dataclass(frozen=True)

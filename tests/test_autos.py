@@ -31,6 +31,7 @@ from nilcert.liecore import (
     abelian_lie_algebra,
     ad_matrix,
     bracket,
+    derived_subalgebra,
     heisenberg3,
 )
 from nilcert.models import (
@@ -50,7 +51,11 @@ from nilcert.qlinalg import (
     kernel_basis,
     unit_vector,
 )
-from nilcert.wedgerep import induced_group_action, quotient_action
+from nilcert.wedgerep import (
+    NotInvariantError,
+    induced_group_action,
+    quotient_action,
+)
 
 DATA = model_data()
 G, N = DATA.G, DATA.N
@@ -198,6 +203,11 @@ def test_stabilizer_full_wedge_space():
     assert stabilizer_algebra(Subspace.full(10)).dim == 25
 
 
+def test_stabilizer_of_the_zero_subspace_is_everything():
+    # w has no basis vector, so the system has no row
+    assert stabilizer_algebra(Subspace.zero(10)).dim == 25
+
+
 def test_wedge_square_base_is_an_exact_solve():
     assert wedge_square_base(780) == 40  # beyond the old n < 40 search
     assert [wedge_square_base(k * (k - 1) // 2) for k in range(2, 200)] \
@@ -254,6 +264,17 @@ def test_factor_requires_preserved_derived_subalgebra():
     rows[0][5] = Q(1)  # sends p12 to s1
     with pytest.raises(ValueError, match="preserved"):
         factor_on_abelianization(G, Matrix.from_rows(rows))
+
+
+def test_factor_witness_is_a_moved_vector_of_the_derived_subalgebra():
+    rows = Matrix.zero(12, 12).row_list()
+    rows[0][5] = Q(1)  # sends p12 to s1
+    bad = Matrix.from_rows(rows)
+    with pytest.raises(NotInvariantError) as info:
+        factor_on_abelianization(G, bad)
+    derived = derived_subalgebra(G)
+    assert derived.contains(info.value.witness)
+    assert not derived.contains(bad.apply(info.value.witness))
 
 
 # -------------------------------------------------------------- automorphisms
@@ -458,3 +479,25 @@ def test_sample_in_subspace_stays_inside():
         v = sample_in_subspace(space, 0, i)
         assert space.contains(v)
         assert any(x != 0 for x in v)
+
+
+def _dense_sample_in_subspace(space, seed, index, bound=2):
+    """Reference: one draw per basis vector, in basis order, and the first
+    basis vector when the sum is zero (every draw zero, the basis being
+    independent)."""
+    stream = SampleStream(seed, index)
+    out = [Q(0)] * space.ambient_dim
+    for row in space.basis_vectors():
+        c = Q(stream.int_in(-bound, bound))
+        out = [o + c * x for o, x in zip(out, row)]
+    if space.dim and not any(out):
+        out = list(space.basis.row(0))
+    return tuple(out)
+
+
+def test_sample_in_subspace_matches_the_dense_reference():
+    line = Subspace.span(3, [(1, Q(1, 2), 0)])
+    for space, bound in ((DER_N.space, 2), (line, 1), (Subspace.zero(4), 2)):
+        for i in range(30):
+            assert (sample_in_subspace(space, 3, i, bound)
+                    == _dense_sample_in_subspace(space, 3, i, bound))

@@ -204,6 +204,27 @@ def test_json_load_rejects_jacobi_violation():
         lie_algebra_from_json({"dim": 12, "brackets": entries})
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"dim": 3.7}, "dim"),
+    ({"dim": True}, "dim"),
+    ({"dim": -1}, "dim"),
+    ({"dim": "3"}, "dim"),
+    ({"dim": 3, "brackets": [[0.9, 1, [0, 0, 1]]]}, "bracket index i"),
+    ({"dim": 3, "brackets": [[0, True, [0, 0, 1]]]}, "bracket index j"),
+    ({"dim": 3, "brackets": {"0,1": [0, 0, 1]}}, "brackets"),
+    ({"dim": 3, "brackets": [[0, 1]]}, "brackets entry"),
+    ({"dim": 3, "brackets": [[0, 1, [0, 0, 1], 2]]}, "brackets entry"),
+    ({"dim": 3, "brackets": ["01x"]}, "brackets entry"),
+])
+def test_json_load_rejects_malformed_fields(doc, field):
+    with pytest.raises(ValueError, match=field):
+        lie_algebra_from_json(json.dumps(doc))
+
+
+def test_json_load_accepts_dimension_zero():
+    assert lie_algebra_from_json('{"dim": 0}').dim == 0
+
+
 def test_json_load_rejects_conflicts():
     with pytest.raises(ValueError, match="conflicting"):
         lie_algebra_from_json({"dim": 3, "brackets": [

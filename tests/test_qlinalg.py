@@ -211,6 +211,47 @@ def test_subspace_ambient_mismatch():
         Subspace.full(3).sum(Subspace.full(4))
 
 
+@st.composite
+def column_lists(draw, max_cols=6, max_len=6):
+    length = draw(st.integers(0, max_len))
+    return draw(st.lists(st.lists(RATIONALS, min_size=length,
+                                  max_size=length), max_size=max_cols))
+
+
+@settings(max_examples=50, deadline=None)
+@given(column_lists())
+@example([])
+@example([[], [], []])
+def test_from_columns_is_the_transpose_of_from_rows(cols):
+    m = Matrix.from_columns(cols)
+    assert m == Matrix.from_rows(cols).transpose()
+    assert (m.rows, m.cols) == (len(cols[0]) if cols else 0, len(cols))
+    assert all(m.col(j) == tuple(c) for j, c in enumerate(cols))
+
+
+def test_from_columns_rejects_ragged_columns():
+    with pytest.raises(ValueError):
+        Matrix.from_columns([(1, 2), (3,)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_subspace_combination_matches_dense_sum(data):
+    n = data.draw(st.integers(0, 6))
+    s = Subspace.span(n, data.draw(st.lists(
+        st.lists(RATIONALS, min_size=n, max_size=n), max_size=4)))
+    coeffs = data.draw(st.lists(RATIONALS, min_size=s.dim, max_size=s.dim))
+    expected = [Q(0)] * n
+    for c, row in zip(coeffs, s.basis_vectors()):
+        expected = [e + c * x for e, x in zip(expected, row)]
+    assert s.combination(coeffs) == tuple(expected)
+
+
+def test_subspace_combination_wants_one_coefficient_per_basis_vector():
+    with pytest.raises(ValueError):
+        Subspace.full(3).combination((1, 2))
+
+
 def test_quotient_map():
     w = Subspace.span(4, [(1, 0, -1, 0)])
     q = QuotientMap(w)
