@@ -56,6 +56,7 @@ from .models import (
     build_two_step,
     build_W,
     build_Wprime,
+    binary_form_action,
     group_action_on_V,
     model_data,
     algebra_action_on_V,

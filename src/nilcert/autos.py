@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .liecore import LieAlgebra, bracket, derived_subalgebra
-from .models import SL2Element, group_action_on_V, sym2_embed
+from .models import SL2Element, binary_form_action
 from .qlinalg import (
     Matrix,
     QuotientMap,
@@ -30,12 +30,7 @@ from .qlinalg import (
     strip_rational_roots,
     vector,
 )
-from .wedgerep import (
-    GeneratorSet,
-    induced_algebra_action,
-    quotient_action,
-    wedge_vector,
-)
+from .wedgerep import GeneratorSet, WedgeBasis, quotient_action, wedge_vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -141,20 +136,55 @@ def wedge_square_base(amb: int) -> int:
 
 def stabilizer_algebra(w: Subspace) -> StabilizerAlgebra:
     """{x in gl(n) : the induced derivation action on wedge^2 preserves w},
-    computed as one kernel over the n^2 matrix coordinates: the column of
-    the matrix unit E_rc is its induced action on w's basis, modulo w."""
+    computed as one kernel over the n^2 matrix coordinates, in integers.
+
+    The matrix unit E_rc sends e_i^e_j to [c=i] e_r^e_j + [c=j] e_i^e_r, so
+    the image of each basis vector of w under x is linear in x's entries.
+    One row per (basis vector of w, non-pivot column t) asks that the
+    image, reduced modulo w through its pivots, vanish at t.
+    """
     n = wedge_square_base(w.ambient_dim)
-    qmap = QuotientMap(w)
-    wbasis = w.basis_vectors()
-    images = []
-    for r in range(n):
-        for cc in range(n):
-            e = Matrix(n, n, (_ONE if (a, b) == (r, cc) else _ZERO
-                              for a in range(n) for b in range(n)))
-            ind = induced_algebra_action(e)
-            images.append([x for bv in wbasis
-                           for x in qmap.project(ind.apply(bv))])
-    return StabilizerAlgebra(n, kernel_basis(Matrix.from_columns(images)))
+    wb = WedgeBasis(n)
+    index = {pair: k for k, pair in enumerate(wb.pairs)}
+    # w's echelon rows in integers: row i is d_i times the RREF row, whose
+    # pivot entry is d_i; reducing "scale * v" by them stays integral
+    echelon = [clear_denominators(enumerate(bv)) for bv in w.basis_vectors()]
+    scale = math.lcm(*(d for d, _ in echelon))
+    reducers = [(pc, scale // d, row)
+                for pc, (d, row) in zip(w.pivot_columns(), echelon)]
+    rows = []
+    for _, u in echelon:
+        # images[r * n + c] is E_rc applied to u, over wedge^2 coordinates
+        images: list[dict[int, int]] = [{} for _ in range(n * n)]
+        for k, x in u.items():
+            i, j = wb.pairs[k]
+            for r in range(n):
+                if r != j:
+                    _add_wedge(images[r * n + i], index, r, j, x)
+                if r != i:
+                    _add_wedge(images[r * n + j], index, i, r, x)
+        block: dict[int, dict[int, int]] = {}
+        for col, image in enumerate(images):
+            reduced = {t: scale * x for t, x in image.items()}
+            for pc, f, prow in reducers:
+                y = image.get(pc)
+                if y:
+                    for t, z in prow.items():
+                        reduced[t] = reduced.get(t, 0) - y * f * z
+            for t, x in reduced.items():
+                if x:
+                    block.setdefault(t, {})[col] = x
+        rows += block.values()
+    return StabilizerAlgebra(n, int_kernel(rows, n * n))
+
+
+def _add_wedge(image: dict[int, int], index: dict[tuple[int, int], int],
+               i: int, j: int, x: int) -> None:
+    """image += x e_i^e_j, written on the basis pairs (i < j)."""
+    if i > j:
+        i, j, x = j, i, -x
+    k = index[i, j]
+    image[k] = image.get(k, 0) + x
 
 
 def factor_on_abelianization(L: LieAlgebra, d_mat: Matrix) -> Matrix:
@@ -222,11 +252,26 @@ def fixed_space(g: Matrix) -> Subspace:
 
 
 def line_fixed_by(p: Sequence[Fraction], g: Matrix) -> bool:
-    """Does g map the line through p to itself?  Exact test: g p ^ p = 0."""
+    """Does g map the line through p to itself?  Exact test: g p ^ p = 0.
+
+    It runs on the denominator-cleared integer forms of g and p, since
+    scaling either leaves the line alone.  For any k with p_k != 0,
+    g p ^ p = 0 exactly when (g p)_i p_k = (g p)_k p_i for every i.
+    """
     pv = vector(p)
     if all(x == 0 for x in pv):
         raise ValueError("p must be nonzero")
-    return all(x == 0 for x in wedge_vector(g.apply(pv), pv))
+    if not g.is_square or g.cols != len(pv):
+        raise ValueError("matrix size does not match p")
+    _, pint = clear_denominators(enumerate(pv))
+    _, gint = clear_denominators(enumerate(g.entries))
+    gp = [0] * g.rows
+    for idx, x in gint.items():
+        i, j = divmod(idx, g.cols)
+        if j in pint:
+            gp[i] += x * pint[j]
+    k, pk = next(iter(pint.items()))
+    return all(gp[i] * pk == gp[k] * pint.get(i, 0) for i in range(g.rows))
 
 
 def infinitesimal_line_stabilizer(p: Sequence[Fraction],
@@ -340,8 +385,9 @@ def sample_h_element(seed: int, index: int) -> tuple[str, SL2Element]:
 
 
 def sample_action_on_V(seed: int, index: int) -> tuple[str, Matrix]:
+    """The index-th sampled element of H acting on V, with its kind."""
     kind, g = sample_h_element(seed, index)
-    return kind, group_action_on_V(sym2_embed(g))
+    return kind, binary_form_action(g, 4)
 
 
 def sample_in_subspace(space: Subspace, seed: int, index: int,

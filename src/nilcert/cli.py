@@ -38,6 +38,7 @@ from .models import (
     ModelData,
     SL2Element,
     VPRIME_LABELS,
+    binary_form_action,
     group_action_on_V,
     induced_sl2_on_wedge,
     model_data,
@@ -50,7 +51,6 @@ from .wedgerep import (
     WedgeBasis,
     commutant,
     induced_algebra_action,
-    induced_group_action,
     quotient_action,
     weight_decomposition,
 )
@@ -65,7 +65,7 @@ from .autos import (
     infinitesimal_line_stabilizer,
     line_fixed_by,
     max_eigenspace_dim,
-    sample_action_on_V,
+    sample_h_element,
     sample_in_subspace,
     shear_space,
     stabilizer_algebra,
@@ -160,6 +160,7 @@ class Context:
 
     def __init__(self, config: Config):
         self.config = config
+        self._elements: dict[int, tuple[str, SL2Element]] = {}
         self._samples: dict[int, tuple[str, Matrix]] = {}
         self._samples_on_Vprime: dict[int, Matrix] = {}
 
@@ -183,18 +184,24 @@ class Context:
     def stab_Wprime(self):
         return stabilizer_algebra(self.data.Wprime)
 
+    def element(self, index: int) -> tuple[str, SL2Element]:
+        """The index-th seeded H-element as a 2x2 matrix, with its kind."""
+        if index not in self._elements:
+            self._elements[index] = sample_h_element(self.config.seed, index)
+        return self._elements[index]
+
     def sample(self, index: int) -> tuple[str, Matrix]:
         """The index-th seeded H-element acting on V, with its kind."""
         if index not in self._samples:
-            self._samples[index] = sample_action_on_V(self.config.seed, index)
+            kind, g = self.element(index)
+            self._samples[index] = kind, binary_form_action(g, 4)
         return self._samples[index]
 
     def sample_on_Vprime(self, index: int) -> Matrix:
         """The index-th seeded H-element acting on V'."""
         if index not in self._samples_on_Vprime:
-            g5 = self.sample(index)[1]
-            self._samples_on_Vprime[index] = quotient_action(
-                induced_group_action(g5), self.data.W)
+            self._samples_on_Vprime[index] = binary_form_action(
+                self.element(index)[1], 6)
         return self._samples_on_Vprime[index]
 
 

@@ -265,11 +265,13 @@ def heisenberg3() -> LieAlgebra:
 # ---------------------------------------------------------------------------
 #
 # Schema: {"dim": int, "labels": [str, ...]?, "brackets": [[i, j, coords], ...]}
-# where dim >= 0, i and j are basis indices, and coords is a list of dim
-# rationals written as ints or "num/den" strings.  dim and the indices must be
-# JSON integers: a float or a boolean is rejected, not truncated.  Omitted
-# pairs are zero; antisymmetry is completed automatically; the Jacobi
-# identity is verified on load and violations are reported.
+# where dim >= 0, labels (if given) holds dim strings, i and j are basis
+# indices, and coords is a list of dim rationals written as ints or "num/den"
+# strings.  dim, the indices and integer coordinates must be JSON integers: a
+# float or a boolean is rejected, not truncated.  Omitted pairs are zero;
+# antisymmetry is completed automatically; the Jacobi identity is verified
+# on load and violations are reported.  Every malformed field raises a
+# ValueError that names it.
 
 def _json_int(value, name: str) -> int:
     # bool is a subclass of int, and int() would truncate a float
@@ -278,14 +280,39 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_coords(coords, i: int, j: int) -> list[Fraction]:
+    name = f"bracket coordinates for ({i}, {j})"
+    if not isinstance(coords, list):
+        raise ValueError(f"{name} must be a list, got {coords!r}")
+    out = []
+    for c in coords:
+        if isinstance(c, str):
+            try:
+                out.append(Fraction(c))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"{name} hold a malformed rational {c!r}") \
+                    from None
+        else:
+            out.append(Fraction(_json_int(c, name + " entry")))
+    return out
+
+
 def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
     data = json.loads(source) if isinstance(source, str) else source
+    if not isinstance(data, Mapping):
+        raise ValueError(
+            f"the algebra document must be a JSON object, got {data!r}")
     if "dim" not in data:
         raise ValueError("missing field: dim")
     dim = _json_int(data["dim"], "dim")
     if dim < 0:
         raise ValueError(f"dim must be nonnegative, got {dim}")
     labels = data.get("labels")
+    if labels is not None and (
+            not isinstance(labels, list) or len(labels) != dim
+            or not all(isinstance(x, str) for x in labels)):
+        raise ValueError(
+            f"labels must be a list of {dim} strings, got {labels!r}")
     entries = data.get("brackets", [])
     if not isinstance(entries, list):
         raise ValueError("brackets must be a list of [i, j, coords] entries, "
@@ -295,9 +322,9 @@ def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ValueError("each brackets entry must be a list [i, j, coords], "
                              f"got {entry!r}")
-        i, j, coords = entry
-        brackets[(_json_int(i, "bracket index i"),
-                  _json_int(j, "bracket index j"))] = [qf(c) for c in coords]
+        i = _json_int(entry[0], "bracket index i")
+        j = _json_int(entry[1], "bracket index j")
+        brackets[(i, j)] = _json_coords(entry[2], i, j)
     L = make_lie_algebra(dim, brackets, labels)
     violations = check_jacobi(L)
     if violations:

@@ -2,6 +2,11 @@
 acting on it, the invariant subspace W of wedge^2 V, and the two nilpotent
 algebras G (2-step) and N (3-step) built on V + wedge^2(V)/W.
 
+As sl2-modules, V and V' are the binary quartics and the binary sextics:
+``binary_form_action`` builds a sampled group element on either one from
+its 2x2 matrix in integers, and is checked once per process against the
+exterior-square path it replaces.
+
 Basis conventions, fixed once:
   * V has basis s1..s5 (3x3 symmetric matrices with m22 = 2*m13);
   * wedge^2 V uses lexicographic pairs of the s-basis;
@@ -13,6 +18,7 @@ Basis conventions, fixed once:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +30,7 @@ from .wedgerep import (
     GeneratorSet,
     NotInvariantError,
     induced_algebra_action,
+    induced_group_action,
     invariant_closure,
     quotient_action,
     wedge_vector,
@@ -187,6 +194,87 @@ def group_action_on_V(h: Matrix) -> Matrix:
         raise ValueError("expected a 3x3 matrix")
     ht = h.transpose()
     return _action_on_V(lambda s: h * s * ht, "h s h^t")
+
+
+#: Phi(s_k) = c_k x^(4-k) y^k on V and Phi(p_k) = c_k x^(6-k) y^k on V',
+#: keyed by degree: the scalars c that make Phi an isomorphism of
+#: sl2-modules onto the binary quartics and sextics.
+BINARY_FORM_SCALES = {
+    4: (_ONE, _ONE, Fraction(3, 2), Fraction(1, 2), Fraction(1, 4)),
+    6: (_ONE, Fraction(3), Fraction(3, 2), _ONE, Fraction(3, 4),
+        Fraction(3, 4), Fraction(1, 8)),
+}
+
+
+def binary_form_action(g: SL2Element, degree: int) -> Matrix:
+    """The matrix of g on V (degree 4, s-basis) or V' (degree 6, p-basis),
+    read as binary forms of that degree through Phi.
+
+    g = [[a, b], [c, d]] acts on forms by the substitution
+    (x, y) -> (ax + cy, bx + dy), a left action.  The first call in a
+    process certifies the identification (``_certify_binary_forms``); a
+    disagreement raises on this and every later call.
+    """
+    _certify_binary_forms()
+    return _binary_form_matrix(g, degree)
+
+
+def _binary_form_matrix(g: SL2Element, n: int) -> Matrix:
+    """With q the lcm of the denominators of a, b, c, d and
+    (A, B, C, D) = q (a, b, c, d), the image of x^(n-j) y^j is the integer
+    expansion of (Ax + Cy)^(n-j) (Bx + Dy)^j divided by q^n; Phi turns its
+    coefficient of x^(n-k) y^k into entry (k, j) times c_j / c_k."""
+    q = math.lcm(g.a.denominator, g.b.denominator, g.c.denominator,
+                 g.d.denominator)
+    A, B, C, D = (x.numerator * (q // x.denominator)
+                  for x in (g.a, g.b, g.c, g.d))
+    qn = q ** n
+    ratios = _phi_ratios(BINARY_FORM_SCALES[n])
+    cols = []
+    for j in range(n + 1):
+        col = [0] * (n + 1)
+        right = _binomial_powers(B, D, j)
+        for i, u in enumerate(_binomial_powers(A, C, n - j)):
+            if u:
+                for k, v in enumerate(right):
+                    col[i + k] += u * v
+        cols.append([Fraction(x * r.numerator, r.denominator * qn) if x
+                     else _ZERO for x, r in zip(col, ratios[j])])
+    return Matrix.from_columns(cols)
+
+
+def _binomial_powers(s: int, t: int, m: int) -> list[int]:
+    """Coefficients of (sx + ty)^m at x^(m-k) y^k, for k = 0..m."""
+    return [math.comb(m, k) * s ** (m - k) * t ** k for k in range(m + 1)]
+
+
+@lru_cache(maxsize=4)
+def _phi_ratios(scales: tuple[Fraction, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """c_j / c_k at [j][k]: column j of D^-1 M D is column j of M times c_j,
+    row k divided by c_k, for D = diag(c)."""
+    return tuple(tuple(cj / ck for ck in scales) for cj in scales)
+
+
+@lru_cache(maxsize=1)
+def _certify_binary_forms() -> None:
+    """Check the binary-form matrices of upper(1) and lower(1) against the
+    exterior-square path (h s h^t on V, then wedge^2 V mod W, W-invariance
+    checked); raises AssertionError on any difference.
+
+    Both maps are rational homomorphisms SL2(Q) -> GL.  Agreement at
+    upper(1) gives agreement at upper(1)^k = upper(k) for every integer k;
+    the entries are polynomials in t on upper(t), so they agree at every
+    rational t.  The same holds for lower(t), and these elements generate
+    SL2(Q), so the two checks certify every later binary-form matrix.
+    """
+    w = build_W()
+    for g in (SL2Element.upper(1), SL2Element.lower(1)):
+        on_v = group_action_on_V(sym2_embed(g))
+        on_vprime = quotient_action(induced_group_action(on_v), w)
+        if (_binary_form_matrix(g, 4) != on_v
+                or _binary_form_matrix(g, 6) != on_vprime):
+            raise AssertionError(
+                f"binary forms disagree with the exterior-square action of {g}")
 
 
 @lru_cache(maxsize=1)

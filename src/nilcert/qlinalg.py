@@ -733,34 +733,26 @@ def is_unipotent(m: Matrix) -> bool:
 # rational roots and real-root counting
 # ---------------------------------------------------------------------------
 
-def _factor_smooth(n: int, limit: int = 1_000_000) -> dict[int, int]:
-    """Factor n by trial division; raises if a factor above limit remains."""
-    n = abs(n)
-    factors: dict[int, int] = {}
-    for p in itertools.chain((2, 3, 5), itertools.count(7, 2)):
-        if p * p > n:
-            break
-        if p > limit:
-            raise ValueError(f"integer {n} has no small factorization")
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        if n > limit * limit:
-            raise ValueError(f"integer {n} has no small factorization")
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in _factor_smooth(n).items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return divs
+def _primitive_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
+    """The primitive integer multiple of a nonzero rational coefficient
+    list, by a positive factor (so every sign is kept)."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (d // c.denominator) for c in coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
 
 
 def rational_roots(p: Polynomial) -> dict[Fraction, int]:
-    """All rational roots with multiplicities."""
+    """All rational roots with multiplicities: the zero root first, then
+    the others in ascending order.
+
+    With a_n the leading coefficient of the primitive integer multiple of
+    p (degree n, powers of x stripped), q(y) = a_n^(n-1) p(y / a_n) is monic
+    with integer coefficients, so its rational roots are integers, and y is
+    one exactly when y / a_n is a root of p.  ``_integer_roots`` finds them;
+    each root is then divided out of the integer polynomial as often as it
+    divides.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
     roots: dict[Fraction, int] = {}
@@ -774,30 +766,12 @@ def rational_roots(p: Polynomial) -> dict[Fraction, int]:
         roots[_ZERO] = zero_mult
     if len(coeffs) <= 1:
         return roots
-    # a primitive integer multiple of the polynomial
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
+    ints = _primitive_coeffs(coeffs)
     n = len(ints) - 1
-    # a root num/den in lowest terms has num | ints[0] and den | ints[-1];
-    # it is one exactly when sum a_i num^i den^(n-i) vanishes.
-    nums = _divisors(ints[0])
-    dens = _divisors(ints[-1])
-    found = []
-    for den in dens:
-        den_pows = [den ** (n - i) for i in range(n + 1)]
-        for num in nums:
-            if math.gcd(num, den) != 1:
-                continue
-            for s in (num, -num):
-                acc = ints[n]
-                for i in range(n - 1, -1, -1):
-                    acc = acc * s + ints[i] * den_pows[i]
-                if acc == 0:
-                    found.append((s, den))
-    found.sort(key=lambda r: Fraction(*r))
-    for num, den in found:
+    lead = ints[n]
+    monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:n])] + [1]
+    for root in sorted(Fraction(y, lead) for y in _integer_roots(monic)):
+        num, den = root.numerator, root.denominator
         mult = 0
         while len(ints) > 1:
             quo = _divide_linear(ints, num, den)
@@ -807,8 +781,74 @@ def rational_roots(p: Polynomial) -> dict[Fraction, int]:
             mult += 1
         if not mult:
             raise ArithmeticError(f"root {num}/{den} did not divide out")
-        roots[Fraction(num, den)] = mult
+        roots[root] = mult
     return roots
+
+
+def _integer_roots(q: list[int]) -> list[int]:
+    """The integer roots, ascending, of a monic integer polynomial q of
+    degree >= 1 (coefficients lowest degree first).
+
+    The Sturm chain of q's square-free part f, scaled to integers, counts
+    the distinct real roots in (lo + 1/2, hi + 1/2] for integers lo < hi;
+    no half-integer is a root of the monic integer f, so every count is
+    exact.  Starting from a root bound, an interval is halved until it
+    holds at most one root; one that holds a single root is then halved by
+    the sign of f alone, down to the one integer it contains, which is
+    tested exactly.
+    """
+    chain = [_primitive_coeffs(c.coeffs) for c in _sturm_chain(Polynomial(q))]
+    f = chain[0]
+    d = len(f) - 1
+    # Fujiwara: every root has |y| <= 2 max_i |f_i|^(1/(d-i)), and
+    # |f_i| < 2^bits, so 2^ceil(bits/(d-i)) bounds each term
+    bound = 2 << max(-(-abs(c).bit_length() // (d - i))
+                     for i, c in enumerate(f[:d]))
+
+    def variations(k: int) -> int:
+        signs = [s for s in (_sign_at_half(g, k) for g in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    roots = []
+    lo, hi = -bound - 1, bound
+    stack = [(lo, hi, variations(lo), variations(hi))]
+    while stack:  # the leftmost interval is on top, so roots come ascending
+        lo, hi, vlo, vhi = stack.pop()
+        count = vlo - vhi
+        if not count:
+            continue
+        if count == 1:
+            # one simple root: f changes sign across it and nowhere else
+            slo = _sign_at_half(f, lo)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _sign_at_half(f, mid) == slo:
+                    lo = mid
+                else:
+                    hi = mid
+        if hi - lo == 1:
+            acc = 0
+            for c in reversed(f):
+                acc = acc * hi + c
+            if not acc:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        vmid = variations(mid)
+        stack.append((mid, hi, vmid, vhi))
+        stack.append((lo, mid, vlo, vmid))
+    return roots
+
+
+def _sign_at_half(f: list[int], k: int) -> int:
+    """Sign of the integer polynomial f at k + 1/2, from the integer
+    2^deg f((2k + 1) / 2) = sum f_i (2k + 1)^i 2^(deg - i)."""
+    x = 2 * k + 1
+    d = len(f) - 1
+    acc = 0
+    for i in range(d, -1, -1):
+        acc = acc * x + (f[i] << (d - i))
+    return (acc > 0) - (acc < 0)
 
 
 def _divide_linear(ints: list[int], num: int, den: int) -> list[int] | None:
@@ -844,7 +884,23 @@ def count_real_roots(p: Polynomial) -> int:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return 0
-    # square-free part
+    chain = _sturm_chain(p)
+
+    def variations(at_infinity: int) -> int:
+        signs = []
+        for q in chain:
+            s = 1 if q.leading() > 0 else -1
+            if at_infinity < 0 and q.degree % 2 == 1:
+                s = -s
+            signs.append(s)
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(-1) - variations(+1)
+
+
+def _sturm_chain(p: Polynomial) -> list[Polynomial]:
+    """The Sturm chain of the square-free part f of p (degree >= 1): f, f',
+    then negated remainders down to the last nonzero one."""
     g = _poly_gcd(p, p.derivative())
     sqfree, rem = divmod(p, g)
     if not rem.is_zero:
@@ -854,20 +910,7 @@ def count_real_roots(p: Polynomial) -> int:
         _, r = divmod(chain[-2], chain[-1])
         chain.append(-r)
     chain.pop()
-
-    def variations(at_infinity: int) -> int:
-        signs = []
-        for q in chain:
-            if q.is_zero:
-                continue
-            lead = q.leading()
-            s = 1 if lead > 0 else -1
-            if at_infinity < 0 and q.degree % 2 == 1:
-                s = -s
-            signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return variations(-1) - variations(+1)
+    return chain
 
 
 def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

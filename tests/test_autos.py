@@ -45,6 +45,7 @@ from nilcert.models import (
 )
 from nilcert.qlinalg import (
     Matrix,
+    QuotientMap,
     Subspace,
     is_nilpotent,
     is_unipotent,
@@ -53,8 +54,10 @@ from nilcert.qlinalg import (
 )
 from nilcert.wedgerep import (
     NotInvariantError,
+    induced_algebra_action,
     induced_group_action,
     quotient_action,
+    wedge_vector,
 )
 
 DATA = model_data()
@@ -501,3 +504,80 @@ def test_sample_in_subspace_matches_the_dense_reference():
         for i in range(30):
             assert (sample_in_subspace(space, 3, i, bound)
                     == _dense_sample_in_subspace(space, 3, i, bound))
+
+
+def dense_stabilizer(w):
+    """The stabilizer system written out densely: one column per matrix
+    unit E_rc, its induced derivation action on w's basis, modulo w."""
+    n = wedge_square_base(w.ambient_dim)
+    qmap = QuotientMap(w)
+    images = []
+    for r in range(n):
+        for c in range(n):
+            ind = induced_algebra_action(Matrix(n, n, (
+                Q(int((a, b) == (r, c))) for a in range(n) for b in range(n))))
+            images.append([x for bv in w.basis_vectors()
+                           for x in qmap.project(ind.apply(bv))])
+    return kernel_basis(Matrix.from_columns(images))
+
+
+WEDGE_ENTRIES = st.one_of(st.just(Q(0)), st.just(Q(0)),
+                          st.fractions(min_value=-5, max_value=5,
+                                       max_denominator=4))
+
+
+@st.composite
+def wedge_subspaces(draw):
+    n = draw(st.integers(2, 5))
+    amb = n * (n - 1) // 2
+    vectors = draw(st.lists(st.lists(WEDGE_ENTRIES, min_size=amb,
+                                     max_size=amb), max_size=4))
+    return Subspace.span(amb, vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wedge_subspaces())
+def test_stabilizer_rows_match_the_dense_system(w):
+    assert stabilizer_algebra(w).space == dense_stabilizer(w)
+
+
+def test_stabilizer_rows_match_the_dense_system_on_W_and_Wprime():
+    for w in (build_W(), build_Wprime()):
+        assert stabilizer_algebra(w).space == dense_stabilizer(w)
+
+
+LINE_ENTRIES = st.one_of(st.just(Q(0)),
+                         st.fractions(min_value=-4, max_value=4,
+                                      max_denominator=5))
+
+
+@st.composite
+def lines_and_matrices(draw):
+    n = draw(st.integers(1, 7))
+    p = draw(st.lists(LINE_ENTRIES, min_size=n, max_size=n).filter(any))
+    lam = draw(LINE_ENTRIES)
+    entries = draw(st.lists(LINE_ENTRIES, min_size=n * n, max_size=n * n))
+    g = Matrix(n, n, entries)
+    if draw(st.booleans()):
+        # force g p = lam p by fixing the column of p's first nonzero entry
+        k = next(i for i, x in enumerate(p) if x)
+        rest = [sum((g[i, j] * p[j] for j in range(n) if j != k), Q(0))
+                for i in range(n)]
+        g = Matrix(n, n, ((lam * p[i] - rest[i]) / p[k] if j == k
+                          else g[i, j] for i in range(n) for j in range(n)))
+    return p, g
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines_and_matrices())
+def test_line_fixed_by_is_the_wedge_test(pg):
+    p, g = pg
+    expected = all(x == 0 for x in wedge_vector(g.apply(p), p))
+    assert line_fixed_by(p, g) == expected
+
+
+def test_line_fixed_by_rejects_mismatched_sizes():
+    with pytest.raises(ValueError):
+        line_fixed_by(unit_vector(3, 0), Matrix.identity(4))
+    with pytest.raises(ValueError):
+        line_fixed_by(unit_vector(3, 0), Matrix.zero(2, 3))

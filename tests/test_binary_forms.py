@@ -1,0 +1,107 @@
+"""Sampled H-elements as binary forms: binary_form_action against the
+exterior-square path it replaces, its homomorphism property, and the
+once-per-process guard that certifies it."""
+
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nilcert import models
+from nilcert.autos import sample_action_on_V, sample_h_element
+from nilcert.cli import FAIL, Config, Context, run
+from nilcert.models import (
+    BINARY_FORM_SCALES,
+    SL2Element,
+    binary_form_action,
+    build_W,
+    group_action_on_V,
+    sym2_embed,
+)
+from nilcert.qlinalg import Matrix
+from nilcert.wedgerep import induced_group_action, quotient_action
+
+SAMPLED_CHECKS = ["p.sampled-nonfixing", "bound.eigenspace-max3",
+                  "fixed.sampled-nonzero"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_binary_forms_equal_the_exterior_square_path(seed):
+    w = build_W()
+    for i in range(100):
+        _, g = sample_h_element(seed, i)
+        on_v = group_action_on_V(sym2_embed(g))
+        assert binary_form_action(g, 4) == on_v
+        assert binary_form_action(g, 6) == quotient_action(
+            induced_group_action(on_v), w)
+
+
+def test_context_samples_read_the_binary_forms():
+    ctx = Context(Config(seed=12345))
+    for i in range(20):
+        kind, g = sample_h_element(12345, i)
+        assert ctx.element(i) == (kind, g)
+        assert ctx.sample(i) == (kind, binary_form_action(g, 4))
+        assert ctx.sample(i) == sample_action_on_V(12345, i)
+        assert ctx.sample_on_Vprime(i) == binary_form_action(g, 6)
+
+
+NONZERO = st.fractions(min_value=-12, max_value=12,
+                       max_denominator=9).filter(bool)
+RATIONAL = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+
+
+@st.composite
+def sl2_elements(draw):
+    """[[a, b], [c, (1 + bc) / a]] with a != 0, or its product with the
+    rotation [[0, -1], [1, 0]], which reaches the elements with a = 0."""
+    a, b, c = draw(NONZERO), draw(RATIONAL), draw(RATIONAL)
+    g = SL2Element(a, b, c, (1 + b * c) / a)
+    return g * SL2Element(0, -1, 1, 0) if draw(st.booleans()) else g
+
+
+@settings(max_examples=60, deadline=None)
+@given(sl2_elements(), sl2_elements())
+def test_binary_form_action_is_a_homomorphism(g, h):
+    for degree in (4, 6):
+        assert (binary_form_action(g * h, degree)
+                == binary_form_action(g, degree) * binary_form_action(h, degree))
+
+
+def test_binary_form_action_of_the_identity_is_the_identity():
+    for degree in (4, 6):
+        assert (binary_form_action(SL2Element.identity(), degree)
+                == Matrix.identity(degree + 1))
+
+
+def test_the_guard_runs_once_and_only_when_a_sample_is_built():
+    models._certify_binary_forms.cache_clear()
+    run(["jacobi.N", "p.line-stabilizer-zero", "thm.stabilizer-dim4"],
+        Config(seed=3))
+    assert models._certify_binary_forms.cache_info().misses == 0
+    run(SAMPLED_CHECKS, Config(seed=3, trials=5))
+    info = models._certify_binary_forms.cache_info()
+    assert info.misses == 1 and info.hits > 0
+
+
+PERTURBATIONS = [(degree, k) for degree, scales in BINARY_FORM_SCALES.items()
+                 for k in range(len(scales))]
+
+
+@pytest.mark.parametrize("degree, k", PERTURBATIONS)
+def test_a_perturbed_scale_makes_the_sampled_checks_fail(monkeypatch,
+                                                          degree, k):
+    scales = list(BINARY_FORM_SCALES[degree])
+    scales[k] *= Q(3, 2)
+    monkeypatch.setitem(BINARY_FORM_SCALES, degree, tuple(scales))
+    models._certify_binary_forms.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="binary forms disagree"):
+            binary_form_action(SL2Element.hyperbolic(2), 4)
+        report = run(SAMPLED_CHECKS, Config(trials=10))
+        assert [r.status for r in report.results] == [FAIL] * 3
+        assert all("binary forms disagree" in r.actual
+                   for r in report.results)
+    finally:
+        models._certify_binary_forms.cache_clear()

@@ -234,3 +234,30 @@ def test_json_load_rejects_conflicts():
 def test_make_lie_algebra_rejects_nonzero_diagonal():
     with pytest.raises(ValueError):
         make_lie_algebra(2, {(0, 0): (1, 0)})
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"dim": 2, "brackets": [[0, 1, [0.5, 0]]]}, "bracket coordinates"),
+    ({"dim": 2, "brackets": [[0, 1, [True, 0]]]}, "bracket coordinates"),
+    ({"dim": 2, "brackets": [[0, 1, 7]]}, "bracket coordinates"),
+    ({"dim": 2, "brackets": [[0, 1, "10"]]}, "bracket coordinates"),
+    ({"dim": 2, "brackets": [[0, 1, ["1/0", 0]]]}, "bracket coordinates"),
+    ({"dim": 2, "brackets": [[0, 1, ["x", 0]]]}, "bracket coordinates"),
+    ({"dim": 2, "brackets": [[0, 1, [None, 0]]]}, "bracket coordinates"),
+    ([1, 2], "JSON object"),
+    ("5", "JSON object"),
+    (None, "JSON object"),
+    ({"dim": 2, "labels": "ab"}, "labels"),
+    ({"dim": 2, "labels": ["a"]}, "labels"),
+    ({"dim": 2, "labels": ["a", 2]}, "labels"),
+])
+def test_json_load_rejects_malformed_values_with_a_value_error(doc, field):
+    with pytest.raises(ValueError, match=field):
+        lie_algebra_from_json(json.dumps(doc))
+
+
+def test_json_load_accepts_integer_and_string_coordinates_and_labels():
+    L = lie_algebra_from_json({"dim": 3, "labels": ["x", "y", "z"],
+                               "brackets": [[0, 1, [0, "0", "-1/2"]]]})
+    assert L.labels == ("x", "y", "z")
+    assert L.sc[0][1] == (Q(0), Q(0), Q(-1, 2))

@@ -339,3 +339,34 @@ def test_matrix_power_and_apply():
 def test_float_rejected():
     with pytest.raises(TypeError):
         Matrix.from_rows([(0.5, 1), (0, 1)])
+
+
+def test_rational_roots_need_no_factorization():
+    # the constant term 1000003 * 1000033 has no factor below 10^6
+    assert rational_roots(Polynomial([-(1000003 * 1000033), 0, 1])) == {}
+    big = 10 ** 40 + 7
+    p = (Polynomial([-big, 1]) * Polynomial([3, -7]) * Polynomial([3, -7])
+         * Polynomial([1, 0, 1]))
+    assert rational_roots(p) == {Q(3, 7): 2, Q(big): 1}
+    assert rational_roots(Polynomial([2, -3])) == {Q(2, 3): 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10 ** 25, 10 ** 25),
+                          st.integers(1, 10 ** 12), st.integers(1, 3)),
+                max_size=3),
+       st.integers(1, 10 ** 9))
+def test_rational_roots_with_large_roots(factors, k):
+    """Roots with large numerators and denominators, times x^2 + k, which
+    has no real root."""
+    p = Polynomial([k, 0, 1])
+    expected = {}
+    for num, den, mult in factors:
+        root = Q(num, den)
+        for _ in range(mult):
+            p = p * Polynomial([-root, 1])
+        expected[root] = expected.get(root, 0) + mult
+    roots = rational_roots(p)
+    assert roots == expected
+    nonzero = sorted(r for r in roots if r)
+    assert list(roots) == ([Q(0)] if Q(0) in roots else []) + nonzero
