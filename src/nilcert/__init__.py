@@ -68,6 +68,7 @@ from .autos import (
     IrrationalEigenvalueError,
     StabilizerAlgebra,
     derivation_algebra,
+    derivation_defects,
     eigen_relation_kernel,
     exp_nilpotent,
     factor_on_abelianization,

@@ -25,12 +25,19 @@ from .qlinalg import (
     clear_denominators,
     count_real_roots,
     int_kernel,
+    int_matmul,
     kernel_basis,
     rank,
     strip_rational_roots,
     vector,
 )
-from .wedgerep import GeneratorSet, WedgeBasis, quotient_action, wedge_vector
+from .wedgerep import (
+    GeneratorSet,
+    NotInvariantError,
+    WedgeBasis,
+    quotient_action,
+    wedge_vector,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -57,6 +64,19 @@ class DerivationSpace:
 
     def contains(self, m: Matrix) -> bool:
         return self.space.contains(m.flatten())
+
+    def with_image_in(self, c: Subspace) -> Subspace:
+        """The derivations in this space whose image lies inside c: every
+        column of D satisfies c's equations.  One small kernel over the
+        coordinates on this space's basis, without a new Leibniz
+        elimination."""
+        d = self.algebra.dim
+        if c.ambient_dim != d:
+            raise ValueError(
+                "subspace ambient dimension does not match the algebra")
+        equations = c.equations()
+        return self.space.restrict({r * d + col: x for r, x in eq.items()}
+                                   for col in range(d) for eq in equations)
 
 
 @dataclass(frozen=True)
@@ -100,26 +120,10 @@ def derivation_algebra(L: LieAlgebra) -> DerivationSpace:
     return DerivationSpace(L, int_kernel(_leibniz_rows(L), L.dim * L.dim))
 
 
-def _membership_rows(d: int, c: Subspace) -> Iterator[dict[int, int]]:
-    """Rows forcing every column of D into the subspace c of Q^d: for each
-    non-pivot coordinate t, x_t = sum_r c.basis[r, t] x_(pivot r)."""
-    pivots = c.pivot_columns()
-    conditions = [clear_denominators(
-        [(t, _ONE)] + [(pc, -c.basis[r, t]) for r, pc in enumerate(pivots)])[1]
-        for t in QuotientMap(c).reps]
-    for col in range(d):
-        for cond in conditions:
-            yield {r * d + col: x for r, x in cond.items()}
-
-
 def shear_space(L: LieAlgebra, c: Subspace) -> Subspace:
     """Derivations whose image lies inside c (for central c these are the
     shear derivations: they kill the derived subalgebra)."""
-    if c.ambient_dim != L.dim:
-        raise ValueError("subspace ambient dimension does not match the algebra")
-    return int_kernel(itertools.chain(_leibniz_rows(L),
-                                      _membership_rows(L.dim, c)),
-                      L.dim * L.dim)
+    return derivation_algebra(L).with_image_in(c)
 
 
 def wedge_square_base(amb: int) -> int:
@@ -146,14 +150,12 @@ def stabilizer_algebra(w: Subspace) -> StabilizerAlgebra:
     n = wedge_square_base(w.ambient_dim)
     wb = WedgeBasis(n)
     index = {pair: k for k, pair in enumerate(wb.pairs)}
-    # w's echelon rows in integers: row i is d_i times the RREF row, whose
-    # pivot entry is d_i; reducing "scale * v" by them stays integral
-    echelon = [clear_denominators(enumerate(bv)) for bv in w.basis_vectors()]
-    scale = math.lcm(*(d for d, _ in echelon))
-    reducers = [(pc, scale // d, row)
-                for pc, (d, row) in zip(w.pivot_columns(), echelon)]
+    # w's integer echelon rows have pivot entries a_i; reducing
+    # "scale * v" by them stays integral
+    scale = math.lcm(*(row[pc] for pc, row in w.echelon))
+    reducers = [(pc, scale // row[pc], row) for pc, row in w.echelon]
     rows = []
-    for _, u in echelon:
+    for _, u in w.echelon:
         # images[r * n + c] is E_rc applied to u, over wedge^2 coordinates
         images: list[dict[int, int]] = [{} for _ in range(n * n)]
         for k, x in u.items():
@@ -197,6 +199,51 @@ def factor_on_abelianization(L: LieAlgebra, d_mat: Matrix) -> Matrix:
     return quotient_action(d_mat, derived_subalgebra(L))
 
 
+def derivation_defects(der: DerivationSpace) -> tuple[list[int], list[int]]:
+    """(indices of the basis derivations whose factor on L / [L, L] is
+    nonzero, indices of those whose cube is nonzero).
+
+    Each basis derivation is read as its integer echelon row, a positive
+    multiple of the basis matrix, so both tests run on sparse integer
+    columns.  The factor is zero exactly when every column at a quotient
+    representative (a non-pivot column of [L, L]) lies in [L, L], and the
+    cube is zero exactly when D^2 maps every column of D to zero.  Like
+    ``factor_on_abelianization``, it raises NotInvariantError, with a basis
+    vector of [L, L] as witness, for a derivation that moves [L, L].
+    """
+    n = der.algebra.dim
+    derived = derived_subalgebra(der.algebra)
+    reps = QuotientMap(derived).reps
+    bad_factor, bad_cube = [], []
+    for idx, (_, row) in enumerate(der.space.echelon):
+        cols: list[dict[int, int]] = [{} for _ in range(n)]
+        for rc, x in row.items():
+            r, c = divmod(rc, n)
+            cols[c][r] = x
+        for k, (_, u) in enumerate(derived.echelon):
+            if not derived.contains_int_row(_apply_columns(cols, u)):
+                raise NotInvariantError(
+                    "subspace is not preserved by the given matrix",
+                    derived.basis_vectors()[k])
+        if not all(derived.contains_int_row(cols[k]) for k in reps):
+            bad_factor.append(idx)
+        if any(_apply_columns(cols, _apply_columns(cols, col))
+               for col in cols if col):
+            bad_cube.append(idx)
+    return bad_factor, bad_cube
+
+
+def _apply_columns(cols: list[dict[int, int]],
+                   v: dict[int, int]) -> dict[int, int]:
+    """The integer matrix with sparse columns cols applied to the sparse
+    integer vector v, zeros dropped."""
+    out: dict[int, int] = {}
+    for j, x in v.items():
+        for r, y in cols[j].items():
+            out[r] = out.get(r, 0) + x * y
+    return {r: y for r, y in out.items() if y}
+
+
 def is_automorphism(L: LieAlgebra, t_mat: Matrix) -> bool:
     """T[x,y] = [Tx,Ty] on all basis pairs, and T invertible."""
     if t_mat.rows != L.dim or t_mat.cols != L.dim:
@@ -212,19 +259,30 @@ def is_automorphism(L: LieAlgebra, t_mat: Matrix) -> bool:
 
 
 def exp_nilpotent(m: Matrix) -> Matrix:
-    """Exact exp of a nilpotent matrix (the finite sum of m^k / k!)."""
+    """Exact exp of a nilpotent matrix (the finite sum of m^k / k!).
+
+    It runs on the integer matrix A = d m, d the lcm of the entry
+    denominators: m^k / k! = A^k / (d^k k!), so the partial sums share the
+    denominator d^k k!, and each step scales the running sum by d k and
+    adds A^k.
+    """
     if not m.is_square:
         raise ValueError("exponential of a non-square matrix")
     if m.trace() != 0:  # a nilpotent matrix has trace 0
         raise ValueError("matrix is not nilpotent")
     n = m.rows
-    term = Matrix.identity(n)
-    total = term
+    d = math.lcm(*(e.denominator for e in m.entries))
+    a = [e.numerator * (d // e.denominator) for e in m.entries]
+    power = [0] * (n * n)
+    power[::n + 1] = [1] * n
+    total = list(power)
+    den = 1
     for k in range(1, n + 1):
-        term = (term * m).scale(Fraction(1, k))
-        if term.is_zero():
-            return total
-        total = total + term
+        power = int_matmul(power, a, n)
+        if not any(power):
+            return Matrix(n, n, (Fraction(x, den) for x in total))
+        total = [x * d * k + y for x, y in zip(total, power)]
+        den *= d * k
     raise ValueError("matrix is not nilpotent")
 
 
@@ -367,21 +425,43 @@ def sample_h_element(seed: int, index: int) -> tuple[str, SL2Element]:
         return "elliptic", SL2Element.elliptic(1, 2)
     stream = SampleStream(seed, index)
     kind = SAMPLE_KINDS[index % 3]
+    # the primitive as an integer matrix (a, b, c, d) over a denominator q
     if kind == "hyperbolic":
         t = Fraction(stream.int_in(2, 5), stream.int_in(1, 3))
         while t == 1:
             t = Fraction(stream.int_in(2, 5), stream.int_in(1, 3))
-        prim = SL2Element.hyperbolic(t)
+        # diag(t, 1/t) = diag(x^2, y^2) / xy for t = x / y
+        x, y = t.numerator, t.denominator
+        prim, q = (x * x, 0, 0, y * y), x * y
     elif kind == "unipotent":
         s = stream.fraction(4)
-        prim = SL2Element.upper(s) if stream.int_in(0, 1) else SL2Element.lower(s)
+        x, y = s.numerator, s.denominator
+        prim = (y, x, 0, y) if stream.int_in(0, 1) else (y, 0, x, y)
+        q = y
     else:
         num = stream.int_in(1, 4)
         den = stream.int_in(num + 1, num + 4)
-        prim = SL2Element.elliptic(num, den)
-    conj = (SL2Element.upper(stream.nonzero_int(3))
-            * SL2Element.lower(stream.nonzero_int(3)))
-    return kind, prim.conjugate_by(conj)
+        # SL2Element.elliptic(num, den), cleared
+        q = num * num + den * den
+        a, b = den * den - num * num, 2 * num * den
+        prim = (a, b, -b, a)
+    return kind, _conjugate_by_shears(prim, q, stream.nonzero_int(3),
+                                      stream.nonzero_int(3))
+
+
+def _conjugate_by_shears(prim: tuple[int, int, int, int], q: int,
+                         u: int, l: int) -> SL2Element:
+    """C (prim / q) C^-1 for C = upper(u) lower(l) = [[1 + ul, u], [l, 1]],
+    whose inverse is [[1, -u], [-l, 1 + ul]]; the products are taken in
+    integers and the element is built once."""
+    a, b, c, d = prim
+    w = 1 + u * l
+    # C prim
+    a, b, c, d = w * a + u * c, w * b + u * d, l * a + c, l * b + d
+    # (C prim) C^-1
+    a, b, c, d = a - l * b, w * b - u * a, c - l * d, w * d - u * c
+    return SL2Element(Fraction(a, q), Fraction(b, q),
+                      Fraction(c, q), Fraction(d, q))
 
 
 def sample_action_on_V(seed: int, index: int) -> tuple[str, Matrix]:
@@ -395,7 +475,7 @@ def sample_in_subspace(space: Subspace, seed: int, index: int,
     """Small-coefficient random combination of a subspace basis; nonzero
     whenever the subspace is."""
     stream = SampleStream(seed, index)
-    coeffs = [Fraction(stream.int_in(-bound, bound)) for _ in range(space.dim)]
+    coeffs = [stream.int_in(-bound, bound) for _ in range(space.dim)]
     if space.dim and not any(coeffs):
-        coeffs[0] = _ONE
+        coeffs[0] = 1
     return space.combination(coeffs)

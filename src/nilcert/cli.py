@@ -58,16 +58,15 @@ from .autos import (
     EIGEN_RELATION_PAIRS,
     IrrationalEigenvalueError,
     derivation_algebra,
+    derivation_defects,
     eigen_relation_kernel,
     exp_nilpotent,
-    factor_on_abelianization,
     fixed_space,
     infinitesimal_line_stabilizer,
     line_fixed_by,
     max_eigenspace_dim,
     sample_h_element,
     sample_in_subspace,
-    shear_space,
     stabilizer_algebra,
 )
 
@@ -476,7 +475,7 @@ def _der_n_dim(ctx):
         "as an exact subspace equality")
 def _der_n_decomp(ctx):
     d = ctx.data
-    shear = shear_space(d.N, subspace_in_algebra(d.L))
+    shear = ctx.der_N.with_image_in(subspace_in_algebra(d.L))
     ads = Subspace.span(144, [
         ad_matrix(d.N, d.N.basis_vector(0)).flatten(),
         ad_matrix(d.N, d.N.basis_vector(1)).flatten()])
@@ -492,14 +491,7 @@ def _der_n_decomp(ctx):
         "claimed: every derivation of N kills the abelianization and cubes "
         "to zero, so the identity component of Aut(N) is unipotent")
 def _der_n_nilpotent(ctx):
-    bad_factor = []
-    bad_cube = []
-    for idx, dm in enumerate(ctx.der_N.basis_matrices()):
-        f = factor_on_abelianization(ctx.data.N, dm)
-        if not f.is_zero():
-            bad_factor.append(idx)
-        if not (dm * dm * dm).is_zero():
-            bad_cube.append(idx)
+    bad_factor, bad_cube = derivation_defects(ctx.der_N)
     ok = not bad_factor and not bad_cube
     actual = ("all factors zero, all cubes zero" if ok else
               f"nonzero factors at basis {bad_factor}, nonzero cubes at {bad_cube}")

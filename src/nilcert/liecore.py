@@ -202,11 +202,9 @@ def bracket_subspace(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of [x, y] over basis pairs of the two subspaces."""
     if a.ambient_dim != L.dim or b.ambient_dim != L.dim:
         raise ValueError("subspace ambient dimension does not match the algebra")
-    xs = [clear_denominators(enumerate(x))[1] for x in a.basis_vectors()]
-    ys = [clear_denominators(enumerate(y))[1] for y in b.basis_vectors()]
     return Subspace.from_int_rows(L.dim, (
         {k: v for k, v in enumerate(_int_bracket(L, x, y)) if v}
-        for x in xs for y in ys))
+        for _, x in a.echelon for _, y in b.echelon))
 
 
 def lower_central_series(L: LieAlgebra) -> list[Subspace]:
@@ -265,13 +263,19 @@ def heisenberg3() -> LieAlgebra:
 # ---------------------------------------------------------------------------
 #
 # Schema: {"dim": int, "labels": [str, ...]?, "brackets": [[i, j, coords], ...]}
-# where dim >= 0, labels (if given) holds dim strings, i and j are basis
-# indices, and coords is a list of dim rationals written as ints or "num/den"
-# strings.  dim, the indices and integer coordinates must be JSON integers: a
-# float or a boolean is rejected, not truncated.  Omitted pairs are zero;
-# antisymmetry is completed automatically; the Jacobi identity is verified
-# on load and violations are reported.  Every malformed field raises a
-# ValueError that names it.
+# where 0 <= dim <= MAX_JSON_DIM, labels (if given) holds dim strings, i
+# and j are basis indices, and coords is a list of dim rationals written as
+# ints or "num/den" strings.  dim, the indices and integer coordinates must
+# be JSON integers: a float or a boolean is rejected, not truncated.
+# Omitted pairs are zero; antisymmetry is completed automatically; the
+# Jacobi identity is verified on load and violations are reported.  Every
+# malformed field raises a ValueError that names it.
+
+#: the largest dim a JSON document may declare; the dense bracket tensor of
+#: a dim-d algebra holds d^3 entries, so an unbounded dim would let one
+#: small document exhaust memory
+MAX_JSON_DIM = 128
+
 
 def _json_int(value, name: str) -> int:
     # bool is a subclass of int, and int() would truncate a float
@@ -307,6 +311,10 @@ def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
     dim = _json_int(data["dim"], "dim")
     if dim < 0:
         raise ValueError(f"dim must be nonnegative, got {dim}")
+    if dim > MAX_JSON_DIM:
+        raise ValueError(
+            f"dim must be at most {MAX_JSON_DIM}, got {dim}: the dense "
+            "structure-constant table has dim^3 entries")
     labels = data.get("labels")
     if labels is not None and (
             not isinstance(labels, list) or len(labels) != dim

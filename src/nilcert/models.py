@@ -160,12 +160,6 @@ class SL2Element:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d)
 
-    def inverse(self) -> "SL2Element":
-        return SL2Element(self.d, -self.b, -self.c, self.a)
-
-    def conjugate_by(self, g: "SL2Element") -> "SL2Element":
-        return g * self * g.inverse()
-
 
 def sym2_embed(g: SL2Element) -> Matrix:
     """Symmetric-square homomorphism SL(2) -> SL(3).

@@ -14,10 +14,13 @@ to ``Subspace.from_int_rows``; ``clear_denominators`` gives the exact
 integer form of a rational vector for that.
 Matrices act on column vectors, so the composite map "apply h, then g" is
 the product ``g * h``, and a linear map is built column by column from the
-images of the basis vectors with ``Matrix.from_columns``.  Subspaces are
-stored as reduced row-echelon bases with the zero rows dropped, which makes
-subspace equality a plain data comparison; ``Subspace.combination`` turns
-coefficients on such a basis back into a vector.
+images of the basis vectors with ``Matrix.from_columns``.  A ``Subspace``
+keeps the integer rows that elimination produces (the primitive multiples,
+with positive pivot entries, of its reduced row-echelon basis), so subspace
+equality is a plain data comparison, and sums, intersections, membership,
+``equations``, ``restrict`` and ``combination`` (coefficients on the basis
+back to a vector) all run on those rows; the ``Fraction`` basis is built
+only when it is read.
 """
 
 from __future__ import annotations
@@ -257,13 +260,12 @@ def _int_row(row: Sequence[Fraction]) -> dict[int, int]:
     return _primitive(out) if out else out
 
 
-def _reduce(row: dict[int, int],
-            pivot_rows: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
-    """The primitive multiple of row minus a combination of the pivot rows
-    that is zero at each of their pivot columns.  Every pivot row must be
-    zero at the other pivot columns, so each one clears its own column;
-    row is scaled once, by the least factor that keeps everything
-    integral."""
+def _eliminate(row: dict[int, int], pivot_rows: list[tuple[int, dict[int, int]]]
+               ) -> tuple[int, dict[int, int]]:
+    """(scale, scale * row minus a combination of the pivot rows that is
+    zero at each of their pivot columns).  Every pivot row must be zero at
+    the other pivot columns, so each one clears its own column; scale > 0
+    is the least factor that keeps everything integral."""
     scale = math.lcm(*(prow[c] // math.gcd(prow[c], row[c])
                        for c, prow in pivot_rows))
     out = {j: scale * x for j, x in row.items()} if scale != 1 else dict(row)
@@ -275,6 +277,13 @@ def _reduce(row: dict[int, int],
                 out[j] = w
             else:
                 del out[j]
+    return scale, out
+
+
+def _reduce(row: dict[int, int],
+            pivot_rows: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    """The primitive multiple of what ``_eliminate`` leaves of row."""
+    out = _eliminate(row, pivot_rows)[1]
     return _primitive(out) if out else out
 
 
@@ -288,7 +297,8 @@ def _rref_int(rows: Iterable[dict[int, int]],
     integer combination, so no Fraction is built and entries stay small.
     An older row only changes at a column right of its own pivot, so the
     pivot rows stay in echelon shape.  Returns (pivot column, primitive row)
-    pairs by increasing pivot; row / row[pivot] is the RREF row.
+    pairs by increasing pivot; every pivot entry is positive, and
+    row / row[pivot] is the RREF row.
     """
     basis: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -300,6 +310,8 @@ def _rref_int(rows: Iterable[dict[int, int]],
         if not row:
             continue
         c = min(row)
+        if row[c] < 0:
+            row = {j: -x for j, x in row.items()}
         for pc, brow in basis.items():
             if c in brow:
                 basis[pc] = _reduce(brow, [(c, row)])
@@ -369,21 +381,31 @@ def det(m: Matrix) -> Fraction:
 class Subspace:
     """Subspace of Q^n, canonically represented.
 
-    The basis is the RREF of any spanning set with zero rows removed, so two
-    Subspace values describe the same subspace exactly when their bases are
-    equal.  The pivot columns that elimination found are kept alongside.
+    The subspace is stored as its integer echelon rows ``echelon``: one
+    (pivot column, {column: entry}) pair per basis vector, by increasing
+    pivot, where each row is the primitive integer multiple, with a positive
+    pivot entry, of a row of the reduced row-echelon basis.  That form is
+    unique, so two Subspace values describe the same subspace exactly when
+    their rows are equal.  Every operation works on these rows; the
+    ``Fraction`` RREF matrix ``basis`` is built only when it is read, once.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "echelon", "_basis")
 
-    def __init__(self, ambient_dim: int, basis: Matrix,
-                 pivots: tuple[int, ...] | None = None):
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        """The row space of basis, a matrix with ambient_dim columns."""
+        if basis.cols != ambient_dim:
+            raise ValueError(
+                f"basis has {basis.cols} columns, ambient dim is {ambient_dim}")
+        self._set(ambient_dim, _rref_int(
+            (_int_row(basis.row(i)) for i in range(basis.rows)), ambient_dim))
+
+    def _set(self, ambient_dim: int,
+             echelon: list[tuple[int, dict[int, int]]]) -> "Subspace":
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        if pivots is None:
-            pivots = tuple(next(j for j, x in enumerate(basis.row(i)) if x)
-                           for i in range(basis.rows))
-        self._pivots = pivots
+        self.echelon = tuple(echelon)
+        self._basis = None
+        return self
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -401,83 +423,139 @@ class Subspace:
                       rows: Iterable[dict[int, int]]) -> "Subspace":
         """Span of sparse integer rows {column: entry}, which list nonzero
         entries only; each row is divided by its content in place."""
-        return cls._from_echelon(
+        return cls.__new__(cls)._set(
             ambient_dim, _rref_int((_primitive(r) for r in rows if r),
                                    ambient_dim))
 
     @classmethod
-    def _from_echelon(cls, ambient_dim: int,
-                      echelon: list[tuple[int, dict[int, int]]]) -> "Subspace":
-        rows = [_fraction_row(row, c, ambient_dim) for c, row in echelon]
-        return cls(ambient_dim, Matrix.from_rows(rows) if rows
-                   else Matrix.zero(0, ambient_dim),
-                   tuple(c for c, _ in echelon))
-
-    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.zero(0, ambient_dim), ())
+        return cls.__new__(cls)._set(ambient_dim, [])
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim),
-                   tuple(range(ambient_dim)))
+        return cls.__new__(cls)._set(
+            ambient_dim, [(i, {i: 1}) for i in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.echelon)
+
+    @property
+    def basis(self) -> Matrix:
+        """The reduced row-echelon basis as a Fraction matrix (dim rows)."""
+        if self._basis is None:
+            n = self.ambient_dim
+            self._basis = (Matrix.from_rows([_fraction_row(row, c, n)
+                                             for c, row in self.echelon])
+                           if self.echelon else Matrix.zero(0, n))
+        return self._basis
 
     def basis_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(self.basis.row(i) for i in range(self.basis.rows))
+        basis = self.basis
+        return tuple(basis.row(i) for i in range(basis.rows))
 
     def pivot_columns(self) -> tuple[int, ...]:
-        return self._pivots
+        return tuple(c for c, _ in self.echelon)
+
+    def equations(self) -> list[dict[int, int]]:
+        """Sparse integer rows whose common kernel is this subspace, one per
+        non-pivot column t, in increasing t.  A vector x lies in the
+        subspace exactly when x_t = sum_r (row_r[t] / a_r) x_(p_r) for each
+        t, over the rows r with pivot p_r and pivot entry a_r; the row for t
+        is that condition scaled to integers by the lcm of those a_r."""
+        pivots = {c for c, _ in self.echelon}
+        hits: dict[int, list[tuple[int, int, int]]] = {
+            t: [] for t in range(self.ambient_dim) if t not in pivots}
+        for c, row in self.echelon:
+            a = row[c]
+            for t, x in row.items():
+                if t != c:
+                    hits[t].append((c, x, a))
+        out = []
+        for t, entries in hits.items():
+            scale = math.lcm(*(a for _, _, a in entries))
+            eq = {t: scale}
+            for c, x, a in entries:
+                eq[c] = -x * (scale // a)
+            out.append(eq)
+        return out
+
+    def restrict(self, equations: Iterable[dict[int, int]]) -> "Subspace":
+        """{v in this subspace : the sparse integer equations vanish at v},
+        as one kernel over the coordinates on the echelon rows."""
+        by_col: dict[int, list[tuple[int, int]]] = {}
+        for i, (_, row) in enumerate(self.echelon):
+            for j, x in row.items():
+                by_col.setdefault(j, []).append((i, x))
+        system = []
+        for eq in equations:
+            out: dict[int, int] = {}
+            for j, e in eq.items():
+                for i, x in by_col.get(j, ()):
+                    out[i] = out.get(i, 0) + e * x
+            system.append({i: x for i, x in out.items() if x})
+        ker = int_kernel(system, self.dim)
+        return Subspace.from_int_rows(
+            self.ambient_dim, (self._int_combination(y) for _, y in ker.echelon))
+
+    def _int_combination(self, weights: dict[int, int]) -> dict[int, int]:
+        """sum_i weights[i] * (echelon row i), in integers, zeros dropped."""
+        out: dict[int, int] = {}
+        for i, w in weights.items():
+            for j, x in self.echelon[i][1].items():
+                out[j] = out.get(j, 0) + w * x
+        return {j: x for j, x in out.items() if x}
+
+    def contains_int_row(self, row: dict[int, int]) -> bool:
+        """Membership of the integer vector {column: entry}, which lists
+        nonzero entries only."""
+        hits = [(c, prow) for c, prow in self.echelon if c in row]
+        return not (_eliminate(row, hits)[1] if hits else row)
 
     def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Canonical representative of v modulo this subspace."""
+        """Canonical representative of v modulo this subspace: v minus the
+        combination of the basis that clears every pivot column."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        out = list(v)
-        for i, pc in enumerate(self._pivots):
-            f = out[pc]
-            if f:
-                brow = self.basis.row(i)
-                for k in range(pc, self.ambient_dim):
-                    if brow[k]:
-                        out[k] -= f * brow[k]
+        d, row = clear_denominators(enumerate(v))
+        scale, rest = _eliminate(
+            row, [(c, prow) for c, prow in self.echelon if c in row])
+        out = [_ZERO] * self.ambient_dim
+        den = d * scale
+        for j, x in rest.items():
+            out[j] = Fraction(x, den)
         return tuple(out)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return is_zero_vector(self.reduce(v))
+        if len(v) != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        return self.contains_int_row(clear_denominators(enumerate(v))[1])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._same_ambient(other)
-        return all(self.contains(b) for b in other.basis_vectors())
+        return all(self.contains_int_row(row) for _, row in other.echelon)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        return Subspace.span(self.ambient_dim,
-                             self.basis_vectors() + other.basis_vectors())
+        return Subspace.from_int_rows(
+            self.ambient_dim,
+            [row for _, row in self.echelon + other.echelon])
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of (a, b) -> sum a_i s_i - sum b_j o_j
-        over the two bases; each kernel vector's a gives one common vector."""
+        """The vectors of this subspace that satisfy other's equations."""
         self._same_ambient(other)
-        ker = kernel_basis(Matrix.from_columns(
-            self.basis_vectors()
-            + tuple(tuple(-x for x in v) for v in other.basis_vectors())))
-        return Subspace.span(self.ambient_dim,
-                             (self.combination(c[:self.dim])
-                              for c in ker.basis_vectors()))
+        return self.restrict(other.equations())
 
     def combination(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """sum_i coeffs[i] * basis[i], over the nonzero coefficients and
-        nonzero basis entries only."""
+        """sum_i coeffs[i] * basis[i], computed on the integer rows: basis
+        row i is echelon row i over its pivot entry, so the weights
+        coeffs[i] / a_i are brought to one denominator first."""
+        weights = [qf(c) / row[p]
+                   for c, (p, row) in zip(coeffs, self.echelon, strict=True)]
+        d, ints = clear_denominators(enumerate(weights))
         out = [_ZERO] * self.ambient_dim
-        for c, row in zip(coeffs, self.basis_vectors(), strict=True):
-            if c:
-                for k, x in enumerate(row):
-                    if x:
-                        out[k] += c * x
+        for j, x in self._int_combination(ints).items():
+            out[j] = Fraction(x, d)
         return tuple(out)
 
     def __add__(self, other: "Subspace") -> "Subspace":
@@ -489,10 +567,11 @@ class Subspace:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.echelon == other.echelon)
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(
+            (c, tuple(sorted(row.items()))) for c, row in self.echelon)))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -514,27 +593,11 @@ def int_kernel(rows: Iterable[dict[int, int]], ncols: int) -> Subspace:
 
     Every row lists nonzero entries only, and is divided by its content in
     place.  Callers that can write their system in integers pass it here
-    directly, without a dense rational matrix.  With the integer RREF rows
-    r_i (pivot column p_i), each free column f gives the kernel vector
-    x_f = 1, x_(p_i) = -r_i[f] / r_i[p_i], here scaled to integers by the
-    lcm of those pivot entries."""
-    echelon = _rref_int((_primitive(r) for r in rows if r), ncols)
-    pivot_set = {c for c, _ in echelon}
-    hits: dict[int, list[tuple[int, int, int]]] = {
-        f: [] for f in range(ncols) if f not in pivot_set}
-    for c, row in echelon:
-        a = row[c]
-        for f, x in row.items():
-            if f != c:
-                hits[f].append((c, x, a))
-    vectors = []
-    for f, entries in hits.items():
-        scale = math.lcm(*(a for _, _, a in entries))
-        v = {f: scale}
-        for c, x, a in entries:
-            v[c] = -x * (scale // a)
-        vectors.append(_primitive(v))
-    return Subspace._from_echelon(ncols, _rref_int(vectors, ncols))
+    directly, without a dense rational matrix.  The solutions are the
+    vectors orthogonal to the row space, so they are the span of the row
+    space's own ``equations``."""
+    return Subspace.from_int_rows(
+        ncols, Subspace.from_int_rows(ncols, rows).equations())
 
 
 class QuotientMap:
@@ -669,7 +732,7 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
-def _int_matmul(a: list[int], b: list[int], n: int) -> list[int]:
+def int_matmul(a: list[int], b: list[int], n: int) -> list[int]:
     """Product of two row-major n-by-n integer matrices, skipping zeros."""
     out = [0] * (n * n)
     for i in range(0, n * n, n):
@@ -703,7 +766,7 @@ def char_poly(m: Matrix) -> Polynomial:
     mk = [0] * (n * n)  # M_k = A M_(k-1) + c_(n-k+1) I, starting from M_1 = I
     mk[::n + 1] = [1] * n
     for k in range(1, n + 1):
-        amk = _int_matmul(a, mk, n)
+        amk = int_matmul(a, mk, n)
         c, r = divmod(-sum(amk[::n + 1]), k)
         if r:
             raise ArithmeticError(

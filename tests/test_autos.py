@@ -323,6 +323,64 @@ def nilpotent_matrices(draw, max_n=6):
     return (ident + e) * u * l_inv
 
 
+def fraction_exp_nilpotent(m):
+    """The Fraction series exp_nilpotent ran before it moved to integers,
+    kept as the reference."""
+    if not m.is_square:
+        raise ValueError("exponential of a non-square matrix")
+    if m.trace() != 0:
+        raise ValueError("matrix is not nilpotent")
+    n = m.rows
+    term = Matrix.identity(n)
+    total = term
+    for k in range(1, n + 1):
+        term = (term * m).scale(Q(1, k))
+        if term.is_zero():
+            return total
+        total = total + term
+    raise ValueError("matrix is not nilpotent")
+
+
+@st.composite
+def any_matrices(draw, max_n=5):
+    """Random square matrices, half of them forced to trace 0, so that
+    both ValueError paths are reached; plus a few non-square ones."""
+    if draw(st.integers(0, 9)) == 0:
+        return Matrix.zero(draw(st.integers(1, 3)), draw(st.integers(4, 5)))
+    n = draw(st.integers(1, max_n))
+    small = st.one_of(st.just(Q(0)), st.just(Q(0)),
+                      st.fractions(min_value=-4, max_value=4,
+                                   max_denominator=5))
+    rows = [[draw(small) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows[n - 1][n - 1] -= sum((rows[i][i] for i in range(n)), Q(0))
+    return Matrix.from_rows(rows)
+
+
+def _exp_outcome(fn, m):
+    try:
+        return fn(m)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(nilpotent_matrices(max_n=7), any_matrices()))
+def test_exp_nilpotent_matches_the_fraction_series(m):
+    out = _exp_outcome(exp_nilpotent, m)
+    assert out == _exp_outcome(fraction_exp_nilpotent, m)
+    if isinstance(out, Matrix):
+        assert (out.rows, out.cols) == (m.rows, m.cols)
+        assert all(type(x) is Q for x in out.entries)
+
+
+def test_exp_nilpotent_matches_the_fraction_series_on_der_N_samples():
+    for i in range(20):
+        m = Matrix.from_flat(12, sample_in_subspace(DER_N.space, 0, 10_000 + i))
+        assert _exp_outcome(exp_nilpotent, m) == _exp_outcome(
+            fraction_exp_nilpotent, m)
+
+
 @settings(max_examples=40, deadline=None)
 @given(nilpotent_matrices())
 def test_exp_nilpotent_is_the_truncated_series(m):
@@ -474,6 +532,45 @@ def test_sample_stream_ranges():
         f = s.fraction(3)
         assert f != 0
         assert abs(f.numerator) <= 3 and 1 <= f.denominator <= 3
+
+
+def composed_sample_h_element(seed, index):
+    """sample_h_element as it was composed from SL2Element products before
+    the conjugation moved to integers, kept as the reference."""
+    if index == 0:
+        return "hyperbolic", SL2Element.hyperbolic(2)
+    if index == 1:
+        return "unipotent", SL2Element.upper(1)
+    if index == 2:
+        return "elliptic", SL2Element.elliptic(1, 2)
+    stream = SampleStream(seed, index)
+    kind = ("hyperbolic", "unipotent", "elliptic")[index % 3]
+    if kind == "hyperbolic":
+        t = Q(stream.int_in(2, 5), stream.int_in(1, 3))
+        while t == 1:
+            t = Q(stream.int_in(2, 5), stream.int_in(1, 3))
+        prim = SL2Element.hyperbolic(t)
+    elif kind == "unipotent":
+        s = stream.fraction(4)
+        prim = SL2Element.upper(s) if stream.int_in(0, 1) else SL2Element.lower(s)
+    else:
+        num = stream.int_in(1, 4)
+        den = stream.int_in(num + 1, num + 4)
+        prim = SL2Element.elliptic(num, den)
+    u, l = stream.nonzero_int(3), stream.nonzero_int(3)
+    conj = SL2Element.upper(u) * SL2Element.lower(l)
+    conj_inverse = SL2Element.lower(-l) * SL2Element.upper(-u)
+    return kind, conj * prim * conj_inverse
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_sample_h_element_equals_the_composed_products(seed):
+    for i in range(1000):
+        kind, g = sample_h_element(seed, i)
+        ref_kind, ref = composed_sample_h_element(seed, i)
+        assert kind == ref_kind
+        assert (g.a, g.b, g.c, g.d) == (ref.a, ref.b, ref.c, ref.d)
+        assert all(type(x) is Q for x in (g.a, g.b, g.c, g.d))
 
 
 def test_sample_in_subspace_stays_inside():

@@ -1,0 +1,406 @@
+"""Subspace on its integer echelon rows, and the derivation consumers that
+read those rows (restricted shear spaces, the integer nilpotence test),
+each checked against a dense Fraction reference kept here."""
+
+import itertools
+import math
+import random
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nilcert import cli
+from nilcert.autos import (
+    DerivationSpace,
+    _leibniz_rows,
+    derivation_algebra,
+    derivation_defects,
+    factor_on_abelianization,
+    shear_space,
+)
+from nilcert.liecore import center, derived_subalgebra, make_lie_algebra
+from nilcert.models import model_data, subspace_in_algebra, validate_p
+from nilcert.qlinalg import (
+    Matrix,
+    QuotientMap,
+    Subspace,
+    clear_denominators,
+    int_kernel,
+)
+from nilcert.wedgerep import NotInvariantError
+
+BIG = 2 ** 64
+
+SMALL = st.one_of(st.just(Q(0)),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=7))
+HUGE = st.builds(Q, st.integers(-BIG ** 2, BIG ** 2).filter(bool),
+                 st.integers(BIG, BIG ** 2))
+SPARSE = st.one_of(st.just(Q(0)), st.just(Q(0)), st.just(Q(0)), SMALL)
+ENTRIES = st.one_of(st.just(SMALL), st.just(SPARSE),
+                    st.just(st.one_of(SPARSE, HUGE)))
+
+
+# --------------------------------------------------------------------------
+# dense Fraction references
+# --------------------------------------------------------------------------
+
+def ref_rref(rows, n):
+    """Gauss-Jordan in Fractions: (nonzero RREF rows, pivot columns)."""
+    m = [[Q(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return [tuple(row) for row in m[:len(pivots)]], pivots
+
+
+def ref_kernel(rows, n):
+    """A basis of {x : row . x = 0 for every row}."""
+    reduced, pivots = ref_rref(rows, n)
+    out = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [Q(0)] * n
+        v[f] = Q(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        out.append(v)
+    return out
+
+
+def ref_reduce(basis, pivots, v):
+    out = [Q(x) for x in v]
+    for row, p in zip(basis, pivots):
+        f = out[p]
+        out = [x - f * y for x, y in zip(out, row)]
+    return tuple(out)
+
+
+def ref_intersect(a, b, n):
+    cols = [list(r) for r in a] + [[-x for x in r] for r in b]
+    if not cols:
+        return []
+    system = [[col[i] for col in cols] for i in range(n)]
+    out = []
+    for coeffs in ref_kernel(system, len(cols)):
+        v = [Q(0)] * n
+        for c, row in zip(coeffs, a):
+            v = [x + c * y for x, y in zip(v, row)]
+        out.append(v)
+    return ref_rref(out, n)[0]
+
+
+@st.composite
+def spanning_sets(draw, n=None, max_rows=5):
+    """One kind of entry (dense, sparse, or with denominators above 2^64),
+    plus negated and scaled copies of drawn rows."""
+    entries = draw(ENTRIES)
+    if n is None:
+        n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         max_size=max_rows))
+    if rows:
+        for _ in range(draw(st.integers(0, 2))):
+            src = rows[draw(st.integers(0, len(rows) - 1))]
+            c = draw(st.sampled_from([Q(-1), Q(-3, 2), Q(-BIG - 1)]))
+            rows.insert(draw(st.integers(0, len(rows))), [c * x for x in src])
+    return n, rows
+
+
+def assert_matches_reference(s, rows, n):
+    basis, pivots = ref_rref(rows, n)
+    assert s.ambient_dim == n and s.dim == len(basis)
+    assert s.basis_vectors() == tuple(basis)
+    assert s.basis == (Matrix.from_rows(basis) if basis
+                       else Matrix.zero(0, n))
+    assert all(type(x) is Q for x in s.basis.entries)
+    assert s.pivot_columns() == tuple(pivots)
+    # the stored rows: positive pivot entries, primitive, RREF rows scaled
+    for (c, row), ref in zip(s.echelon, basis):
+        assert row[c] > 0 and math.gcd(*row.values()) == 1
+        assert all(row.get(j, 0) == ref[j] * row[c] for j in range(n))
+
+
+# --------------------------------------------------------------------------
+# Subspace against the references
+# --------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(spanning_sets(), st.data())
+@example((3, []), None)
+@example((2, [[Q(BIG + 1, BIG), Q(-1)], [Q(-BIG - 1, BIG), Q(1)]]), None)
+def test_span_equality_and_hash_match_the_dense_reference(case, data):
+    n, rows = case
+    s = Subspace.span(n, rows)
+    assert_matches_reference(s, rows, n)
+    negated = Subspace.span(n, [[-x for x in r] for r in reversed(rows)])
+    assert negated == s and hash(negated) == hash(s)
+    assert Subspace(n, s.basis) == s
+    assert Subspace(n, Matrix.from_rows(rows) if rows
+                    else Matrix.zero(0, n)) == s
+    if data is not None and rows:
+        # dropping a row changes the space exactly when the rank drops
+        k = data.draw(st.integers(0, len(rows) - 1))
+        fewer = rows[:k] + rows[k + 1:]
+        same = len(ref_rref(fewer, n)[0]) == s.dim
+        assert (Subspace.span(n, fewer) == s) == same
+
+
+@settings(max_examples=60, deadline=None)
+@given(spanning_sets().flatmap(lambda case: st.tuples(
+    st.just(case), spanning_sets(n=case[0]))))
+def test_sum_and_intersect_match_the_dense_reference(args):
+    (n, rows_a), (_, rows_b) = args
+    a, b = Subspace.span(n, rows_a), Subspace.span(n, rows_b)
+    assert_matches_reference(a.sum(b), rows_a + rows_b, n)
+    inter = a.intersect(b)
+    expected = ref_intersect(ref_rref(rows_a, n)[0],
+                             ref_rref(rows_b, n)[0], n)
+    assert_matches_reference(inter, expected, n)
+    assert a & b == inter and a + b == a.sum(b)
+    assert a.contains_subspace(inter) and b.contains_subspace(inter)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spanning_sets().flatmap(lambda case: st.tuples(
+    st.just(case),
+    st.lists(st.one_of(SMALL, HUGE), min_size=case[0], max_size=case[0]),
+    st.lists(st.one_of(SMALL, HUGE), min_size=5, max_size=5))))
+def test_contains_reduce_and_combination_match_the_dense_reference(args):
+    (n, rows), v, coeffs = args
+    s = Subspace.span(n, rows)
+    basis, pivots = ref_rref(rows, n)
+    reduced = ref_reduce(basis, pivots, v)
+    assert s.reduce(v) == reduced
+    assert all(type(x) is Q for x in s.reduce(v))
+    assert s.contains(v) == (not any(reduced))
+    coeffs = coeffs[:s.dim]
+    if len(coeffs) < s.dim:
+        coeffs += [Q(1)] * (s.dim - len(coeffs))
+    expected = [Q(0)] * n
+    for c, row in zip(coeffs, basis):
+        expected = [x + c * y for x, y in zip(expected, row)]
+    combined = s.combination(coeffs)
+    assert combined == tuple(expected)
+    assert all(type(x) is Q for x in combined)
+    assert s.contains(combined)
+    assert s.reduce(combined) == (Q(0),) * n
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_zero_and_full_spaces(n):
+    zero, full = Subspace.zero(n), Subspace.full(n)
+    assert zero == Subspace.span(n, []) and hash(zero) == hash(
+        Subspace.span(n, []))
+    units = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    assert full == Subspace.span(n, [[-x for x in r] for r in units])
+    assert full.basis == Matrix.identity(n)
+    assert zero.basis == Matrix.zero(0, n) and zero.basis_vectors() == ()
+    assert zero.pivot_columns() == () and full.pivot_columns() == tuple(
+        range(n))
+    assert zero.sum(full) == full and zero.intersect(full) == zero
+    assert full.intersect(full) == full and zero.sum(zero) == zero
+    assert zero.combination(()) == (Q(0),) * n
+    assert full.reduce([Q(1)] * n) == (Q(0),) * n
+    assert QuotientMap(zero).dim == n and QuotientMap(full).dim == 0
+
+
+def test_basis_is_built_once_and_only_when_read():
+    s = Subspace.span(3, [(2, 4, 6), (0, 3, 1)])
+    assert s._basis is None
+    s.sum(s).intersect(s).contains((1, 2, 3))
+    s.combination((1, 1))
+    assert s._basis is None
+    assert s.basis is s.basis
+
+
+def test_equations_cut_out_the_subspace():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        rows = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(rng.randint(0, 4))]
+        s = Subspace.span(n, rows)
+        eqs = s.equations()
+        assert len(eqs) == n - s.dim
+        assert int_kernel([dict(e) for e in eqs], n) == s
+
+
+# --------------------------------------------------------------------------
+# shear spaces: restricted from der(L) against the full elimination
+# --------------------------------------------------------------------------
+
+def full_shear_space(L, c):
+    """One elimination of the Leibniz rows together with rows forcing every
+    column of D into c: for each non-pivot coordinate t of c,
+    x_t = sum_r c.basis[r, t] x_(pivot r)."""
+    d = L.dim
+    conditions = [clear_denominators(
+        [(t, Q(1))] + [(pc, -c.basis[r, t])
+                       for r, pc in enumerate(c.pivot_columns())])[1]
+        for t in QuotientMap(c).reps]
+    membership = ({r * d + col: x for r, x in cond.items()}
+                  for col in range(d) for cond in conditions)
+    return int_kernel(itertools.chain(_leibniz_rows(L), membership), d * d)
+
+
+#: the default p and the three non-default p pinned by the CLI tests
+PINNED_P = ("0,1,0,0,0,0,1", "0,1/2,0,0,0,0,-2", "0,1,-1/2,2,-3/2,1,1/2",
+            "0,0,1,0,1,0,0")
+
+
+@pytest.mark.parametrize("p", PINNED_P)
+def test_restricted_shear_space_of_N_equals_the_full_elimination(p):
+    data = model_data(validate_p(p.split(",")))
+    for c in (subspace_in_algebra(data.L), subspace_in_algebra(data.Lprime),
+              center(data.N), Subspace.zero(12)):
+        der = derivation_algebra(data.N)
+        assert der.with_image_in(c) == full_shear_space(data.N, c)
+    assert shear_space(data.N, subspace_in_algebra(data.L)).dim == 30
+
+
+def test_restricted_shear_space_of_G_equals_the_full_elimination():
+    data = model_data()
+    der = derivation_algebra(data.G)
+    for c in (subspace_in_algebra(data.L), derived_subalgebra(data.G),
+              Subspace.full(12)):
+        assert der.with_image_in(c) == full_shear_space(data.G, c)
+    assert der.with_image_in(Subspace.full(12)) == der.space
+
+
+@st.composite
+def two_step_tables(draw):
+    """A random alternating map from pairs of k generators into an
+    m-dimensional centre, with a random target subspace c."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    d = k + m
+    coeff = st.integers(-3, 3)
+    brackets = {}
+    for i, j in itertools.combinations(range(k), 2):
+        coords = [0] * k + [draw(coeff) for _ in range(m)]
+        if any(coords):
+            brackets[(i, j)] = coords
+    c_rows = draw(st.lists(st.lists(coeff, min_size=d, max_size=d),
+                           max_size=d))
+    return d, brackets, c_rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(two_step_tables())
+def test_restricted_shear_space_on_random_two_step_tables(case):
+    d, brackets, c_rows = case
+    L = make_lie_algebra(d, brackets)
+    c = Subspace.span(d, c_rows)
+    assert shear_space(L, c) == full_shear_space(L, c)
+    assert shear_space(L, derived_subalgebra(L)) == full_shear_space(
+        L, derived_subalgebra(L))
+
+
+def test_shear_space_rejects_a_mismatched_subspace():
+    with pytest.raises(ValueError, match="ambient dimension"):
+        derivation_algebra(model_data().G).with_image_in(Subspace.zero(5))
+
+
+# --------------------------------------------------------------------------
+# the integer nilpotence test against the Fraction path
+# --------------------------------------------------------------------------
+
+def fraction_defects(der):
+    bad_factor, bad_cube = [], []
+    for idx, dm in enumerate(der.basis_matrices()):
+        if not factor_on_abelianization(der.algebra, dm).is_zero():
+            bad_factor.append(idx)
+        if not (dm * dm * dm).is_zero():
+            bad_cube.append(idx)
+    return bad_factor, bad_cube
+
+
+def random_p(rng):
+    values = [Q(n, 2) for n in range(-4, 5)]
+    while True:
+        p = [Q(0)] + [rng.choice(values) if rng.random() < 0.6 else Q(0)
+                      for _ in range(6)]
+        if any(p):
+            return validate_p(p)
+
+
+def test_integer_defects_equal_the_fraction_path_at_random_p():
+    rng = random.Random(808)
+    seen = set()
+    for _ in range(20):
+        N = model_data(random_p(rng)).N
+        der = derivation_algebra(N)
+        defects = derivation_defects(der)
+        assert defects == fraction_defects(der)
+        seen.add(bool(defects[0]))
+    assert seen == {False, True}  # both outcomes occur among the 20
+
+
+def test_integer_defects_on_G_and_a_cube_that_survives():
+    G = model_data().G
+    der = derivation_algebra(G)
+    assert derivation_defects(der) == fraction_defects(der)
+    # the shift s1 -> s2 -> s3 -> s4: not a derivation, but it keeps
+    # [G, G], acts on the abelianization, and its cube sends s1 to s4
+    jordan = [[Q(0)] * 12 for _ in range(12)]
+    for i in range(3):
+        jordan[i + 1][i] = Q(1)
+    fake = DerivationSpace(G, Subspace.span(144, [
+        [x for row in jordan for x in row]]))
+    assert derivation_defects(fake) == fraction_defects(fake) == ([0], [0])
+
+
+def test_a_derivation_that_moves_the_derived_algebra_raises_the_same_error():
+    G = model_data().G
+    bad = [[Q(0)] * 12 for _ in range(12)]
+    bad[0][5] = Q(1)  # p12 -> s1 leaves [G, G]
+    fake = DerivationSpace(G, Subspace.span(144, [
+        [x for row in bad for x in row]]))
+    with pytest.raises(NotInvariantError) as fraction_error:
+        fraction_defects(fake)
+    with pytest.raises(NotInvariantError) as int_error:
+        derivation_defects(fake)
+    assert str(int_error.value) == str(fraction_error.value)
+    assert int_error.value.witness == fraction_error.value.witness
+
+
+# --------------------------------------------------------------------------
+# the p-scan checks never build a Fraction basis of a 144-dim space
+# --------------------------------------------------------------------------
+
+P_DEPENDENT_SUITE = (
+    "jacobi.N", "lcs.N-12-7-1-0", "nilclass.N-3", "n.der-dim-32",
+    "n.der-decomposition", "n.derivations-nilpotent", "p.line-stabilizer-zero",
+)
+
+
+@pytest.mark.parametrize("p", PINNED_P)
+def test_p_dependent_checks_build_no_basis_of_der_N_or_the_shear_space(
+        monkeypatch, p):
+    built = []
+    basis = Subspace.basis
+
+    def recording(self):
+        if self._basis is None:
+            built.append((self.ambient_dim, self.dim))
+        return basis.fget(self)
+
+    monkeypatch.setattr(Subspace, "basis", property(recording))
+    report = cli.run(list(P_DEPENDENT_SUITE),
+                     cli.Config(p=validate_p(p.split(","))))
+    assert len(report.results) == 7
+    assert "error" not in "".join(r.actual for r in report.results)
+    assert not [b for b in built if b[0] == 144]

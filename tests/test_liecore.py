@@ -1,10 +1,15 @@
 import json
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as Q
 
 import pytest
 
+from nilcert import liecore
 from nilcert.liecore import (
+    MAX_JSON_DIM,
     Element,
     abelian_lie_algebra,
     ad_matrix,
@@ -261,3 +266,39 @@ def test_json_load_accepts_integer_and_string_coordinates_and_labels():
                                "brackets": [[0, 1, [0, "0", "-1/2"]]]})
     assert L.labels == ("x", "y", "z")
     assert L.sc[0][1] == (Q(0), Q(0), Q(-1, 2))
+
+
+def test_json_load_rejects_a_dim_above_the_limit(monkeypatch):
+    with pytest.raises(ValueError, match=f"dim must be at most {MAX_JSON_DIM}"):
+        lie_algebra_from_json({"dim": MAX_JSON_DIM + 1})
+    # the limit itself is allowed (shown at a small limit, to stay fast)
+    monkeypatch.setattr(liecore, "MAX_JSON_DIM", 3)
+    assert lie_algebra_from_json({"dim": 3}).dim == 3
+    with pytest.raises(ValueError, match="dim must be at most 3, got 4"):
+        lie_algebra_from_json({"dim": 4})
+
+
+def test_json_load_rejects_a_huge_dim_under_a_memory_limit():
+    # in a child process with a 512 MiB address space: a loader that starts
+    # on the dense table raises MemoryError there (or the child dies), and
+    # the test fails instead of the whole run being killed
+    code = textwrap.dedent(f"""
+        import resource, sys
+        sys.path[:0] = {sys.path!r}
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = 512 << 20
+        if hard != resource.RLIM_INFINITY:
+            limit = min(limit, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+        from nilcert.liecore import lie_algebra_from_json
+        try:
+            lie_algebra_from_json('{{"dim": 100000}}')
+        except ValueError as exc:
+            print(exc)
+        else:
+            sys.exit("dim 100000 was accepted")
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert f"dim must be at most {MAX_JSON_DIM}, got 100000" in proc.stdout
