@@ -24,9 +24,9 @@ from .qlinalg import (
     char_poly,
     clear_denominators,
     count_real_roots,
+    eigenspace,
     int_kernel,
     int_matmul,
-    kernel_basis,
     rank,
     strip_rational_roots,
     vector,
@@ -35,12 +35,9 @@ from .wedgerep import (
     GeneratorSet,
     NotInvariantError,
     WedgeBasis,
+    add_wedge,
     quotient_action,
-    wedge_vector,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class IrrationalEigenvalueError(ValueError):
@@ -162,9 +159,9 @@ def stabilizer_algebra(w: Subspace) -> StabilizerAlgebra:
             i, j = wb.pairs[k]
             for r in range(n):
                 if r != j:
-                    _add_wedge(images[r * n + i], index, r, j, x)
+                    add_wedge(images[r * n + i], index, r, j, x)
                 if r != i:
-                    _add_wedge(images[r * n + j], index, i, r, x)
+                    add_wedge(images[r * n + j], index, i, r, x)
         block: dict[int, dict[int, int]] = {}
         for col, image in enumerate(images):
             reduced = {t: scale * x for t, x in image.items()}
@@ -178,15 +175,6 @@ def stabilizer_algebra(w: Subspace) -> StabilizerAlgebra:
                     block.setdefault(t, {})[col] = x
         rows += block.values()
     return StabilizerAlgebra(n, int_kernel(rows, n * n))
-
-
-def _add_wedge(image: dict[int, int], index: dict[tuple[int, int], int],
-               i: int, j: int, x: int) -> None:
-    """image += x e_i^e_j, written on the basis pairs (i < j)."""
-    if i > j:
-        i, j, x = j, i, -x
-    k = index[i, j]
-    image[k] = image.get(k, 0) + x
 
 
 def factor_on_abelianization(L: LieAlgebra, d_mat: Matrix) -> Matrix:
@@ -261,26 +249,25 @@ def is_automorphism(L: LieAlgebra, t_mat: Matrix) -> bool:
 def exp_nilpotent(m: Matrix) -> Matrix:
     """Exact exp of a nilpotent matrix (the finite sum of m^k / k!).
 
-    It runs on the integer matrix A = d m, d the lcm of the entry
-    denominators: m^k / k! = A^k / (d^k k!), so the partial sums share the
-    denominator d^k k!, and each step scales the running sum by d k and
-    adds A^k.
+    It runs on the integer matrix A = m.nums, with d = m.den:
+    m^k / k! = A^k / (d^k k!), so the partial sums share the denominator
+    d^k k!, and each step scales the running sum by d k and adds A^k.
     """
     if not m.is_square:
         raise ValueError("exponential of a non-square matrix")
-    if m.trace() != 0:  # a nilpotent matrix has trace 0
-        raise ValueError("matrix is not nilpotent")
     n = m.rows
-    d = math.lcm(*(e.denominator for e in m.entries))
-    a = [e.numerator * (d // e.denominator) for e in m.entries]
-    power = [0] * (n * n)
-    power[::n + 1] = [1] * n
-    total = list(power)
+    a, d = m.nums, m.den
+    if sum(a[::n + 1]):  # a nilpotent matrix has trace 0
+        raise ValueError("matrix is not nilpotent")
+    total = [0] * (n * n)
+    total[::n + 1] = [1] * n
+    power = a
     den = 1
     for k in range(1, n + 1):
-        power = int_matmul(power, a, n)
+        if k > 1:
+            power = int_matmul(power, a, n, n, n)
         if not any(power):
-            return Matrix(n, n, (Fraction(x, den) for x in total))
+            return Matrix.from_ints(n, n, total, den)
         total = [x * d * k + y for x, y in zip(total, power)]
         den *= d * k
     raise ValueError("matrix is not nilpotent")
@@ -297,23 +284,20 @@ def eigen_relation_kernel() -> Subspace:
     Zero kernel certifies that a diagonal element fixing W's spanning wedges
     pointwise has all five eigenvalues equal to 1 (taking logs turns the
     multiplicative relations into this additive system)."""
-    rows = [[_ONE if (t + 1) in pair else _ZERO for t in range(5)]
-            for pair in EIGEN_RELATION_PAIRS]
-    return kernel_basis(Matrix.from_rows(rows))
+    return int_kernel(({i - 1: 1, j - 1: 1} for i, j in EIGEN_RELATION_PAIRS),
+                      5)
 
 
 def fixed_space(g: Matrix) -> Subspace:
     """ker(g - I)."""
-    if not g.is_square:
-        raise ValueError("fixed space of a non-square matrix")
-    return kernel_basis(g - Matrix.identity(g.rows))
+    return eigenspace(g, 1)
 
 
 def line_fixed_by(p: Sequence[Fraction], g: Matrix) -> bool:
     """Does g map the line through p to itself?  Exact test: g p ^ p = 0.
 
-    It runs on the denominator-cleared integer forms of g and p, since
-    scaling either leaves the line alone.  For any k with p_k != 0,
+    It runs on the integer numerators of g and the denominator-cleared p,
+    since scaling either leaves the line alone.  For any k with p_k != 0,
     g p ^ p = 0 exactly when (g p)_i p_k = (g p)_k p_i for every i.
     """
     pv = vector(p)
@@ -322,14 +306,10 @@ def line_fixed_by(p: Sequence[Fraction], g: Matrix) -> bool:
     if not g.is_square or g.cols != len(pv):
         raise ValueError("matrix size does not match p")
     _, pint = clear_denominators(enumerate(pv))
-    _, gint = clear_denominators(enumerate(g.entries))
-    gp = [0] * g.rows
-    for idx, x in gint.items():
-        i, j = divmod(idx, g.cols)
-        if j in pint:
-            gp[i] += x * pint[j]
+    gp = g.int_apply(pint)
     k, pk = next(iter(pint.items()))
-    return all(gp[i] * pk == gp[k] * pint.get(i, 0) for i in range(g.rows))
+    gk = gp.get(k, 0)
+    return all(gp.get(i, 0) * pk == gk * pint.get(i, 0) for i in range(g.rows))
 
 
 def infinitesimal_line_stabilizer(p: Sequence[Fraction],
@@ -340,12 +320,25 @@ def infinitesimal_line_stabilizer(p: Sequence[Fraction],
     generator-coefficient space (for the shipped generators: coordinates over
     the sl2 triple (h, e, f)).  Zero kernel is the infinitesimal part of the
     "p spans a line fixed by no nontrivial element" certificate.
+
+    It runs in integers: with p cleared of denominators and each generator
+    g = A / den brought to the common denominator D of all of them, column
+    k of the system is (D / den_k) A_k p ^ p, the matrix of the map scaled
+    by a positive constant.
     """
     pv = vector(p)
     if all(x == 0 for x in pv):
         raise ValueError("p must be nonzero")
-    return kernel_basis(Matrix.from_columns(
-        [wedge_vector(g.apply(pv), pv) for g in gens]))
+    if any(g.cols != len(pv) for g in gens):
+        raise ValueError("generator size does not match p")
+    _, pint = clear_denominators(enumerate(pv))
+    d = math.lcm(*(g.den for g in gens))
+    cols = [{i: d // g.den * x for i, x in g.int_apply(pint).items()}
+            for g in gens]
+    rows = ({k: x for k, x in enumerate(
+        gp.get(i, 0) * pint.get(j, 0) - gp.get(j, 0) * pint.get(i, 0)
+        for gp in cols) if x} for i, j in WedgeBasis(len(pv)).pairs)
+    return int_kernel(rows, len(cols))
 
 
 def max_eigenspace_dim(m: Matrix) -> int:
@@ -361,12 +354,7 @@ def max_eigenspace_dim(m: Matrix) -> int:
     if cofactor.degree >= 1 and count_real_roots(cofactor) > 0:
         raise IrrationalEigenvalueError(
             "matrix has an irrational real eigenvalue; pick a different sample")
-    best = 0
-    ident = Matrix.identity(m.rows)
-    for lam in roots:
-        dim = kernel_basis(m - ident.scale(lam)).dim
-        best = max(best, dim)
-    return best
+    return max((eigenspace(m, lam).dim for lam in roots), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +462,26 @@ def sample_in_subspace(space: Subspace, seed: int, index: int,
                        bound: int = 2) -> tuple[Fraction, ...]:
     """Small-coefficient random combination of a subspace basis; nonzero
     whenever the subspace is."""
+    return space.combination(_sample_coeffs(space.dim, seed, index, bound))
+
+
+def sample_derivation(der: DerivationSpace, seed: int, index: int) -> Matrix:
+    """The derivation whose row-major flattening is
+    ``sample_in_subspace(der.space, seed, index)``, built as an integer
+    matrix from the echelon rows of der.space."""
+    n = der.algebra.dim
+    den, row = der.space.int_combination(
+        _sample_coeffs(der.dim, seed, index, 2))
+    nums = [0] * (n * n)
+    for j, x in row.items():
+        nums[j] = x
+    return Matrix.from_ints(n, n, nums, den)
+
+
+def _sample_coeffs(dim: int, seed: int, index: int, bound: int) -> list[int]:
+    """dim draws in [-bound, bound], with a first 1 when all are zero."""
     stream = SampleStream(seed, index)
-    coeffs = [stream.int_in(-bound, bound) for _ in range(space.dim)]
-    if space.dim and not any(coeffs):
+    coeffs = [stream.int_in(-bound, bound) for _ in range(dim)]
+    if dim and not any(coeffs):
         coeffs[0] = 1
-    return space.combination(coeffs)
+    return coeffs

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -65,8 +66,8 @@ from .autos import (
     infinitesimal_line_stabilizer,
     line_fixed_by,
     max_eigenspace_dim,
+    sample_derivation,
     sample_h_element,
-    sample_in_subspace,
     stabilizer_algebra,
 )
 
@@ -437,22 +438,18 @@ def _der_g_decomp(ctx):
     lift_rows = []
     for x in ctx.stab_W.basis_matrices():
         xq = quotient_action(induced_algebra_action(x), d.W)
-        big = [[Fraction(0)] * 12 for _ in range(12)]
-        for i in range(5):
-            for j in range(5):
-                big[i][j] = x[i, j]
-        for i in range(7):
-            for j in range(7):
-                big[5 + i][5 + j] = xq[i, j]
-        lift_rows.append([v for row in big for v in row])
-    hom_rows = []
-    for r in range(5, 12):
-        for c in range(5):
-            row = [Fraction(0)] * 144
-            row[r * 12 + c] = Fraction(1)
-            hom_rows.append(row)
-    lift = Subspace.span(144, lift_rows)
-    hom = Subspace.span(144, hom_rows)
+        # the block diagonal matrix diag(x, xq), flattened, in integers
+        den = math.lcm(x.den, xq.den)
+        row = {}
+        for m, off in ((x, 0), (xq, 5)):
+            for idx, v in enumerate(m.nums):
+                if v:
+                    i, j = divmod(idx, m.cols)
+                    row[(off + i) * 12 + off + j] = den // m.den * v
+        lift_rows.append(row)
+    lift = Subspace.from_int_rows(144, lift_rows)
+    hom = Subspace.from_int_rows(144, ({r * 12 + c: 1} for r in range(5, 12)
+                                       for c in range(5)))
     total = lift.sum(hom)
     ok = (total == ctx.der_G.space and lift.dim == 4 and hom.dim == 35
           and total.dim == 39)
@@ -505,8 +502,7 @@ def _der_n_nilpotent(ctx):
 def _exp_unipotent(ctx):
     failures = []
     for i in range(50):
-        v = sample_in_subspace(ctx.der_N.space, ctx.config.seed, 10_000 + i)
-        dm = Matrix.from_flat(12, v)
+        dm = sample_derivation(ctx.der_N, ctx.config.seed, 10_000 + i)
         try:
             t = exp_nilpotent(dm)
         except ValueError as exc:
@@ -557,7 +553,7 @@ def _eigenspace_bound(ctx):
     worst = 0
     details = []
     for i in range(9):
-        kind = ctx.sample(i)[0]
+        kind = ctx.element(i)[0]
         g7 = ctx.sample_on_Vprime(i)
         try:
             d = max_eigenspace_dim(g7)

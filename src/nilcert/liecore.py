@@ -70,6 +70,39 @@ class LieAlgebra:
             for row in self.sc))
 
     @cached_property
+    def central_series(self) -> tuple[Subspace, ...]:
+        """The lower central series, built on first use (see
+        ``lower_central_series``)."""
+        full = Subspace.full(self.dim)
+        series = [full]
+        for _ in range(self.dim + 1):
+            series.append(bracket_subspace(self, full, series[-1]))
+            if series[-1].dim == 0:
+                return tuple(series)
+        raise ValueError("algebra is not nilpotent: lower central series "
+                         "did not reach zero")
+
+    @cached_property
+    def jacobi_violations(self) -> tuple[tuple[int, int, int], ...]:
+        """The basis triples i<j<k violating Jacobi, found on first use.
+
+        [b_a, [b_b, b_c]] has coordinate n equal to the sum over m of
+        c_bc^m c_am^n; the three cyclic terms are summed in integers, scaled
+        by denom^2, which does not change which sums vanish."""
+        table = self.int_sc.table
+        violations = []
+        for i, j, k in itertools.combinations(range(self.dim), 3):
+            acc: dict[int, int] = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                ta = table[a]
+                for m, x in table[b][c]:
+                    for n, y in ta[m]:
+                        acc[n] = acc.get(n, 0) + x * y
+            if any(acc.values()):
+                violations.append((i, j, k))
+        return tuple(violations)
+
+    @cached_property
     def derived(self) -> Subspace:
         """[L, L], the span of the structure constants; built on first use."""
         table = self.int_sc.table
@@ -173,23 +206,9 @@ def bracket(L: LieAlgebra,
 
 
 def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
-    """All basis triples i<j<k violating the Jacobi identity (empty = pass).
-
-    [b_a, [b_b, b_c]] has coordinate n equal to the sum over m of
-    c_bc^m c_am^n; the three cyclic terms are summed in integers, scaled by
-    denom^2, which does not change which sums vanish."""
-    table = L.int_sc.table
-    violations = []
-    for i, j, k in itertools.combinations(range(L.dim), 3):
-        acc: dict[int, int] = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            ta = table[a]
-            for m, x in table[b][c]:
-                for n, y in ta[m]:
-                    acc[n] = acc.get(n, 0) + x * y
-        if any(acc.values()):
-            violations.append((i, j, k))
-    return violations
+    """All basis triples i<j<k violating the Jacobi identity (empty = pass),
+    found once per algebra; every call returns a new list."""
+    return list(L.jacobi_violations)
 
 
 def ad_matrix(L: LieAlgebra, x: Sequence[Fraction]) -> Matrix:
@@ -208,21 +227,13 @@ def bracket_subspace(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
 
 
 def lower_central_series(L: LieAlgebra) -> list[Subspace]:
-    """Descending series, ending at the first zero term.
+    """Descending series, ending at the first zero term; computed once per
+    algebra, and every call returns a new list.
 
     Raises on non-nilpotent input instead of looping: the series of a
     dim-d algebra must reach zero within d steps.
     """
-    full = Subspace.full(L.dim)
-    series = [full]
-    current = full
-    for _ in range(L.dim + 1):
-        current = bracket_subspace(L, full, current)
-        series.append(current)
-        if current.dim == 0:
-            return series
-    raise ValueError("algebra is not nilpotent: lower central series "
-                     "did not reach zero")
+    return list(L.central_series)
 
 
 def nilpotency_class(L: LieAlgebra) -> int:

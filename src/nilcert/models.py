@@ -206,54 +206,70 @@ def binary_form_action(g: SL2Element, degree: int) -> Matrix:
 
     g = [[a, b], [c, d]] acts on forms by the substitution
     (x, y) -> (ax + cy, bx + dy), a left action.  The first call in a
-    process certifies the identification (``_certify_binary_forms``); a
+    process certifies the identification (``_certify_binary_forms``) and
+    fixes the Phi ratios that this and every later call use; a
     disagreement raises on this and every later call.
     """
-    _certify_binary_forms()
-    return _binary_form_matrix(g, degree)
+    return _binary_form_matrix(g, degree, _certify_binary_forms()[degree])
 
 
-def _binary_form_matrix(g: SL2Element, n: int) -> Matrix:
+def _binary_form_matrix(g: SL2Element, n: int,
+                        phi: tuple[int, tuple[tuple[int, ...], ...]]) -> Matrix:
     """With q the lcm of the denominators of a, b, c, d and
     (A, B, C, D) = q (a, b, c, d), the image of x^(n-j) y^j is the integer
     expansion of (Ax + Cy)^(n-j) (Bx + Dy)^j divided by q^n; Phi turns its
-    coefficient of x^(n-k) y^k into entry (k, j) times c_j / c_k."""
+    coefficient of x^(n-k) y^k into entry (k, j) times c_j / c_k.  With
+    those ratios scaled to integers by their lcm l (phi = (l, ratios), from
+    ``_phi_ratios``), the matrix is built from integers over l q^n."""
     q = math.lcm(g.a.denominator, g.b.denominator, g.c.denominator,
                  g.d.denominator)
     A, B, C, D = (x.numerator * (q // x.denominator)
                   for x in (g.a, g.b, g.c, g.d))
-    qn = q ** n
-    ratios = _phi_ratios(BINARY_FORM_SCALES[n])
-    cols = []
-    for j in range(n + 1):
-        col = [0] * (n + 1)
-        right = _binomial_powers(B, D, j)
-        for i, u in enumerate(_binomial_powers(A, C, n - j)):
+    lcm, ratios = phi
+    left, right = _linear_powers(A, C, n), _linear_powers(B, D, n)
+    size = n + 1
+    nums = [0] * (size * size)
+    for j in range(size):
+        col = [0] * size
+        for i, u in enumerate(left[n - j]):
             if u:
-                for k, v in enumerate(right):
-                    col[i + k] += u * v
-        cols.append([Fraction(x * r.numerator, r.denominator * qn) if x
-                     else _ZERO for x, r in zip(col, ratios[j])])
-    return Matrix.from_columns(cols)
+                for k, v in enumerate(right[j], i):
+                    col[k] += u * v
+        for k, (x, r) in enumerate(zip(col, ratios[j])):
+            nums[k * size + j] = x * r
+    return Matrix.from_ints(size, size, nums, lcm * q ** n)
 
 
-def _binomial_powers(s: int, t: int, m: int) -> list[int]:
-    """Coefficients of (sx + ty)^m at x^(m-k) y^k, for k = 0..m."""
-    return [math.comb(m, k) * s ** (m - k) * t ** k for k in range(m + 1)]
+def _linear_powers(s: int, t: int, n: int) -> list[list[int]]:
+    """The coefficients of (sx + ty)^m at x^(m-k) y^k, k = 0..m, for
+    m = 0..n."""
+    out = [[1]]
+    for _ in range(n):
+        prev = out[-1]
+        nxt = [s * a for a in prev] + [0]
+        for k, a in enumerate(prev, 1):
+            nxt[k] += t * a
+        out.append(nxt)
+    return out
 
 
-@lru_cache(maxsize=4)
-def _phi_ratios(scales: tuple[Fraction, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """c_j / c_k at [j][k]: column j of D^-1 M D is column j of M times c_j,
-    row k divided by c_k, for D = diag(c)."""
-    return tuple(tuple(cj / ck for ck in scales) for cj in scales)
+def _phi_ratios(scales: tuple[Fraction, ...]
+                ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(l, r) with r[j][k] = l c_j / c_k, l the least positive integer that
+    makes every such ratio integral: column j of D^-1 M D is column j of M
+    times c_j, row k divided by c_k, for D = diag(c)."""
+    ratios = [[cj / ck for ck in scales] for cj in scales]
+    lcm = math.lcm(*(r.denominator for row in ratios for r in row))
+    return lcm, tuple(tuple(r.numerator * (lcm // r.denominator) for r in row)
+                      for row in ratios)
 
 
 @lru_cache(maxsize=1)
-def _certify_binary_forms() -> None:
-    """Check the binary-form matrices of upper(1) and lower(1) against the
-    exterior-square path (h s h^t on V, then wedge^2 V mod W, W-invariance
-    checked); raises AssertionError on any difference.
+def _certify_binary_forms() -> dict[int, tuple[int, tuple[tuple[int, ...], ...]]]:
+    """The Phi ratios of ``BINARY_FORM_SCALES``, by degree, once the
+    binary-form matrices they give for upper(1) and lower(1) are checked
+    against the exterior-square path (h s h^t on V, then wedge^2 V mod W,
+    W-invariance checked); raises AssertionError on any difference.
 
     Both maps are rational homomorphisms SL2(Q) -> GL.  Agreement at
     upper(1) gives agreement at upper(1)^k = upper(k) for every integer k;
@@ -261,14 +277,16 @@ def _certify_binary_forms() -> None:
     rational t.  The same holds for lower(t), and these elements generate
     SL2(Q), so the two checks certify every later binary-form matrix.
     """
+    phi = {n: _phi_ratios(scales) for n, scales in BINARY_FORM_SCALES.items()}
     w = build_W()
     for g in (SL2Element.upper(1), SL2Element.lower(1)):
         on_v = group_action_on_V(sym2_embed(g))
         on_vprime = quotient_action(induced_group_action(on_v), w)
-        if (_binary_form_matrix(g, 4) != on_v
-                or _binary_form_matrix(g, 6) != on_vprime):
+        if (_binary_form_matrix(g, 4, phi[4]) != on_v
+                or _binary_form_matrix(g, 6, phi[6]) != on_vprime):
             raise AssertionError(
                 f"binary forms disagree with the exterior-square action of {g}")
+    return phi
 
 
 @lru_cache(maxsize=1)

@@ -1,12 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` at every interface; nothing in this
-package ever touches floating point.  Internally, the heavy routines clear
-denominators once and run on plain Python ints, which gives the same exact
-results with far less ``Fraction`` overhead: one sparse fraction-free
-Gauss-Jordan elimination (``_rref_int``) serves ``rref``, ``kernel_basis``
-and every ``Subspace``, ``det`` is a Bareiss elimination, and ``char_poly``
-and ``rational_roots`` work on integer matrices and polynomials.  Systems
+package ever touches floating point.  Internally, the heavy routines run on
+plain Python ints, which gives the same exact results with far less
+``Fraction`` overhead.  A ``Matrix`` holds its integer form, numerators
+over one positive common denominator, and its arithmetic, equality and
+every kernel below read that form; code that already holds integers builds
+a matrix with ``Matrix.from_ints`` and no ``Fraction`` is made until an
+entry is read.  One sparse fraction-free Gauss-Jordan elimination
+(``_rref_int``) serves ``rref``, ``kernel_basis``, ``eigenspace`` and
+every ``Subspace``, ``det`` is a Bareiss elimination, and ``char_poly``,
+the nilpotence tests, ``rational_roots`` and the Sturm chains work on
+integer matrices and primitive integer polynomials.  Systems
 that other modules can write down in integers (the Leibniz, shear, center
 and commutant systems) skip the dense matrix: they pass sparse rows
 ``{column: int}`` to ``int_kernel``, which ``kernel_basis`` also calls, or
@@ -67,17 +72,47 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
 
 
 class Matrix:
-    """Dense rational matrix, immutable once built."""
+    """Dense rational matrix, immutable once built.
 
-    __slots__ = ("rows", "cols", "entries")
+    A matrix holds its exact integer form: a positive common denominator
+    ``den`` and the row-major integer numerators ``nums``, with
+    gcd(den, *nums) = 1, so entry (i, j) is nums[i * cols + j] / den.
+    Equality, hashing and arithmetic work on that form.  A matrix built
+    from entries keeps them as its ``Fraction`` ``entries`` and derives the
+    integer form on first use; one built by ``from_ints`` builds its
+    ``entries`` only when they are read.  Either form is built at most once.
+    """
+
+    __slots__ = ("rows", "cols", "_entries", "_nums", "_den")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(qf(e) for e in entries)
-        if len(self.entries) != rows * cols:
+        self._entries = tuple(qf(e) for e in entries)
+        self._nums = None
+        if len(self._entries) != rows * cols:
             raise ValueError(
-                f"expected {rows * cols} entries, got {len(self.entries)}")
+                f"expected {rows * cols} entries, got {len(self._entries)}")
+
+    @classmethod
+    def from_ints(cls, rows: int, cols: int, nums: Iterable[int],
+                  den: int = 1) -> "Matrix":
+        """The matrix with entry (i, j) equal to nums[i * cols + j] / den,
+        from row-major integers over a nonzero integer denominator."""
+        nums = tuple(nums)
+        if len(nums) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(nums)}")
+        if not den:
+            raise ZeroDivisionError("matrix denominator is zero")
+        if den != 1:
+            g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+            if g != 1:
+                nums = tuple(x // g for x in nums)
+                den //= g
+        m = cls.__new__(cls)
+        m.rows, m.cols = rows, cols
+        m._entries, m._nums, m._den = None, nums, den
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -96,12 +131,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, (_ONE if i == j else _ZERO
-                          for i in range(n) for j in range(n)))
+        return cls.from_ints(n, n, (int(i == j) for i in range(n)
+                                    for j in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, itertools.repeat(_ZERO, rows * cols))
+        return cls.from_ints(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "Matrix":
@@ -114,6 +149,42 @@ class Matrix:
     def from_flat(cls, n: int, flat: Sequence) -> "Matrix":
         """Rebuild an n-by-n matrix from a row-major flattening."""
         return cls(n, n, flat)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The row-major ``Fraction`` entries."""
+        if self._entries is None:
+            d = self._den
+            self._entries = tuple(Fraction(x, d) if x else _ZERO
+                                  for x in self._nums)
+        return self._entries
+
+    @property
+    def nums(self) -> tuple[int, ...]:
+        """The row-major integer numerators over ``den``."""
+        if self._nums is None:
+            self._clear()
+        return self._nums
+
+    @property
+    def den(self) -> int:
+        """The least positive common denominator of the entries."""
+        if self._nums is None:
+            self._clear()
+        return self._den
+
+    def _clear(self) -> None:
+        # the entries are in lowest terms, so this form is canonical
+        es = self._entries
+        d = self._den = math.lcm(*(e.denominator for e in es))
+        self._nums = tuple(e.numerator * (d // e.denominator) for e in es)
+
+    def int_rows(self) -> list[dict[int, int]]:
+        """The rows of ``nums`` as sparse {column: entry} maps, which list
+        nonzero entries only."""
+        a, c = self.nums, self.cols
+        return [{j: x for j, x in enumerate(a[i * c:(i + 1) * c]) if x}
+                for i in range(self.rows)]
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
@@ -134,27 +205,33 @@ class Matrix:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.den, self.nums))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      (a + b for a, b in zip(self.entries, other.entries)))
+        da, db = self.den, other.den
+        d = math.lcm(da, db)
+        fa, fb = d // da, d // db
+        return Matrix.from_ints(self.rows, self.cols,
+                                (fa * x + fb * y
+                                 for x, y in zip(self.nums, other.nums)), d)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      (a - b for a, b in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, (-a for a in self.entries))
+        return Matrix.from_ints(self.rows, self.cols,
+                                (-x for x in self.nums), self.den)
 
     def scale(self, c) -> "Matrix":
         c = qf(c)
-        return Matrix(self.rows, self.cols, (c * a for a in self.entries))
+        return Matrix.from_ints(self.rows, self.cols,
+                                (c.numerator * x for x in self.nums),
+                                c.denominator * self.den)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -162,20 +239,10 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        n, m, p = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out = [_ZERO] * (n * p)
-        for i in range(n):
-            arow = a[i * m:(i + 1) * m]
-            orow = i * p
-            for k in range(m):
-                aik = arow[k]
-                if aik:
-                    brow = b[k * p:(k + 1) * p]
-                    for j in range(p):
-                        if brow[j]:
-                            out[orow + j] += aik * brow[j]
-        return Matrix(n, p, out)
+        return Matrix.from_ints(
+            self.rows, other.cols,
+            int_matmul(self.nums, other.nums, self.rows, self.cols, other.cols),
+            self.den * other.den)
 
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square:
@@ -192,37 +259,45 @@ class Matrix:
         return result
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Matrix-vector product (column vector convention).  Only the
-        nonzero coordinates of v and the nonzero entries of their columns
-        are visited."""
+        """Matrix-vector product (column vector convention), in integers.
+        Only the nonzero coordinates of v and the nonzero entries of their
+        columns are visited."""
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        e = self.entries
-        n = self.cols
+        dv, vint = clear_denominators(enumerate(v))
+        d = self.den * dv
         out = [_ZERO] * self.rows
-        for j, vj in enumerate(v):
-            if vj:
-                for i, a in enumerate(e[j::n]):
-                    if a:
-                        out[i] += a * vj
+        for i, x in self.int_apply(vint).items():
+            out[i] = Fraction(x, d)
         return tuple(out)
 
+    def int_apply(self, v: dict[int, int]) -> dict[int, int]:
+        """``nums`` applied to the sparse integer vector v {column: entry},
+        as a sparse integer vector; both list nonzero entries only."""
+        a, n = self.nums, self.cols
+        out: dict[int, int] = {}
+        for j, x in v.items():
+            for i, y in enumerate(a[j::n]):
+                if y:
+                    out[i] = out.get(i, 0) + y * x
+        return {i: y for i, y in out.items() if y}
+
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      (self.entries[j * self.cols + i]
-                       for i in range(self.cols) for j in range(self.rows)))
+        a, c = self.nums, self.cols
+        return Matrix.from_ints(c, self.rows, itertools.chain.from_iterable(
+            a[j::c] for j in range(c)), self.den)
 
     def trace(self) -> Fraction:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), _ZERO)
+        return Fraction(sum(self.nums[::self.cols + 1]), self.den)
 
     def flatten(self) -> tuple[Fraction, ...]:
         """Row-major flattening; the convention used for matrix-space subspaces."""
         return self.entries
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.nums)
 
     def __repr__(self) -> str:
         rows = [" ".join(str(e) for e in self.row(i)) for i in range(self.rows)]
@@ -251,13 +326,6 @@ def clear_denominators(
     nz = [(j, x) for j, x in entries if x]
     d = math.lcm(*(x.denominator for _, x in nz))
     return d, {j: x.numerator * (d // x.denominator) for j, x in nz}
-
-
-def _int_row(row: Sequence[Fraction]) -> dict[int, int]:
-    """The primitive integer multiple of a rational row as {column: entry};
-    empty for the zero row."""
-    _, out = clear_denominators(enumerate(row))
-    return _primitive(out) if out else out
 
 
 def _eliminate(row: dict[int, int], pivot_rows: list[tuple[int, dict[int, int]]]
@@ -337,7 +405,7 @@ class RrefResult:
 
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form of m, with rank and pivot columns."""
-    echelon = _rref_int((_int_row(m.row(i)) for i in range(m.rows)), m.cols)
+    echelon = _rref_int((_primitive(r) for r in m.int_rows() if r), m.cols)
     rows = [_fraction_row(row, c, m.cols) for c, row in echelon]
     rows += [[_ZERO] * m.cols for _ in range(m.rows - len(rows))]
     return RrefResult(Matrix.from_rows(rows) if rows else m,
@@ -350,14 +418,13 @@ def rank(m: Matrix) -> int:
 
 def det(m: Matrix) -> Fraction:
     """Determinant by Bareiss elimination on the integer matrix A = d m,
-    d the lcm of the entry denominators: det m = det A / d^n.  Every
-    division in the Bareiss recurrence is exact."""
+    d = m.den: det m = det A / d^n.  Every division in the Bareiss
+    recurrence is exact."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
-    d = math.lcm(*(e.denominator for e in m.entries))
-    a = [[e.numerator * (d // e.denominator) for e in m.row(i)]
-         for i in range(n)]
+    d, nums = m.den, m.nums
+    a = [list(nums[i * n:(i + 1) * n]) for i in range(n)]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -398,7 +465,7 @@ class Subspace:
             raise ValueError(
                 f"basis has {basis.cols} columns, ambient dim is {ambient_dim}")
         self._set(ambient_dim, _rref_int(
-            (_int_row(basis.row(i)) for i in range(basis.rows)), ambient_dim))
+            (_primitive(r) for r in basis.int_rows() if r), ambient_dim))
 
     def _set(self, ambient_dim: int,
              echelon: list[tuple[int, dict[int, int]]]) -> "Subspace":
@@ -415,7 +482,7 @@ class Subspace:
             if len(row) != ambient_dim:
                 raise ValueError(
                     f"vector length {len(row)} != ambient dim {ambient_dim}")
-            rows.append(_int_row(row))
+            rows.append(clear_denominators(enumerate(row))[1])
         return cls.from_int_rows(ambient_dim, rows)
 
     @classmethod
@@ -509,8 +576,14 @@ class Subspace:
     def contains_int_row(self, row: dict[int, int]) -> bool:
         """Membership of the integer vector {column: entry}, which lists
         nonzero entries only."""
-        hits = [(c, prow) for c, prow in self.echelon if c in row]
-        return not (_eliminate(row, hits)[1] if hits else row)
+        return not self.int_reduce(row)[1]
+
+    def int_reduce(self, row: dict[int, int]) -> tuple[int, dict[int, int]]:
+        """(s, r) for the integer vector row {column: entry}: s > 0, and r is
+        s * row minus the combination of the echelon rows that clears every
+        pivot column, so r / s is the canonical representative of row."""
+        return _eliminate(row, [(c, prow) for c, prow in self.echelon
+                                if c in row])
 
     def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Canonical representative of v modulo this subspace: v minus the
@@ -518,8 +591,7 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         d, row = clear_denominators(enumerate(v))
-        scale, rest = _eliminate(
-            row, [(c, prow) for c, prow in self.echelon if c in row])
+        scale, rest = self.int_reduce(row)
         out = [_ZERO] * self.ambient_dim
         den = d * scale
         for j, x in rest.items():
@@ -547,16 +619,25 @@ class Subspace:
         return self.restrict(other.equations())
 
     def combination(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """sum_i coeffs[i] * basis[i], computed on the integer rows: basis
-        row i is echelon row i over its pivot entry, so the weights
-        coeffs[i] / a_i are brought to one denominator first."""
-        weights = [qf(c) / row[p]
-                   for c, (p, row) in zip(coeffs, self.echelon, strict=True)]
-        d, ints = clear_denominators(enumerate(weights))
+        """sum_i coeffs[i] * basis[i] (see ``int_combination``)."""
+        d, row = self.int_combination(coeffs)
         out = [_ZERO] * self.ambient_dim
-        for j, x in self._int_combination(ints).items():
+        for j, x in row.items():
             out[j] = Fraction(x, d)
         return tuple(out)
+
+    def int_combination(self, coeffs: Sequence[Fraction]
+                        ) -> tuple[int, dict[int, int]]:
+        """(d, {j: x}) with sum_i coeffs[i] * basis[i] equal to x / d at
+        each listed j and zero elsewhere, computed on the integer rows:
+        basis row i is echelon row i over its pivot entry a_i, so the
+        weights coeffs[i] / a_i are brought to one denominator d first."""
+        terms = [(qf(c), row[p])
+                 for c, (p, row) in zip(coeffs, self.echelon, strict=True)]
+        d = math.lcm(*(c.denominator * a for c, a in terms if c))
+        return d, self._int_combination({
+            i: c.numerator * (d // (c.denominator * a))
+            for i, (c, a) in enumerate(terms) if c})
 
     def __add__(self, other: "Subspace") -> "Subspace":
         return self.sum(other)
@@ -583,8 +664,22 @@ class Subspace:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of {x : m x = 0}."""
-    return int_kernel((_int_row(m.row(i)) for i in range(m.rows)), m.cols)
+    """Canonical basis of {x : m x = 0}, from the rows of m's integer
+    numerators."""
+    return int_kernel(m.int_rows(), m.cols)
+
+
+def eigenspace(m: Matrix, lam) -> Subspace:
+    """ker(m - lam I).  With m = A / den and lam = r / s in lowest terms,
+    that is the kernel of the integer matrix s A - r den I."""
+    if not m.is_square:
+        raise ValueError("eigenspace of a non-square matrix")
+    lam = qf(lam)
+    n = m.rows
+    a = [lam.denominator * x for x in m.nums]
+    shift = lam.numerator * m.den
+    a[::n + 1] = [x - shift for x in a[::n + 1]]
+    return kernel_basis(Matrix.from_ints(n, n, a))
 
 
 def int_kernel(rows: Iterable[dict[int, int]], ncols: int) -> Subspace:
@@ -659,11 +754,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
@@ -678,12 +768,6 @@ class Polynomial:
         for i, c in enumerate(b):
             out[i] += c
         return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + Polynomial(tuple(-c for c in other.coeffs))
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
@@ -714,17 +798,6 @@ class Polynomial:
                         rem[i + j] -= f * d
         return Polynomial(quo), Polynomial(rem)
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self.leading()
-        if lead == 1:
-            return self
-        return Polynomial(tuple(c / lead for c in self.coeffs))
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "Polynomial(0)"
@@ -732,89 +805,123 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
-def int_matmul(a: list[int], b: list[int], n: int) -> list[int]:
-    """Product of two row-major n-by-n integer matrices, skipping zeros."""
-    out = [0] * (n * n)
-    for i in range(0, n * n, n):
-        for k in range(n):
-            aik = a[i + k]
+def int_matmul(a: Sequence[int], b: Sequence[int], n: int, m: int,
+               p: int) -> list[int]:
+    """Product of a row-major n-by-m and a row-major m-by-p integer matrix,
+    skipping zeros."""
+    out = [0] * (n * p)
+    for i in range(n):
+        arow = a[i * m:(i + 1) * m]
+        o = i * p
+        for k, aik in enumerate(arow):
             if aik:
-                kn = k * n
-                for j in range(n):
-                    bkj = b[kn + j]
+                kp = k * p
+                for j in range(p):
+                    bkj = b[kp + j]
                     if bkj:
-                        out[i + j] += aik * bkj
+                        out[o + j] += aik * bkj
     return out
 
 
 def char_poly(m: Matrix) -> Polynomial:
     """Monic characteristic polynomial det(xI - m).
 
-    Denominators are cleared once: with d the lcm of the entry denominators,
-    A = d m is an integer matrix whose characteristic polynomial has integer
-    coefficients c_i = d^(n-i) times those of m.  The Faddeev-LeVerrier
-    recurrence runs on A in plain ints, where every division by the step
-    count k is exact.
+    With d = m.den, A = d m is the integer matrix m.nums, whose
+    characteristic polynomial has integer coefficients c_i = d^(n-i) times
+    those of m.  The Faddeev-LeVerrier recurrence runs on A in plain ints,
+    where every division by the step count k is exact.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    d = math.lcm(*(e.denominator for e in m.entries))
-    a = [e.numerator * (d // e.denominator) for e in m.entries]
+    n, d, a = m.rows, m.den, m.nums
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     mk = [0] * (n * n)  # M_k = A M_(k-1) + c_(n-k+1) I, starting from M_1 = I
     mk[::n + 1] = [1] * n
     for k in range(1, n + 1):
-        amk = int_matmul(a, mk, n)
+        amk = int_matmul(a, mk, n, n, n)
         c, r = divmod(-sum(amk[::n + 1]), k)
         if r:
             raise ArithmeticError(
                 f"Faddeev-LeVerrier step {k} left a remainder on an integer matrix")
         coeffs[n - k] = c
-        for i in range(0, n * n, n + 1):
-            amk[i] += c
+        amk[::n + 1] = [x + c for x in amk[::n + 1]]
         mk = amk
     return Polynomial([Fraction(c, d ** (n - i)) for i, c in enumerate(coeffs)])
 
 
 def is_nilpotent(m: Matrix) -> bool:
-    """True iff the characteristic polynomial is x^n."""
+    """True iff the characteristic polynomial is x^n (see ``_nilpotent``)."""
     if not m.is_square:
         raise ValueError("nilpotence test on a non-square matrix")
-    cp = char_poly(m)
-    return cp == Polynomial.x_power(m.rows)
+    return _nilpotent(m.nums, m.rows)
 
 
 def is_unipotent(m: Matrix) -> bool:
+    """True iff m - I is nilpotent, tested on its integer multiple
+    m.nums - m.den I."""
     if not m.is_square:
         raise ValueError("unipotence test on a non-square matrix")
-    return is_nilpotent(m - Matrix.identity(m.rows))
+    n, d = m.rows, m.den
+    a = list(m.nums)
+    a[::n + 1] = [x - d for x in a[::n + 1]]
+    return _nilpotent(a, n)
+
+
+def _nilpotent(a: Sequence[int], n: int) -> bool:
+    """Is the row-major n-by-n integer matrix A nilpotent?  Over Q that
+    holds exactly when tr(A^k) = 0 for k = 1..n (Newton's identities turn
+    these power sums into the coefficients of det(xI - A)), so the powers
+    stop at the first nonzero trace or the first zero power."""
+    power = a
+    for k in range(1, n + 1):
+        if not any(power):
+            return True
+        if sum(power[::n + 1]):
+            return False
+        if k < n:
+            power = int_matmul(power, a, n, n, n)
+    return True
 
 
 # ---------------------------------------------------------------------------
 # rational roots and real-root counting
 # ---------------------------------------------------------------------------
+#
+# These run on integer coefficient lists, lowest degree first, with
+# trailing zeros stripped; a polynomial is only ever rescaled by a positive
+# factor, so every sign a Sturm count reads is kept.
+
+def _primitive_poly(c: Sequence[int]) -> list[int]:
+    """c divided by its (positive) content; [] for the zero polynomial."""
+    g = math.gcd(*c)
+    return [x // g for x in c] if g > 1 else list(c)
+
 
 def _primitive_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
     """The primitive integer multiple of a nonzero rational coefficient
-    list, by a positive factor (so every sign is kept)."""
+    list, by a positive factor."""
     d = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (d // c.denominator) for c in coeffs]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
+    return _primitive_poly([c.numerator * (d // c.denominator) for c in coeffs])
 
 
 def rational_roots(p: Polynomial) -> dict[Fraction, int]:
     """All rational roots with multiplicities: the zero root first, then
-    the others in ascending order.
+    the others in ascending order."""
+    return strip_rational_roots(p)[0]
+
+
+def strip_rational_roots(p: Polynomial) -> tuple[dict[Fraction, int], Polynomial]:
+    """(rational roots with multiplicity, cofactor with no rational roots).
+    The cofactor is the primitive integer polynomial left once the roots
+    are divided out: p over their linear factors, times a positive constant.
 
     With a_n the leading coefficient of the primitive integer multiple of
     p (degree n, powers of x stripped), q(y) = a_n^(n-1) p(y / a_n) is monic
     with integer coefficients, so its rational roots are integers, and y is
     one exactly when y / a_n is a root of p.  ``_integer_roots`` finds them;
-    each root is then divided out of the integer polynomial as often as it
-    divides.
+    each root num/den is then divided out of the integer polynomial, as the
+    factor den x - num, as often as it divides.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -827,40 +934,39 @@ def rational_roots(p: Polynomial) -> dict[Fraction, int]:
         zero_mult += 1
     if zero_mult:
         roots[_ZERO] = zero_mult
-    if len(coeffs) <= 1:
-        return roots
     ints = _primitive_coeffs(coeffs)
+    if len(ints) <= 1:
+        return roots, Polynomial(ints)
     n = len(ints) - 1
     lead = ints[n]
     monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:n])] + [1]
     for root in sorted(Fraction(y, lead) for y in _integer_roots(monic)):
-        num, den = root.numerator, root.denominator
+        factor = [-root.numerator, root.denominator]
         mult = 0
         while len(ints) > 1:
-            quo = _divide_linear(ints, num, den)
+            quo = _divide_exact(ints, factor)
             if quo is None:
                 break
             ints = quo
             mult += 1
         if not mult:
-            raise ArithmeticError(f"root {num}/{den} did not divide out")
+            raise ArithmeticError(f"root {root} did not divide out")
         roots[root] = mult
-    return roots
+    return roots, Polynomial(ints)
 
 
 def _integer_roots(q: list[int]) -> list[int]:
     """The integer roots, ascending, of a monic integer polynomial q of
-    degree >= 1 (coefficients lowest degree first).
+    degree >= 1.
 
-    The Sturm chain of q's square-free part f, scaled to integers, counts
-    the distinct real roots in (lo + 1/2, hi + 1/2] for integers lo < hi;
-    no half-integer is a root of the monic integer f, so every count is
-    exact.  Starting from a root bound, an interval is halved until it
-    holds at most one root; one that holds a single root is then halved by
-    the sign of f alone, down to the one integer it contains, which is
-    tested exactly.
+    The Sturm chain of q's square-free part f counts the distinct real
+    roots in (lo + 1/2, hi + 1/2] for integers lo < hi; no half-integer is
+    a root of the monic integer f, so every count is exact.  Starting from
+    a root bound, an interval is halved until it holds at most one root;
+    one that holds a single root is then halved by the sign of f alone,
+    down to the one integer it contains, which is tested exactly.
     """
-    chain = [_primitive_coeffs(c.coeffs) for c in _sturm_chain(Polynomial(q))]
+    chain = _sturm_chain(q)
     f = chain[0]
     d = len(f) - 1
     # Fujiwara: every root has |y| <= 2 max_i |f_i|^(1/(d-i)), and
@@ -869,8 +975,7 @@ def _integer_roots(q: list[int]) -> list[int]:
                      for i, c in enumerate(f[:d]))
 
     def variations(k: int) -> int:
-        signs = [s for s in (_sign_at_half(g, k) for g in chain) if s]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
+        return _changes([s for s in (_sign_at_half(g, k) for g in chain) if s])
 
     roots = []
     lo, hi = -bound - 1, bound
@@ -914,31 +1019,44 @@ def _sign_at_half(f: list[int], k: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _divide_linear(ints: list[int], num: int, den: int) -> list[int] | None:
-    """Quotient of the integer polynomial ints (lowest degree first) by the
-    primitive factor den x - num, or None when it does not divide.  By
-    Gauss's lemma the quotient of an exact division is again integral."""
-    quo = [0] * (len(ints) - 1)
-    carry = 0
-    for i in range(len(ints) - 1, 0, -1):
-        carry, r = divmod(carry * num + ints[i], den)
+def _divide_exact(a: list[int], b: list[int]) -> list[int] | None:
+    """The quotient of the integer polynomial a by b when it is exact and
+    integral, else None.  By Gauss's lemma the quotient by a primitive b
+    that divides a is integral, and long division meets it step by step."""
+    db = len(b) - 1
+    lead = b[-1]
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for i in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[i + db], lead)
         if r:
             return None
-        quo[i - 1] = carry
-    return quo if carry * num + ints[0] == 0 else None
+        quo[i] = q
+        if q:
+            for j, y in enumerate(b):
+                rem[i + j] -= q * y
+    return None if any(rem[:db]) else quo
 
 
-def strip_rational_roots(p: Polynomial) -> tuple[dict[Fraction, int], Polynomial]:
-    """(rational roots with multiplicity, cofactor with no rational roots)."""
-    roots = rational_roots(p)
-    work = p
-    for root, mult in roots.items():
-        lin = Polynomial([-root, 1])
-        for _ in range(mult):
-            work, rem = divmod(work, lin)
-            if not rem.is_zero:
-                raise ArithmeticError(f"root {root} did not divide out")
-    return roots, work
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of |lc b|^(deg a - deg b + 1) a on division by b, a
+    positive multiple of the rational remainder of a by b, so its signs are
+    those of the rational remainder."""
+    db = len(b) - 1
+    lead = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    rem = list(a)
+    for i in range(len(a) - 1 - db, -1, -1):
+        c = sign * rem[i + db]
+        if lead != 1:
+            rem = [lead * x for x in rem]
+        if c:
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
+    rem = rem[:db]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
 
 
 def count_real_roots(p: Polynomial) -> int:
@@ -947,37 +1065,44 @@ def count_real_roots(p: Polynomial) -> int:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return 0
-    chain = _sturm_chain(p)
-
-    def variations(at_infinity: int) -> int:
-        signs = []
-        for q in chain:
-            s = 1 if q.leading() > 0 else -1
-            if at_infinity < 0 and q.degree % 2 == 1:
-                s = -s
-            signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return variations(-1) - variations(+1)
+    chain = _sturm_chain(_primitive_coeffs(p.coeffs))
+    # the sign of q at +inf is that of its leading coefficient; at -inf it
+    # flips when deg q is odd, i.e. when len(q) is even
+    at_plus = [q[-1] > 0 for q in chain]
+    at_minus = [(q[-1] > 0) == (len(q) % 2 == 1) for q in chain]
+    return _changes(at_minus) - _changes(at_plus)
 
 
-def _sturm_chain(p: Polynomial) -> list[Polynomial]:
-    """The Sturm chain of the square-free part f of p (degree >= 1): f, f',
-    then negated remainders down to the last nonzero one."""
-    g = _poly_gcd(p, p.derivative())
-    sqfree, rem = divmod(p, g)
-    if not rem.is_zero:
+def _changes(signs: list) -> int:
+    """The number of sign changes along a list of signs, none of them 0."""
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """The Sturm chain of the square-free part f of the integer polynomial
+    p (degree >= 1), each entry primitive: f, f', then the negated
+    remainders down to the last nonzero one.  Each entry is a positive
+    multiple of the rational chain's, so the sign variations are the same."""
+    p = _primitive_poly(p)
+    sqfree = _divide_exact(p, _poly_gcd(p, _derivative(p)))
+    if sqfree is None:
         raise ArithmeticError("polynomial gcd does not divide the polynomial")
-    chain = [sqfree, sqfree.derivative()]
-    while not chain[-1].is_zero:
-        _, r = divmod(chain[-2], chain[-1])
-        chain.append(-r)
-    chain.pop()
-    return chain
+    chain = [sqfree, _primitive_poly(_derivative(sqfree))]
+    while True:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
+            return chain
+        chain.append([-x for x in _primitive_poly(r)])
 
 
-def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero:
-        _, r = divmod(a, b)
-        a, b = b, r
-    return a.monic() if not a.is_zero else a
+def _derivative(c: list[int]) -> list[int]:
+    return [i * x for i, x in enumerate(c)][1:]
+
+
+def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The gcd of two nonzero integer polynomials, primitive with a
+    positive leading coefficient."""
+    while b:
+        a, b = b, _primitive_poly(_prem(a, b))
+    a = _primitive_poly(a)
+    return a if a[-1] > 0 else [-x for x in a]

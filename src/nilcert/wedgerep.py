@@ -6,6 +6,7 @@ The coordinate of u ^ v at pair (i, j) is u_i v_j - u_j v_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -14,11 +15,9 @@ from .qlinalg import (
     Matrix,
     QuotientMap,
     Subspace,
-    clear_denominators,
+    eigenspace,
     int_kernel,
-    kernel_basis,
     qf,
-    unit_vector,
 )
 
 
@@ -86,27 +85,49 @@ def wedge_vector(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction
 
 
 def induced_algebra_action(x: Matrix) -> Matrix:
-    """Derivation extension of x: u^v -> xu^v + u^xv."""
+    """Derivation extension of x: u^v -> xu^v + u^xv, on x's integer
+    numerators: column (i, j) is x e_i ^ e_j + e_i ^ x e_j, where x e_i is
+    column i of x."""
     if not x.is_square:
         raise ValueError("inducing from a non-square matrix")
-    n = x.rows
+    n, a = x.rows, x.nums
+    wb = WedgeBasis(n)
+    index = {pair: k for k, pair in enumerate(wb.pairs)}
     cols = []
-    for (i, j) in WedgeBasis(n).pairs:
-        ei = unit_vector(n, i)
-        ej = unit_vector(n, j)
-        xi = x.apply(ei)
-        xj = x.apply(ej)
-        col = [a + b for a, b in zip(wedge_vector(xi, ej), wedge_vector(ei, xj))]
+    for i, j in wb.pairs:
+        col: dict[int, int] = {}
+        for r in range(n):
+            if r != j:
+                add_wedge(col, index, r, j, a[r * n + i])
+            if r != i:
+                add_wedge(col, index, i, r, a[r * n + j])
         cols.append(col)
-    return Matrix.from_columns(cols)
+    return Matrix.from_ints(wb.dim, wb.dim, (col.get(k, 0) for k in range(
+        wb.dim) for col in cols), x.den)
+
+
+def add_wedge(image: dict[int, int], index: dict[tuple[int, int], int],
+              i: int, j: int, x: int) -> None:
+    """image += x e_i^e_j, written on the basis pairs (i < j) that index
+    numbers."""
+    if x:
+        if i > j:
+            i, j, x = j, i, -x
+        k = index[i, j]
+        image[k] = image.get(k, 0) + x
 
 
 def induced_group_action(g: Matrix) -> Matrix:
-    """Multiplicative extension of g: u^v -> gu^gv."""
+    """Multiplicative extension of g: u^v -> gu^gv.  On g's integer
+    numerators G, column (i, j) is G e_i ^ G e_j, whose coordinate at
+    (k, l) is G_ki G_lj - G_li G_kj, over den^2."""
     if not g.is_square:
         raise ValueError("inducing from a non-square matrix")
-    return Matrix.from_columns([wedge_vector(g.col(i), g.col(j))
-                                for (i, j) in WedgeBasis(g.rows).pairs])
+    n, a = g.rows, g.nums
+    pairs = WedgeBasis(n).pairs
+    return Matrix.from_ints(len(pairs), len(pairs), (
+        a[k * n + i] * a[l * n + j] - a[l * n + i] * a[k * n + j]
+        for k, l in pairs for i, j in pairs), g.den ** 2)
 
 
 def quotient_action(m: Matrix, w: Subspace) -> Matrix:
@@ -120,14 +141,18 @@ def quotient_action(m: Matrix, w: Subspace) -> Matrix:
     """
     if not m.is_square or m.rows != w.ambient_dim:
         raise ValueError("matrix size does not match the subspace ambient")
-    for bv in w.basis_vectors():
-        image = m.apply(bv)
-        if not w.contains(image):
+    for k, (_, u) in enumerate(w.echelon):
+        if not w.contains_int_row(m.int_apply(u)):
             raise NotInvariantError(
-                "subspace is not preserved by the given matrix", bv)
-    qmap = QuotientMap(w)
-    return Matrix.from_columns([qmap.project(m.apply(qmap.lift(k)))
-                                for k in range(qmap.dim)])
+                "subspace is not preserved by the given matrix",
+                w.basis_vectors()[k])
+    # column k is m e_(reps[k]) reduced modulo w, read at the reps; each
+    # reduction comes with its own scale, brought to their lcm
+    reps = QuotientMap(w).reps
+    cols = [w.int_reduce(m.int_apply({c: 1})) for c in reps]
+    d = math.lcm(*(s for s, _ in cols))
+    return Matrix.from_ints(len(reps), len(reps), (
+        d // s * col.get(r, 0) for r in reps for s, col in cols), d * m.den)
 
 
 @dataclass(frozen=True)
@@ -140,16 +165,13 @@ def weight_decomposition(m: Matrix, candidates: Sequence) -> WeightDecomposition
     """Eigenspace ker(m - c I) for each candidate eigenvalue c."""
     if not m.is_square:
         raise ValueError("weight decomposition of a non-square matrix")
-    n = m.rows
-    ident = Matrix.identity(n)
     spaces: dict[Fraction, Subspace] = {}
     for cand in candidates:
         lam = qf(cand)
-        if lam in spaces:
-            continue
-        spaces[lam] = kernel_basis(m - ident.scale(lam))
+        if lam not in spaces:
+            spaces[lam] = eigenspace(m, lam)
     # eigenspaces of distinct eigenvalues are independent, so dimensions add
-    complete = sum(s.dim for s in spaces.values()) == n
+    complete = sum(s.dim for s in spaces.values()) == m.rows
     return WeightDecomposition(spaces, complete)
 
 
@@ -168,11 +190,13 @@ def commutant(gens: GeneratorSet, dim: int | None = None) -> Subspace:
     n = gens.dim
     rows = []
     for g in gens:
-        # row (r, c) is (Xg - gX)[r, c] = 0, g scaled to integers; the
-        # entry g[p, q] = x enters row (r, q) at X[r, p] and row (p, c)
+        # row (r, c) is (Xg - gX)[r, c] = 0, for g's integer numerators;
+        # the entry g[p, q] = x enters row (r, q) at X[r, p] and row (p, c)
         # at X[q, c]
         block: list[dict[int, int]] = [{} for _ in range(n * n)]
-        for idx, x in clear_denominators(enumerate(g.entries))[1].items():
+        for idx, x in enumerate(g.nums):
+            if not x:
+                continue
             p, q = divmod(idx, n)
             for r in range(n):
                 row = block[r * n + q]

@@ -2,6 +2,7 @@
 exterior-square path it replaces, its homomorphism property, and the
 once-per-process guard that certifies it."""
 
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -35,6 +36,36 @@ def test_binary_forms_equal_the_exterior_square_path(seed):
         assert binary_form_action(g, 4) == on_v
         assert binary_form_action(g, 6) == quotient_action(
             induced_group_action(on_v), w)
+
+
+def fraction_binary_form_matrix(g, n):
+    """Reference: the Fraction construction the integer one replaced, with
+    every entry col[k] * (c_j / c_k) / q^n built as a Fraction."""
+    q = math.lcm(g.a.denominator, g.b.denominator, g.c.denominator,
+                 g.d.denominator)
+    A, B, C, D = (int(x * q) for x in (g.a, g.b, g.c, g.d))
+    scales = BINARY_FORM_SCALES[n]
+    cols = []
+    for j in range(n + 1):
+        col = [0] * (n + 1)
+        for i in range(n - j + 1):
+            for k in range(j + 1):
+                col[i + k] += (math.comb(n - j, i) * A ** (n - j - i) * C ** i
+                               * math.comb(j, k) * B ** (j - k) * D ** k)
+        cols.append([Q(x) * scales[j] / scales[k] / q ** n
+                     for k, x in enumerate(col)])
+    return Matrix.from_columns(cols)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_integer_binary_forms_equal_the_fraction_construction(seed):
+    for i in range(100):
+        _, g = sample_h_element(seed, i)
+        for degree in (4, 6):
+            ref = fraction_binary_form_matrix(g, degree)
+            m = binary_form_action(g, degree)
+            assert m._entries is None  # built from integers
+            assert m == ref and m.entries == ref.entries
 
 
 def test_context_samples_read_the_binary_forms():
