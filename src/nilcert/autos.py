@@ -22,21 +22,19 @@ from .qlinalg import (
     QuotientMap,
     Subspace,
     char_poly,
-    clear_denominators,
     count_real_roots,
     eigenspace,
     int_kernel,
     int_matmul,
     rank,
     strip_rational_roots,
-    vector,
 )
 from .wedgerep import (
     GeneratorSet,
     NotInvariantError,
-    WedgeBasis,
-    add_wedge,
+    derivation_images,
     quotient_action,
+    wedge_square_base,
 )
 
 
@@ -123,58 +121,16 @@ def shear_space(L: LieAlgebra, c: Subspace) -> Subspace:
     return derivation_algebra(L).with_image_in(c)
 
 
-def wedge_square_base(amb: int) -> int:
-    """The n >= 2 with n(n-1)/2 = amb, the dimension of wedge^2 Q^n.
-
-    n(n-1)/2 = amb means (2n-1)^2 = 8 amb + 1, so n is read off an exact
-    integer square root."""
-    disc = 8 * amb + 1
-    s = math.isqrt(max(disc, 0))
-    if s * s != disc or s < 3:
-        raise ValueError(f"ambient dim {amb} is not of the form n(n-1)/2")
-    return (s + 1) // 2
-
-
 def stabilizer_algebra(w: Subspace) -> StabilizerAlgebra:
-    """{x in gl(n) : the induced derivation action on wedge^2 preserves w},
-    computed as one kernel over the n^2 matrix coordinates, in integers.
+    """{x in gl(n) : the induced derivation action on wedge^2 preserves w}.
 
-    The matrix unit E_rc sends e_i^e_j to [c=i] e_r^e_j + [c=j] e_i^e_r, so
-    the image of each basis vector of w under x is linear in x's entries.
-    One row per (basis vector of w, non-pivot column t) asks that the
-    image, reduced modulo w through its pivots, vanish at t.
+    The image of a vector u of w under x is sum_rc x[r, c] E_rc u, linear in
+    x's entries, so this is the preimage of w under those images, taken
+    over w's integer echelon rows: one kernel over the n^2 coordinates.
     """
     n = wedge_square_base(w.ambient_dim)
-    wb = WedgeBasis(n)
-    index = {pair: k for k, pair in enumerate(wb.pairs)}
-    # w's integer echelon rows have pivot entries a_i; reducing
-    # "scale * v" by them stays integral
-    scale = math.lcm(*(row[pc] for pc, row in w.echelon))
-    reducers = [(pc, scale // row[pc], row) for pc, row in w.echelon]
-    rows = []
-    for _, u in w.echelon:
-        # images[r * n + c] is E_rc applied to u, over wedge^2 coordinates
-        images: list[dict[int, int]] = [{} for _ in range(n * n)]
-        for k, x in u.items():
-            i, j = wb.pairs[k]
-            for r in range(n):
-                if r != j:
-                    add_wedge(images[r * n + i], index, r, j, x)
-                if r != i:
-                    add_wedge(images[r * n + j], index, i, r, x)
-        block: dict[int, dict[int, int]] = {}
-        for col, image in enumerate(images):
-            reduced = {t: scale * x for t, x in image.items()}
-            for pc, f, prow in reducers:
-                y = image.get(pc)
-                if y:
-                    for t, z in prow.items():
-                        reduced[t] = reduced.get(t, 0) - y * f * z
-            for t, x in reduced.items():
-                if x:
-                    block.setdefault(t, {})[col] = x
-        rows += block.values()
-    return StabilizerAlgebra(n, int_kernel(rows, n * n))
+    return StabilizerAlgebra(n, w.preimage(
+        (derivation_images(u, n) for _, u in w.echelon), n * n))
 
 
 def factor_on_abelianization(L: LieAlgebra, d_mat: Matrix) -> Matrix:
@@ -293,52 +249,40 @@ def fixed_space(g: Matrix) -> Subspace:
     return eigenspace(g, 1)
 
 
-def line_fixed_by(p: Sequence[Fraction], g: Matrix) -> bool:
-    """Does g map the line through p to itself?  Exact test: g p ^ p = 0.
-
-    It runs on the integer numerators of g and the denominator-cleared p,
-    since scaling either leaves the line alone.  For any k with p_k != 0,
-    g p ^ p = 0 exactly when (g p)_i p_k = (g p)_k p_i for every i.
-    """
-    pv = vector(p)
-    if all(x == 0 for x in pv):
+def line_through(p: Sequence[Fraction]) -> Subspace:
+    """The line through the nonzero vector p."""
+    line = Subspace.span(len(p), [p])
+    if not line.dim:
         raise ValueError("p must be nonzero")
-    if not g.is_square or g.cols != len(pv):
-        raise ValueError("matrix size does not match p")
-    _, pint = clear_denominators(enumerate(pv))
-    gp = g.int_apply(pint)
-    k, pk = next(iter(pint.items()))
-    gk = gp.get(k, 0)
-    return all(gp.get(i, 0) * pk == gk * pint.get(i, 0) for i in range(g.rows))
+    return line
+
+
+def line_fixed_by(p: Sequence[Fraction], g: Matrix) -> bool:
+    """Does g map the line through p to itself?"""
+    return line_through(p).moved_by(g) is None
 
 
 def infinitesimal_line_stabilizer(p: Sequence[Fraction],
                                   gens: GeneratorSet) -> Subspace:
-    """{coefficient vectors a : (sum_i a_i g_i) p ^ p = 0}.
+    """{coefficient vectors a : (sum_i a_i g_i) p lies on the line of p}.
 
-    The map xi -> (xi p) ^ p is linear in xi, so this is one kernel over the
-    generator-coefficient space (for the shipped generators: coordinates over
-    the sl2 triple (h, e, f)).  Zero kernel is the infinitesimal part of the
-    "p spans a line fixed by no nontrivial element" certificate.
+    The map xi -> xi p is linear in xi, so this is one preimage of the line
+    over the generator-coefficient space (for the shipped generators:
+    coordinates over the sl2 triple (h, e, f)).  Zero kernel is the
+    infinitesimal part of the "p spans a line fixed by no nontrivial
+    element" certificate.
 
-    It runs in integers: with p cleared of denominators and each generator
-    g = A / den brought to the common denominator D of all of them, column
-    k of the system is (D / den_k) A_k p ^ p, the matrix of the map scaled
-    by a positive constant.
+    It runs in integers: with p read as the line's primitive integer row and
+    each generator g = A / den brought to the common denominator D of all of
+    them, image k is (D / den_k) A_k p, a positive multiple of g_k p.
     """
-    pv = vector(p)
-    if all(x == 0 for x in pv):
-        raise ValueError("p must be nonzero")
-    if any(g.cols != len(pv) for g in gens):
+    line = line_through(p)
+    if any(g.cols != line.ambient_dim for g in gens):
         raise ValueError("generator size does not match p")
-    _, pint = clear_denominators(enumerate(pv))
+    pint = line.echelon[0][1]
     d = math.lcm(*(g.den for g in gens))
-    cols = [{i: d // g.den * x for i, x in g.int_apply(pint).items()}
-            for g in gens]
-    rows = ({k: x for k, x in enumerate(
-        gp.get(i, 0) * pint.get(j, 0) - gp.get(j, 0) * pint.get(i, 0)
-        for gp in cols) if x} for i, j in WedgeBasis(len(pv)).pairs)
-    return int_kernel(rows, len(cols))
+    return line.preimage([[{i: d // g.den * x for i, x in g.int_apply(
+        pint).items()} for g in gens]], len(gens))
 
 
 def max_eigenspace_dim(m: Matrix) -> int:

@@ -29,10 +29,7 @@ from .qlinalg import (
     clear_denominators,
     int_kernel,
     is_zero_vector,
-    qf,
     unit_vector,
-    vec_add,
-    vec_scale,
     vector,
 )
 
@@ -113,9 +110,6 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> tuple[Fraction, ...]:
         return unit_vector(self.dim, i)
 
-    def label_index(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 @dataclass(frozen=True)
 class Element:
@@ -131,12 +125,6 @@ class Element:
             raise ValueError("elements belong to different algebras")
         return Element(self.algebra,
                        bracket(self.algebra, self.coords, other.coords))
-
-    def __add__(self, other: "Element") -> "Element":
-        return Element(self.algebra, vec_add(self.coords, other.coords))
-
-    def scale(self, c) -> "Element":
-        return Element(self.algebra, vec_scale(qf(c), self.coords))
 
 
 def make_lie_algebra(dim: int,

@@ -59,14 +59,6 @@ def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(_ONE if k == i else _ZERO for k in range(n))
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Fraction, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(c * a for a in v)
-
-
 def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 
@@ -550,20 +542,33 @@ class Subspace:
     def restrict(self, equations: Iterable[dict[int, int]]) -> "Subspace":
         """{v in this subspace : the sparse integer equations vanish at v},
         as one kernel over the coordinates on the echelon rows."""
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for i, (_, row) in enumerate(self.echelon):
-            for j, x in row.items():
-                by_col.setdefault(j, []).append((i, x))
-        system = []
-        for eq in equations:
-            out: dict[int, int] = {}
-            for j, e in eq.items():
-                for i, x in by_col.get(j, ()):
-                    out[i] = out.get(i, 0) + e * x
-            system.append({i: x for i, x in out.items() if x})
-        ker = int_kernel(system, self.dim)
+        ker = int_kernel(_products(equations, [row for _, row in self.echelon]),
+                         self.dim)
         return Subspace.from_int_rows(
             self.ambient_dim, (self._int_combination(y) for _, y in ker.echelon))
+
+    def preimage(self, images: Iterable[Sequence[dict[int, int]]],
+                 k: int) -> "Subspace":
+        """{a in Q^k : sum_j a_j f[j] lies in this subspace, for every f in
+        images}, where each f is a sequence of k sparse integer vectors.
+        One kernel: each of this subspace's equations applied to each f."""
+        equations = self.equations()
+        system = []
+        for f in images:
+            if len(f) != k:
+                raise ValueError(f"{len(f)} images where {k} are expected")
+            system += _products(equations, f)
+        return int_kernel(system, k)
+
+    def moved_by(self, m: Matrix) -> int | None:
+        """The index of the first echelon row that the square matrix m
+        carries out of this subspace, or None when m keeps it."""
+        if not m.is_square or m.rows != self.ambient_dim:
+            raise ValueError("matrix size does not match the subspace ambient")
+        for k, (_, u) in enumerate(self.echelon):
+            if not self.contains_int_row(m.int_apply(u)):
+                return k
+        return None
 
     def _int_combination(self, weights: dict[int, int]) -> dict[int, int]:
         """sum_i weights[i] * (echelon row i), in integers, zeros dropped."""
@@ -663,6 +668,24 @@ class Subspace:
                 f"ambient dimension mismatch: {self.ambient_dim} vs {other.ambient_dim}")
 
 
+def _products(equations: Iterable[dict[int, int]],
+              vectors: Sequence[dict[int, int]]) -> list[dict[int, int]]:
+    """For each sparse integer equation e, the sparse row {j: e . vectors[j]}
+    over the sparse integer vectors, zeros dropped."""
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for j, v in enumerate(vectors):
+        for t, x in v.items():
+            by_col.setdefault(t, []).append((j, x))
+    system = []
+    for eq in equations:
+        out: dict[int, int] = {}
+        for t, e in eq.items():
+            for j, x in by_col.get(t, ()):
+                out[j] = out.get(j, 0) + e * x
+        system.append({j: x for j, x in out.items() if x})
+    return system
+
+
 def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of {x : m x = 0}, from the rows of m's integer
     numerators."""
@@ -717,10 +740,6 @@ class QuotientMap:
     def project(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         reduced = self.subspace.reduce(v)
         return tuple(reduced[c] for c in self.reps)
-
-    def lift(self, k: int) -> tuple[Fraction, ...]:
-        """Ambient representative of the k-th quotient basis vector."""
-        return unit_vector(self.subspace.ambient_dim, self.reps[k])
 
 
 # ---------------------------------------------------------------------------

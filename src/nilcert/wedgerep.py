@@ -98,16 +98,46 @@ def induced_algebra_action(x: Matrix) -> Matrix:
         col: dict[int, int] = {}
         for r in range(n):
             if r != j:
-                add_wedge(col, index, r, j, a[r * n + i])
+                _add_wedge(col, index, r, j, a[r * n + i])
             if r != i:
-                add_wedge(col, index, i, r, a[r * n + j])
+                _add_wedge(col, index, i, r, a[r * n + j])
         cols.append(col)
     return Matrix.from_ints(wb.dim, wb.dim, (col.get(k, 0) for k in range(
         wb.dim) for col in cols), x.den)
 
 
-def add_wedge(image: dict[int, int], index: dict[tuple[int, int], int],
-              i: int, j: int, x: int) -> None:
+def derivation_images(u: dict[int, int], n: int) -> list[dict[int, int]]:
+    """The n^2 images of the sparse integer vector u of wedge^2 Q^n under
+    the matrix units acting as derivations: entry r * n + c is E_rc u,
+    where E_rc sends e_i^e_j to [c=i] e_r^e_j + [c=j] e_i^e_r.  Where two
+    terms cancel, an image keeps a zero entry."""
+    pairs = WedgeBasis(n).pairs
+    index = {pair: k for k, pair in enumerate(pairs)}
+    images: list[dict[int, int]] = [{} for _ in range(n * n)]
+    for k, x in u.items():
+        i, j = pairs[k]
+        for r in range(n):
+            if r != j:
+                _add_wedge(images[r * n + i], index, r, j, x)
+            if r != i:
+                _add_wedge(images[r * n + j], index, i, r, x)
+    return images
+
+
+def wedge_square_base(amb: int) -> int:
+    """The n >= 2 with n(n-1)/2 = amb, the dimension of wedge^2 Q^n.
+
+    n(n-1)/2 = amb means (2n-1)^2 = 8 amb + 1, so n is read off an exact
+    integer square root."""
+    disc = 8 * amb + 1
+    s = math.isqrt(max(disc, 0))
+    if s * s != disc or s < 3:
+        raise ValueError(f"ambient dim {amb} is not of the form n(n-1)/2")
+    return (s + 1) // 2
+
+
+def _add_wedge(image: dict[int, int], index: dict[tuple[int, int], int],
+               i: int, j: int, x: int) -> None:
     """image += x e_i^e_j, written on the basis pairs (i < j) that index
     numbers."""
     if x:
@@ -139,13 +169,11 @@ def quotient_action(m: Matrix, w: Subspace) -> Matrix:
     Raises NotInvariantError with a witness basis vector if m moves w out of
     itself.
     """
-    if not m.is_square or m.rows != w.ambient_dim:
-        raise ValueError("matrix size does not match the subspace ambient")
-    for k, (_, u) in enumerate(w.echelon):
-        if not w.contains_int_row(m.int_apply(u)):
-            raise NotInvariantError(
-                "subspace is not preserved by the given matrix",
-                w.basis_vectors()[k])
+    k = w.moved_by(m)
+    if k is not None:
+        raise NotInvariantError(
+            "subspace is not preserved by the given matrix",
+            w.basis_vectors()[k])
     # column k is m e_(reps[k]) reduced modulo w, read at the reps; each
     # reduction comes with its own scale, brought to their lcm
     reps = QuotientMap(w).reps
@@ -211,16 +239,12 @@ def commutant(gens: GeneratorSet, dim: int | None = None) -> Subspace:
 def invariant_closure(seeds: Sequence[Sequence[Fraction]],
                       gens: GeneratorSet) -> Subspace:
     """Smallest subspace containing the seeds and invariant under all
-    generators, grown by repeated application until the dimension stops."""
+    generators, grown on integer rows by the generators' images until no
+    generator moves it."""
     n = gens.dim
-    current = Subspace.span(n, [tuple(qf(x) for x in s) for s in seeds])
-    while True:
-        vectors = list(current.basis_vectors())
-        grown = list(vectors)
-        for g in gens:
-            for v in vectors:
-                grown.append(g.apply(v))
-        nxt = Subspace.span(n, grown)
-        if nxt.dim == current.dim:
-            return nxt
-        current = nxt
+    current = Subspace.span(n, seeds)
+    while any(current.moved_by(g) is not None for g in gens):
+        rows = [u for _, u in current.echelon]
+        current = Subspace.from_int_rows(
+            n, rows + [g.int_apply(u) for g in gens for u in rows])
+    return current

@@ -90,6 +90,17 @@ def test_invalid_p_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_trials_below_one_exit_2(capsys):
+    for trials in ("0", "-3"):
+        assert main(["verify", "--suite", "p.sampled-nonfixing",
+                     "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "invalid --trials" in captured.err
+        assert captured.out == ""
+    with pytest.raises(ValueError):
+        run(["p.sampled-nonfixing"], Config(trials=0))
+
+
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
