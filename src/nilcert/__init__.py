@@ -8,7 +8,6 @@ named check suite behind the ``nilcert`` command line tool.
 from .qlinalg import (
     Matrix,
     Polynomial,
-    QuotientMap,
     Subspace,
     char_poly,
     det,
@@ -20,7 +19,6 @@ from .qlinalg import (
     rref,
 )
 from .liecore import (
-    Element,
     LieAlgebra,
     abelian_lie_algebra,
     ad_matrix,
@@ -39,7 +37,6 @@ from .liecore import (
 from .wedgerep import (
     GeneratorSet,
     NotInvariantError,
-    WedgeBasis,
     commutant,
     induced_algebra_action,
     induced_group_action,

@@ -19,7 +19,6 @@ from .liecore import LieAlgebra, bracket, derived_subalgebra
 from .models import SL2Element, binary_form_action
 from .qlinalg import (
     Matrix,
-    QuotientMap,
     Subspace,
     char_poly,
     count_real_roots,
@@ -157,7 +156,7 @@ def derivation_defects(der: DerivationSpace) -> tuple[list[int], list[int]]:
     """
     n = der.algebra.dim
     derived = derived_subalgebra(der.algebra)
-    reps = QuotientMap(derived).reps
+    reps = derived.free_columns()
     bad_factor, bad_cube = [], []
     for idx, (_, row) in enumerate(der.space.echelon):
         cols: list[dict[int, int]] = [{} for _ in range(n)]

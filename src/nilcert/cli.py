@@ -49,10 +49,10 @@ from .models import (
 )
 from .qlinalg import Matrix, Subspace, is_unipotent, qf, unit_vector
 from .wedgerep import (
-    WedgeBasis,
     commutant,
     induced_algebra_action,
     quotient_action,
+    wedge_pairs,
     weight_decomposition,
 )
 from .autos import (
@@ -131,18 +131,6 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        data = json.loads(text)
-        cfg = Config(p=tuple(qf(x) for x in data["config"]["p"]),
-                     seed=int(data["config"]["seed"]),
-                     trials=int(data["config"]["trials"]))
-        results = tuple(CheckResult(id=c["id"], status=c["status"],
-                                    expected=c["expected"], actual=c["actual"],
-                                    claim=c["claim"])
-                        for c in data["checks"])
-        return cls(version=data["version"], config=cfg, results=results)
 
     def to_text(self) -> str:
         lines = [f"nilcert {self.version}  "
@@ -408,7 +396,7 @@ def _stab_wprime(ctx):
         "whose only solution is zero, forcing all five eigenvalues to 1")
 def _eigen_relations(ctx):
     ker = eigen_relation_kernel()
-    pairs = WedgeBasis(5).pairs
+    pairs = wedge_pairs(5)
     match = set(EIGEN_RELATION_PAIRS) == {
         (i + 1, j + 1) for bv in ctx.data.W.basis_vectors()
         for (i, j), x in zip(pairs, bv) if x}
@@ -715,7 +703,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     try:
-        p = _parse_p(args.p) if getattr(args, "p", None) else DEFAULT_P
+        p = DEFAULT_P if args.p is None else _parse_p(args.p)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"invalid --p: {exc}", file=sys.stderr)
         return 2
@@ -731,6 +719,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     suite = None if args.suite == "all" else [
         s.strip() for s in args.suite.split(",") if s.strip()]
+    if suite == []:  # run() would read an empty list as "all"
+        print(f"invalid --suite: {args.suite!r} names no check id",
+              file=sys.stderr)
+        return 2
     try:
         report = run(suite, config)
     except KeyError as exc:

@@ -111,22 +111,6 @@ class LieAlgebra:
         return unit_vector(self.dim, i)
 
 
-@dataclass(frozen=True)
-class Element:
-    algebra: LieAlgebra
-    coords: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.dim:
-            raise ValueError("coordinate length does not match algebra dimension")
-
-    def bracket(self, other: "Element") -> "Element":
-        if other.algebra is not self.algebra:
-            raise ValueError("elements belong to different algebras")
-        return Element(self.algebra,
-                       bracket(self.algebra, self.coords, other.coords))
-
-
 def make_lie_algebra(dim: int,
                      brackets: Mapping[tuple[int, int], Sequence],
                      labels: Sequence[str] | None = None) -> LieAlgebra:

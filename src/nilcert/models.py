@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .liecore import LieAlgebra, check_jacobi, make_lie_algebra
-from .qlinalg import Matrix, QuotientMap, Subspace, qf, unit_vector, vector
+from .qlinalg import Matrix, Subspace, qf, unit_vector, vector
 from .wedgerep import (
     GeneratorSet,
     NotInvariantError,
@@ -317,12 +317,6 @@ def build_Wprime() -> Subspace:
 
 
 @lru_cache(maxsize=1)
-def vprime_quotient() -> QuotientMap:
-    """Quotient map wedge^2 V -> V' in the p-class coordinates."""
-    return QuotientMap(build_W())
-
-
-@lru_cache(maxsize=1)
 def sl2_actions_on_Vprime() -> GeneratorSet:
     """Factors of the induced algebra actions on V' (7x7 matrices)."""
     w = build_W()
@@ -348,19 +342,17 @@ def L_subspace() -> Subspace:
     return Subspace.span(7, [unit_vector(7, k) for k in range(1, 7)])
 
 
-def Lprime_subspace() -> Subspace:
-    """L' = span(p14, p15, p25, p35, p45) inside V'."""
-    return Subspace.span(7, [unit_vector(7, k) for k in range(2, 7)])
-
-
 def _two_step_brackets() -> dict[tuple[int, int], tuple[Fraction, ...]]:
-    qmap = vprime_quotient()
+    """[s_i, s_j] = s_i^s_j mod W in the p-class coordinates: the
+    reduction modulo W, read at W's ``free_columns``."""
+    w = build_W()
+    reps = w.free_columns()
     e = [unit_vector(5, i) for i in range(5)]
     brackets = {}
     for i in range(5):
         for j in range(i + 1, 5):
-            cls = qmap.project(wedge_vector(e[i], e[j]))
-            brackets[(i, j)] = vprime_to_algebra(cls)
+            cls = w.reduce(wedge_vector(e[i], e[j]))
+            brackets[(i, j)] = vprime_to_algebra([cls[c] for c in reps])
     return brackets
 
 
@@ -413,10 +405,8 @@ class ModelData:
     lowering_action: Matrix
     W: Subspace
     Wprime: Subspace
-    qmap: QuotientMap
     vprime_actions: GeneratorSet
     L: Subspace
-    Lprime: Subspace
     p: tuple[Fraction, ...]
     G: LieAlgebra
     N: LieAlgebra
@@ -437,10 +427,8 @@ def _model_data_cached(p: tuple[Fraction, ...]) -> ModelData:
         lowering_action=gens.matrices[2],
         W=build_W(),
         Wprime=build_Wprime(),
-        qmap=vprime_quotient(),
         vprime_actions=sl2_actions_on_Vprime(),
         L=L_subspace(),
-        Lprime=Lprime_subspace(),
         p=p,
         G=build_two_step(),
         N=build_three_step(p),

@@ -66,25 +66,24 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
 class Matrix:
     """Dense rational matrix, immutable once built.
 
-    A matrix holds its exact integer form: a positive common denominator
+    A matrix is its exact integer form: a positive common denominator
     ``den`` and the row-major integer numerators ``nums``, with
     gcd(den, *nums) = 1, so entry (i, j) is nums[i * cols + j] / den.
-    Equality, hashing and arithmetic work on that form.  A matrix built
-    from entries keeps them as its ``Fraction`` ``entries`` and derives the
-    integer form on first use; one built by ``from_ints`` builds its
-    ``entries`` only when they are read.  Either form is built at most once.
+    Equality, hashing and arithmetic work on that form.  The ``Fraction``
+    ``entries`` are kept when the matrix is built from them, and made on
+    first read when it is built by ``from_ints``.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_nums", "_den")
+    __slots__ = ("rows", "cols", "nums", "den", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        self.rows = rows
-        self.cols = cols
-        self._entries = tuple(qf(e) for e in entries)
-        self._nums = None
-        if len(self._entries) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries, got {len(self._entries)}")
+        es = tuple(qf(e) for e in entries)
+        if len(es) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(es)}")
+        # the entries are in lowest terms, so this form is canonical
+        d = math.lcm(*(e.denominator for e in es))
+        self.rows, self.cols, self.den, self._entries = rows, cols, d, es
+        self.nums = tuple(e.numerator * (d // e.denominator) for e in es)
 
     @classmethod
     def from_ints(cls, rows: int, cols: int, nums: Iterable[int],
@@ -103,7 +102,7 @@ class Matrix:
                 den //= g
         m = cls.__new__(cls)
         m.rows, m.cols = rows, cols
-        m._entries, m._nums, m._den = None, nums, den
+        m.nums, m.den, m._entries = nums, den, None
         return m
 
     @classmethod
@@ -146,30 +145,10 @@ class Matrix:
     def entries(self) -> tuple[Fraction, ...]:
         """The row-major ``Fraction`` entries."""
         if self._entries is None:
-            d = self._den
+            d = self.den
             self._entries = tuple(Fraction(x, d) if x else _ZERO
-                                  for x in self._nums)
+                                  for x in self.nums)
         return self._entries
-
-    @property
-    def nums(self) -> tuple[int, ...]:
-        """The row-major integer numerators over ``den``."""
-        if self._nums is None:
-            self._clear()
-        return self._nums
-
-    @property
-    def den(self) -> int:
-        """The least positive common denominator of the entries."""
-        if self._nums is None:
-            self._clear()
-        return self._den
-
-    def _clear(self) -> None:
-        # the entries are in lowest terms, so this form is canonical
-        es = self._entries
-        d = self._den = math.lcm(*(e.denominator for e in es))
-        self._nums = tuple(e.numerator * (d // e.denominator) for e in es)
 
     def int_rows(self) -> list[dict[int, int]]:
         """The rows of ``nums`` as sparse {column: entry} maps, which list
@@ -187,9 +166,6 @@ class Matrix:
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         return self.entries[j::self.cols]
-
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     @property
     def is_square(self) -> bool:
@@ -235,20 +211,6 @@ class Matrix:
             self.rows, other.cols,
             int_matmul(self.nums, other.nums, self.rows, self.cols, other.cols),
             self.den * other.den)
-
-    def __pow__(self, k: int) -> "Matrix":
-        if not self.is_square:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        result = Matrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix-vector product (column vector convention), in integers.
@@ -516,15 +478,22 @@ class Subspace:
     def pivot_columns(self) -> tuple[int, ...]:
         return tuple(c for c, _ in self.echelon)
 
+    def free_columns(self) -> tuple[int, ...]:
+        """The non-pivot columns, in increasing order.  The classes of the
+        standard basis vectors at these columns are a basis of the quotient
+        by this subspace, and ``reduce`` read at them gives a vector's
+        coordinates there."""
+        pivots = {c for c, _ in self.echelon}
+        return tuple(t for t in range(self.ambient_dim) if t not in pivots)
+
     def equations(self) -> list[dict[int, int]]:
         """Sparse integer rows whose common kernel is this subspace, one per
         non-pivot column t, in increasing t.  A vector x lies in the
         subspace exactly when x_t = sum_r (row_r[t] / a_r) x_(p_r) for each
         t, over the rows r with pivot p_r and pivot entry a_r; the row for t
         is that condition scaled to integers by the lcm of those a_r."""
-        pivots = {c for c, _ in self.echelon}
         hits: dict[int, list[tuple[int, int, int]]] = {
-            t: [] for t in range(self.ambient_dim) if t not in pivots}
+            t: [] for t in self.free_columns()}
         for c, row in self.echelon:
             a = row[c]
             for t, x in row.items():
@@ -644,12 +613,6 @@ class Subspace:
             i: c.numerator * (d // (c.denominator * a))
             for i, (c, a) in enumerate(terms) if c})
 
-    def __add__(self, other: "Subspace") -> "Subspace":
-        return self.sum(other)
-
-    def __and__(self, other: "Subspace") -> "Subspace":
-        return self.intersect(other)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
@@ -718,30 +681,6 @@ def int_kernel(rows: Iterable[dict[int, int]], ncols: int) -> Subspace:
         ncols, Subspace.from_int_rows(ncols, rows).equations())
 
 
-class QuotientMap:
-    """Coordinates on Q^n / S.
-
-    Representatives are the classes of the standard basis vectors at the
-    non-pivot columns of S's echelon basis, in increasing column order.
-    """
-
-    __slots__ = ("subspace", "reps")
-
-    def __init__(self, subspace: Subspace):
-        self.subspace = subspace
-        pivot_set = set(subspace.pivot_columns())
-        self.reps = tuple(c for c in range(subspace.ambient_dim)
-                          if c not in pivot_set)
-
-    @property
-    def dim(self) -> int:
-        return len(self.reps)
-
-    def project(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        reduced = self.subspace.reduce(v)
-        return tuple(reduced[c] for c in self.reps)
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -757,14 +696,6 @@ class Polynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def x_power(cls, n: int, c=1) -> "Polynomial":
-        return cls([0] * n + [c])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -779,18 +710,9 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
-            return Polynomial.zero()
+            return Polynomial(())
         out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -798,24 +720,6 @@ class Polynomial:
                     if b:
                         out[i + j] += a * b
         return Polynomial(out)
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dcoeffs = other.coeffs
-        dn = len(dcoeffs) - 1
-        lead = dcoeffs[-1]
-        quo = [_ZERO] * max(len(rem) - dn, 0)
-        for i in range(len(rem) - dn - 1, -1, -1):
-            c = rem[i + dn]
-            if c:
-                f = c / lead
-                quo[i] = f
-                for j, d in enumerate(dcoeffs):
-                    if d:
-                        rem[i + j] -= f * d
-        return Polynomial(quo), Polynomial(rem)
 
     def __repr__(self) -> str:
         if self.is_zero:

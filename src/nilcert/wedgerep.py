@@ -1,19 +1,20 @@
 """The exterior square of a column space, with induced actions.
 
-Basis of wedge^2 Q^n: e_i ^ e_j over lexicographically ordered pairs i < j.
+Basis of wedge^2 Q^n: e_i ^ e_j over lexicographically ordered pairs i < j
+(``wedge_pairs``).
 The coordinate of u ^ v at pair (i, j) is u_i v_j - u_j v_i.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .qlinalg import (
     Matrix,
-    QuotientMap,
     Subspace,
     eigenspace,
     int_kernel,
@@ -29,24 +30,10 @@ class NotInvariantError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class WedgeBasis:
-    n: int
-    pairs: tuple[tuple[int, int], ...] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "pairs",
-            tuple((i, j) for i in range(self.n) for j in range(self.n) if i < j))
-
-    @property
-    def dim(self) -> int:
-        return len(self.pairs)
-
-    def pair_index(self, i: int, j: int) -> int:
-        if i >= j:
-            raise ValueError("pair index wants i < j")
-        return self.pairs.index((i, j))
+def wedge_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The basis pairs (i, j), i < j, of wedge^2 Q^n, in lexicographic
+    order: the k-th pair indexes coordinate k."""
+    return tuple(itertools.combinations(range(n), 2))
 
 
 @dataclass(frozen=True)
@@ -80,8 +67,7 @@ class GeneratorSet:
 def wedge_vector(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if len(u) != len(v):
         raise ValueError("wedge of vectors of different lengths")
-    wb = WedgeBasis(len(u))
-    return tuple(u[i] * v[j] - u[j] * v[i] for (i, j) in wb.pairs)
+    return tuple(u[i] * v[j] - u[j] * v[i] for i, j in wedge_pairs(len(u)))
 
 
 def induced_algebra_action(x: Matrix) -> Matrix:
@@ -91,10 +77,10 @@ def induced_algebra_action(x: Matrix) -> Matrix:
     if not x.is_square:
         raise ValueError("inducing from a non-square matrix")
     n, a = x.rows, x.nums
-    wb = WedgeBasis(n)
-    index = {pair: k for k, pair in enumerate(wb.pairs)}
+    pairs = wedge_pairs(n)
+    index = {pair: k for k, pair in enumerate(pairs)}
     cols = []
-    for i, j in wb.pairs:
+    for i, j in pairs:
         col: dict[int, int] = {}
         for r in range(n):
             if r != j:
@@ -102,8 +88,8 @@ def induced_algebra_action(x: Matrix) -> Matrix:
             if r != i:
                 _add_wedge(col, index, i, r, a[r * n + j])
         cols.append(col)
-    return Matrix.from_ints(wb.dim, wb.dim, (col.get(k, 0) for k in range(
-        wb.dim) for col in cols), x.den)
+    return Matrix.from_ints(len(pairs), len(pairs), (
+        col.get(k, 0) for k in range(len(pairs)) for col in cols), x.den)
 
 
 def derivation_images(u: dict[int, int], n: int) -> list[dict[int, int]]:
@@ -111,7 +97,7 @@ def derivation_images(u: dict[int, int], n: int) -> list[dict[int, int]]:
     the matrix units acting as derivations: entry r * n + c is E_rc u,
     where E_rc sends e_i^e_j to [c=i] e_r^e_j + [c=j] e_i^e_r.  Where two
     terms cancel, an image keeps a zero entry."""
-    pairs = WedgeBasis(n).pairs
+    pairs = wedge_pairs(n)
     index = {pair: k for k, pair in enumerate(pairs)}
     images: list[dict[int, int]] = [{} for _ in range(n * n)]
     for k, x in u.items():
@@ -154,7 +140,7 @@ def induced_group_action(g: Matrix) -> Matrix:
     if not g.is_square:
         raise ValueError("inducing from a non-square matrix")
     n, a = g.rows, g.nums
-    pairs = WedgeBasis(n).pairs
+    pairs = wedge_pairs(n)
     return Matrix.from_ints(len(pairs), len(pairs), (
         a[k * n + i] * a[l * n + j] - a[l * n + i] * a[k * n + j]
         for k, l in pairs for i, j in pairs), g.den ** 2)
@@ -163,8 +149,8 @@ def induced_group_action(g: Matrix) -> Matrix:
 def quotient_action(m: Matrix, w: Subspace) -> Matrix:
     """Factor of m on the quotient by an m-invariant subspace w.
 
-    Quotient coordinates are the classes of the standard basis vectors at the
-    non-pivot columns of w's echelon basis (for the shipped W inside wedge^2 V
+    Quotient coordinates are the classes of the standard basis vectors at
+    w's ``free_columns`` (for the shipped W inside wedge^2 V
     these are exactly the p-classes p12, p13, p14, p15, p25, p35, p45).
     Raises NotInvariantError with a witness basis vector if m moves w out of
     itself.
@@ -176,7 +162,7 @@ def quotient_action(m: Matrix, w: Subspace) -> Matrix:
             w.basis_vectors()[k])
     # column k is m e_(reps[k]) reduced modulo w, read at the reps; each
     # reduction comes with its own scale, brought to their lcm
-    reps = QuotientMap(w).reps
+    reps = w.free_columns()
     cols = [w.int_reduce(m.int_apply({c: 1})) for c in reps]
     d = math.lcm(*(s for s, _ in cols))
     return Matrix.from_ints(len(reps), len(reps), (

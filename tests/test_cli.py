@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from nilcert.cli import Config, Report, list_checks, main, run
+from nilcert.cli import Config, list_checks, main, run
 
 FAST_SUITE = ["jacobi.G", "lcs.G-12-7-0", "weights.V", "thm.eigen-relations",
               "oracle.heisenberg-der6"]
@@ -38,9 +38,9 @@ def test_registry_order_is_preserved_regardless_of_request_order():
 def test_json_round_trip():
     report = run(FAST_SUITE, Config(trials=10))
     text = report.to_json()
-    parsed = Report.from_json(text)
-    assert parsed.as_dict() == report.as_dict()
-    assert parsed.to_json() == text
+    parsed = json.loads(text)
+    assert parsed == report.as_dict()
+    assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == text
 
 
 def test_json_is_deterministic_across_runs():
@@ -101,6 +101,24 @@ def test_trials_below_one_exit_2(capsys):
         run(["p.sampled-nonfixing"], Config(trials=0))
 
 
+def test_empty_overrides_exit_2(capsys):
+    # an empty --p is a malformed p, not the default one
+    for argv in (["verify", "--p", "", "--suite", "jacobi.G"],
+                 ["show", "N", "--p", ""]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "invalid --p" in captured.err and captured.out == ""
+    # a suite that names no check id is an error, not "all"
+    for suite in (",", " , ", ""):
+        assert main(["verify", "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert "invalid --suite" in captured.err and "names no check id" \
+            in captured.err
+        assert captured.out == ""
+    # in the library an empty suite still means every check
+    assert run([], Config()).counts["total"] == len(list_checks())
+
+
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -121,9 +139,9 @@ def test_show_models(capsys):
 def test_json_flag_round_trips_through_stdout(capsys):
     assert main(["verify", "--suite", "jacobi.G", "--json"]) == 0
     out = capsys.readouterr().out
-    parsed = Report.from_json(out)
-    assert parsed.results[0].id == "jacobi.G"
-    assert parsed.results[0].status == "pass"
+    parsed = json.loads(out)
+    assert parsed["checks"][0]["id"] == "jacobi.G"
+    assert parsed["checks"][0]["status"] == "pass"
 
 
 # the 30 registry ids pinned by the benchmark's verify workload, in registry

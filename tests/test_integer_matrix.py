@@ -1,6 +1,7 @@
 """Matrix keeps an integer form (numerators over one positive common
 denominator): its arithmetic, equality, hashing and the kernels that read
-that form, against a dense Fraction reference kept here; the sampled checks
+that form, against dense Fraction references (here and in
+dense_reference.py); the sampled checks
 that run on it without building Fraction entries; the integer line
 stabilizer and eigenvalue-relation systems; and the per-algebra memos of the
 lower central series and the Jacobi scan."""
@@ -45,46 +46,14 @@ from nilcert.qlinalg import (
 )
 from nilcert.wedgerep import wedge_vector
 
+from dense_reference import poly_divmod, ref_nullspace
+
 # ------------------------------------------------------------ the reference
 
 
 def ref_mul(a, b, n, m, p):
     return [sum((a[i * m + k] * b[k * p + j] for k in range(m)), Q(0))
             for i in range(n) for j in range(p)]
-
-
-def ref_rref(rows, ncols):
-    """Dense Fraction Gauss-Jordan: (reduced nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if hit is None:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
-
-
-def ref_nullspace(rows, ncols):
-    """A basis of {x : row . x = 0 for every row}, in Fractions."""
-    reduced, pivots = ref_rref(rows, ncols)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        v = [Q(0)] * ncols
-        v[free] = Q(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[free]
-        basis.append(v)
-    return basis
 
 
 def ref_det(a, n):
@@ -247,12 +216,13 @@ def fraction_sturm_chain(p):
 
     a, b = p, deriv(p)
     while not b.is_zero:
-        a, b = b, divmod(a, b)[1]
-    sqfree, rem = divmod(p, Polynomial([c / a.coeffs[-1] for c in a.coeffs]))
+        a, b = b, poly_divmod(a, b)[1]
+    sqfree, rem = poly_divmod(
+        p, Polynomial([c / a.coeffs[-1] for c in a.coeffs]))
     assert rem.is_zero
     chain = [sqfree, deriv(sqfree)]
     while True:
-        r = divmod(chain[-2], chain[-1])[1]
+        r = poly_divmod(chain[-2], chain[-1])[1]
         if r.is_zero:
             return [_primitive_coeffs(q.coeffs) for q in chain]
         chain.append(Polynomial([-c for c in r.coeffs]))

@@ -1,6 +1,7 @@
 """Subspace on its integer echelon rows, and the derivation consumers that
 read those rows (restricted shear spaces, the integer nilpotence test),
-each checked against a dense Fraction reference kept here."""
+each checked against a dense Fraction reference (here and in
+dense_reference.py)."""
 
 import itertools
 import math
@@ -24,12 +25,14 @@ from nilcert.liecore import center, derived_subalgebra, make_lie_algebra
 from nilcert.models import model_data, subspace_in_algebra, validate_p
 from nilcert.qlinalg import (
     Matrix,
-    QuotientMap,
     Subspace,
     clear_denominators,
     int_kernel,
+    unit_vector,
 )
 from nilcert.wedgerep import NotInvariantError
+
+from dense_reference import ref_nullspace, ref_rref
 
 BIG = 2 ** 64
 
@@ -46,41 +49,6 @@ ENTRIES = st.one_of(st.just(SMALL), st.just(SPARSE),
 # dense Fraction references
 # --------------------------------------------------------------------------
 
-def ref_rref(rows, n):
-    """Gauss-Jordan in Fractions: (nonzero RREF rows, pivot columns)."""
-    m = [[Q(x) for x in r] for r in rows]
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        hit = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if hit is None:
-            continue
-        m[r], m[hit] = m[hit], m[r]
-        lead = m[r][c]
-        m[r] = [x / lead for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return [tuple(row) for row in m[:len(pivots)]], pivots
-
-
-def ref_kernel(rows, n):
-    """A basis of {x : row . x = 0 for every row}."""
-    reduced, pivots = ref_rref(rows, n)
-    out = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        v = [Q(0)] * n
-        v[f] = Q(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        out.append(v)
-    return out
-
-
 def ref_reduce(basis, pivots, v):
     out = [Q(x) for x in v]
     for row, p in zip(basis, pivots):
@@ -95,7 +63,7 @@ def ref_intersect(a, b, n):
         return []
     system = [[col[i] for col in cols] for i in range(n)]
     out = []
-    for coeffs in ref_kernel(system, len(cols)):
+    for coeffs in ref_nullspace(system, len(cols)):
         v = [Q(0)] * n
         for c, row in zip(coeffs, a):
             v = [x + c * y for x, y in zip(v, row)]
@@ -170,7 +138,7 @@ def test_sum_and_intersect_match_the_dense_reference(args):
     expected = ref_intersect(ref_rref(rows_a, n)[0],
                              ref_rref(rows_b, n)[0], n)
     assert_matches_reference(inter, expected, n)
-    assert a & b == inter and a + b == a.sum(b)
+    assert b.intersect(a) == inter and b.sum(a) == a.sum(b)
     assert a.contains_subspace(inter) and b.contains_subspace(inter)
 
 
@@ -215,7 +183,7 @@ def test_zero_and_full_spaces(n):
     assert full.intersect(full) == full and zero.sum(zero) == zero
     assert zero.combination(()) == (Q(0),) * n
     assert full.reduce([Q(1)] * n) == (Q(0),) * n
-    assert QuotientMap(zero).dim == n and QuotientMap(full).dim == 0
+    assert zero.free_columns() == tuple(range(n)) and full.free_columns() == ()
 
 
 def test_basis_is_built_once_and_only_when_read():
@@ -251,11 +219,14 @@ def full_shear_space(L, c):
     conditions = [clear_denominators(
         [(t, Q(1))] + [(pc, -c.basis[r, t])
                        for r, pc in enumerate(c.pivot_columns())])[1]
-        for t in QuotientMap(c).reps]
+        for t in c.free_columns()]
     membership = ({r * d + col: x for r, x in cond.items()}
                   for col in range(d) for cond in conditions)
     return int_kernel(itertools.chain(_leibniz_rows(L), membership), d * d)
 
+
+#: L' = span(p14, p15, p25, p35, p45) inside V'
+LPRIME = Subspace.span(7, [unit_vector(7, k) for k in range(2, 7)])
 
 #: the default p and the three non-default p pinned by the CLI tests
 PINNED_P = ("0,1,0,0,0,0,1", "0,1/2,0,0,0,0,-2", "0,1,-1/2,2,-3/2,1,1/2",
@@ -265,7 +236,7 @@ PINNED_P = ("0,1,0,0,0,0,1", "0,1/2,0,0,0,0,-2", "0,1,-1/2,2,-3/2,1,1/2",
 @pytest.mark.parametrize("p", PINNED_P)
 def test_restricted_shear_space_of_N_equals_the_full_elimination(p):
     data = model_data(validate_p(p.split(",")))
-    for c in (subspace_in_algebra(data.L), subspace_in_algebra(data.Lprime),
+    for c in (subspace_in_algebra(data.L), subspace_in_algebra(LPRIME),
               center(data.N), Subspace.zero(12)):
         der = derivation_algebra(data.N)
         assert der.with_image_in(c) == full_shear_space(data.N, c)

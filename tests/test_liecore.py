@@ -10,7 +10,6 @@ import pytest
 from nilcert import liecore
 from nilcert.liecore import (
     MAX_JSON_DIM,
-    Element,
     abelian_lie_algebra,
     ad_matrix,
     bracket,
@@ -68,9 +67,9 @@ def test_bracket_dimension_mismatch():
 
 
 def test_element_wrapper():
-    x = Element(N, N.basis_vector(0))
-    y = Element(N, N.basis_vector(5))
-    assert x.bracket(y).coords == vprime_to_algebra((0, 1, 0, 0, 0, 0, 1))
+    # elements are coordinate tuples: [s1, p12] = p13 + p45 in N
+    x, y = N.basis_vector(0), N.basis_vector(5)
+    assert bracket(N, x, y) == vprime_to_algebra((0, 1, 0, 0, 0, 0, 1))
 
 
 # -------------------------------------------------------------------- jacobi

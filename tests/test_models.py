@@ -244,13 +244,14 @@ def test_model_data_bundle():
     data = model_data()
     assert data.p == DEFAULT_P
     assert data.W.dim == 3 and data.Wprime.dim == 7
-    assert data.L.dim == 6 and data.Lprime.dim == 5
-    assert data.qmap.dim == 7
+    lprime = Subspace.span(7, [unit_vector(7, k) for k in range(2, 7)])
+    assert data.L.dim == 6 and lprime.dim == 5
+    assert len(data.W.free_columns()) == 7
     assert data.vprime_actions.matrices[0] == Matrix.diagonal((6, 4, 2, 0, -2, -4, -6))
     # the default hook target lies in L but not in L', and L' sits inside L
     assert data.L.contains(data.p)
-    assert not data.Lprime.contains(data.p)
+    assert not lprime.contains(data.p)
     assert data.p[1] != 0
-    assert data.L.contains_subspace(data.Lprime)
+    assert data.L.contains_subspace(lprime)
     # cached: same configuration returns the same object
     assert model_data() is data

@@ -1,6 +1,6 @@
 """Subspace.preimage and Subspace.moved_by, and the stabilizer and
 invariance computations built on them, each checked against a dense
-Fraction reference kept here."""
+Fraction reference (here and in dense_reference.py)."""
 
 from fractions import Fraction as Q
 
@@ -17,36 +17,9 @@ from nilcert.models import (
 from nilcert.qlinalg import Matrix, Subspace, unit_vector
 from nilcert.wedgerep import GeneratorSet, invariant_closure, wedge_vector
 
+from dense_reference import ref_nullspace
+
 # ------------------------------------------------------------ the reference
-
-
-def ref_nullspace(rows, ncols):
-    """A basis of {x : row . x = 0 for every row}, by dense Fraction
-    Gauss-Jordan."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if hit is None:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        v = [Q(0)] * ncols
-        v[free] = Q(1)
-        for row, p in zip(rows, pivots):
-            v[p] = -row[free]
-        basis.append(v)
-    return basis
 
 
 def dense_preimage(spanning, m, images, k):

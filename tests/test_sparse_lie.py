@@ -1,6 +1,7 @@
 """The sparse integer view of the structure constants, checked against
-dense Fraction references kept in this file: the bracket, the Jacobi scan,
-the center, the Leibniz, shear and commutant kernels, and Matrix.apply."""
+dense Fraction references (in this file and dense_reference.py): the
+bracket, the Jacobi scan, the center, the Leibniz, shear and commutant
+kernels, and Matrix.apply."""
 
 import itertools
 from fractions import Fraction as Q
@@ -19,6 +20,8 @@ from nilcert.liecore import (
 from nilcert.models import model_data, subspace_in_algebra
 from nilcert.qlinalg import Matrix, Subspace
 from nilcert.wedgerep import GeneratorSet, commutant
+
+from dense_reference import ref_nullspace
 
 BIG = 2 ** 64
 ZERO = Q(0)
@@ -113,33 +116,6 @@ def dense_jacobi(L):
     return bad
 
 
-def dense_kernel(rows, ncols):
-    """Basis of {x : row . x = 0 for every row}, by Fraction Gauss-Jordan."""
-    m = [list(r) for r in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    out = []
-    for f in range(ncols):
-        if f not in pivots:
-            v = [ZERO] * ncols
-            v[f] = Q(1)
-            for i, pc in enumerate(pivots):
-                v[pc] = -m[i][f]
-            out.append(v)
-    return out
-
-
 def dense_leibniz_rows(L):
     d = L.dim
     rows = []
@@ -157,7 +133,7 @@ def dense_leibniz_rows(L):
 def dense_membership_rows(d, c):
     """Every column of D lies in c: it is orthogonal to c's annihilator."""
     rows = []
-    for a in dense_kernel(c.basis_vectors(), d):
+    for a in ref_nullspace(c.basis_vectors(), d):
         for col in range(d):
             row = [ZERO] * (d * d)
             for r in range(d):
@@ -168,7 +144,7 @@ def dense_membership_rows(d, c):
 
 def assert_kernel(space, rows, ncols):
     """space is the kernel of the dense rows: same dimension, same span."""
-    ref = dense_kernel(rows, ncols)
+    ref = ref_nullspace(rows, ncols)
     assert space.ambient_dim == ncols
     assert space.dim == len(ref)
     assert space == Subspace.span(ncols, ref)
@@ -293,13 +269,13 @@ def test_sparse_kernels_on_the_shipped_models():
     data = model_data()
     for L in (data.G, data.N):
         assert center(L) == Subspace.span(
-            L.dim, dense_kernel([[L.sc[i][j][k] for i in range(L.dim)]
+            L.dim, ref_nullspace([[L.sc[i][j][k] for i in range(L.dim)]
                                  for j in range(L.dim)
                                  for k in range(L.dim)], L.dim))
     N = data.N
     assert derivation_algebra(N).space == Subspace.span(
-        144, dense_kernel(dense_leibniz_rows(N), 144))
+        144, ref_nullspace(dense_leibniz_rows(N), 144))
     c = subspace_in_algebra(data.L)
     assert shear_space(N, c) == Subspace.span(
-        144, dense_kernel(dense_leibniz_rows(N)
+        144, ref_nullspace(dense_leibniz_rows(N)
                           + dense_membership_rows(12, c), 144))
