@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .liecore import LieAlgebra, bracket, derived_subalgebra
 from .models import SL2Element, binary_form_action
@@ -42,10 +41,12 @@ class IrrationalEigenvalueError(ValueError):
     different sample element."""
 
 
-@dataclass(frozen=True)
 class DerivationSpace:
-    algebra: LieAlgebra
-    space: Subspace  # subspace of the dim^2 matrix space, row-major
+    __slots__ = ("algebra", "space")
+
+    def __init__(self, algebra: LieAlgebra, space: Subspace):
+        self.algebra = algebra
+        self.space = space  # subspace of the dim^2 matrix space, row-major
 
     @property
     def dim(self) -> int:
@@ -73,10 +74,12 @@ class DerivationSpace:
                                    for col in range(d) for eq in equations)
 
 
-@dataclass(frozen=True)
 class StabilizerAlgebra:
-    n: int  # acts on Q^n
-    space: Subspace  # subspace of the n^2 matrix space, row-major
+    __slots__ = ("n", "space")
+
+    def __init__(self, n: int, space: Subspace):
+        self.n = n  # acts on Q^n
+        self.space = space  # subspace of the n^2 matrix space, row-major
 
     @property
     def dim(self) -> int:

@@ -18,15 +18,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
 
 from . import __version__
 from .liecore import (
     abelian_lie_algebra,
-    ad_matrix,
     bracket,
     center,
     check_jacobi,
@@ -76,30 +74,29 @@ FAIL = "fail"
 WARN = "warn"
 
 
-@dataclass(frozen=True)
 class Config:
-    p: tuple[Fraction, ...] = DEFAULT_P
-    seed: int = 0
-    trials: int = 100
+    __slots__ = ("p", "seed", "trials")
 
-    def __post_init__(self):
+    def __init__(self, p: tuple[Fraction, ...] = DEFAULT_P, seed: int = 0,
+                 trials: int = 100):
         # a sampled check that drew no sample would read as a clean run
-        if self.trials < 1:
-            raise ValueError(f"{self.trials} (at least one sample is needed)")
+        if trials < 1:
+            raise ValueError(f"{trials} (at least one sample is needed)")
+        self.p, self.seed, self.trials = p, seed, trials
 
     def as_dict(self) -> dict:
         return {"p": [str(x) for x in self.p],
                 "seed": self.seed, "trials": self.trials}
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    id: str
-    status: str
-    expected: str
-    actual: str
-    claim: str
-    duration_ms: int = 0
+    __slots__ = ("id", "status", "expected", "actual", "claim", "duration_ms")
+
+    def __init__(self, id: str, status: str, expected: str, actual: str,
+                 claim: str, duration_ms: int):
+        self.id, self.status, self.claim = id, status, claim
+        self.expected, self.actual = expected, actual
+        self.duration_ms = duration_ms
 
     def as_dict(self) -> dict:
         # durations are measurements, not results; leaving them out keeps
@@ -109,11 +106,12 @@ class CheckResult:
                 "claim": self.claim}
 
 
-@dataclass(frozen=True)
 class Report:
-    version: str
-    config: Config
-    results: tuple[CheckResult, ...]
+    __slots__ = ("version", "config", "results")
+
+    def __init__(self, version: str, config: Config,
+                 results: tuple[CheckResult, ...]):
+        self.version, self.config, self.results = version, config, results
 
     @property
     def counts(self) -> dict[str, int]:
@@ -195,12 +193,13 @@ class Context:
         return self._samples_on_Vprime[index]
 
 
-@dataclass(frozen=True)
 class Check:
-    id: str
-    description: str
-    claim: str
-    fn: Callable[[Context], tuple[str, str, str]]
+    __slots__ = ("id", "description", "claim", "fn")
+
+    def __init__(self, id: str, description: str, claim: str,
+                 fn: Callable[[Context], tuple[str, str, str]]):
+        self.id, self.description, self.claim = id, description, claim
+        self.fn = fn
 
 
 _REGISTRY: list[Check] = []
@@ -457,9 +456,12 @@ def _der_n_dim(ctx):
 def _der_n_decomp(ctx):
     d = ctx.data
     shear = ctx.der_N.with_image_in(subspace_in_algebra(d.L))
-    ads = Subspace.span(144, [
-        ad_matrix(d.N, d.N.basis_vector(0)).flatten(),
-        ad_matrix(d.N, d.N.basis_vector(1)).flatten()])
+    # ad s1 and ad s2, flattened row-major: entry (k, j) is coordinate k
+    # of [s_i, b_j], read in integers off the structure constants
+    n, table = d.N.dim, d.N.int_sc.table
+    ads = Subspace.from_int_rows(n * n, (
+        {k * n + j: t for j in range(n) for k, t in table[i][j]}
+        for i in (0, 1)))
     total = shear.sum(ads)
     ok = total == ctx.der_N.space and shear.dim == 30 and ads.dim == 2
     return (_status(ok), "shear(30) + inner(2) = der(N)",
@@ -635,7 +637,12 @@ def run(suite: Sequence[str] | None, config: Config) -> Report:
 
 
 def _parse_p(text: str) -> tuple[Fraction, ...]:
+    """The coordinates of --p; a wrong count or an empty coordinate is
+    reported as such, before any part is read as a rational."""
     parts = [s.strip() for s in text.split(",")]
+    if len(parts) == len(VPRIME_LABELS) and "" in parts:
+        raise ValueError(
+            f"the {VPRIME_LABELS[parts.index('')]} coordinate is empty")
     return validate_p(parts)
 
 

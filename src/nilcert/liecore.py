@@ -18,10 +18,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
 
 from .qlinalg import (
     Matrix,
@@ -36,21 +35,36 @@ from .qlinalg import (
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
 class IntStructure:
     """Structure constants as integers: [b_i, b_j] is the sum of
     t / denom * b_k over the (k, t) in table[i][j], which lists the nonzero
     entries only, by increasing k."""
 
-    denom: int
-    table: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    __slots__ = ("denom", "table")
+
+    def __init__(self, denom: int,
+                 table: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]):
+        self.denom, self.table = denom, table
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
-    dim: int
-    sc: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    labels: tuple[str, ...]
+    """An algebra by its full structure-constant tensor.  Two algebras are
+    equal when dim, sc and labels are; the derived data below is computed
+    on first use and kept in the instance dict."""
+
+    def __init__(self, dim: int,
+                 sc: tuple[tuple[tuple[Fraction, ...], ...], ...],
+                 labels: tuple[str, ...]):
+        self.dim, self.sc, self.labels = dim, sc, labels
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LieAlgebra):
+            return NotImplemented
+        return (self.dim, self.sc, self.labels) == (other.dim, other.sc,
+                                                    other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.sc, self.labels))
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim {self.dim}: {', '.join(self.labels)})"

@@ -19,10 +19,9 @@ Basis conventions, fixed once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
 
 from .liecore import LieAlgebra, check_jacobi, make_lie_algebra
 from .qlinalg import Matrix, Subspace, qf, unit_vector, vector
@@ -109,18 +108,28 @@ def sl2_actions_on_V() -> GeneratorSet:
                          algebra_action_on_V(LOWERING)))
 
 
-@dataclass(frozen=True)
 class SL2Element:
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    """The 2x2 matrix [[a, b], [c, d]] of determinant exactly 1."""
 
-    def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, qf(getattr(self, name)))
-        if self.a * self.d - self.b * self.c != 1:
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        a, b, c, d = qf(a), qf(b), qf(c), qf(d)
+        if a * d - b * c != 1:
             raise ValueError("determinant must be exactly 1")
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SL2Element):
+            return NotImplemented
+        return ((self.a, self.b, self.c, self.d)
+                == (other.a, other.b, other.c, other.d))
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self) -> str:
+        return f"SL2Element({self.a}, {self.b}, {self.c}, {self.d})"
 
     @classmethod
     def identity(cls) -> "SL2Element":
@@ -368,10 +377,10 @@ def build_two_step() -> LieAlgebra:
 def validate_p(p: Sequence) -> tuple[Fraction, ...]:
     """A usable hook target: 7 rationals, nonzero, lying in L (so the p12
     coordinate vanishes, which is what makes it central and keeps Jacobi)."""
-    vec = vector(p)
-    if len(vec) != 7:
+    if len(p) != 7:
         raise ValueError("p needs 7 coordinates in the V' basis "
                          + "(" + ", ".join(VPRIME_LABELS) + ")")
+    vec = vector(p)
     if all(x == 0 for x in vec):
         raise ValueError("p must be nonzero")
     if vec[0] != 0:
@@ -393,23 +402,25 @@ def build_three_step(p: Sequence | None = None) -> LieAlgebra:
     return L
 
 
-@dataclass(frozen=True)
 class ModelData:
     """Everything the verification suite consumes, built once and shared.
 
     The parts that do not depend on the hook target p (G, W, W', the sl2
     actions) are cached per process, so a new p builds only N."""
 
-    cartan_action: Matrix
-    raising_action: Matrix
-    lowering_action: Matrix
-    W: Subspace
-    Wprime: Subspace
-    vprime_actions: GeneratorSet
-    L: Subspace
-    p: tuple[Fraction, ...]
-    G: LieAlgebra
-    N: LieAlgebra
+    __slots__ = ("cartan_action", "raising_action", "lowering_action", "W",
+                 "Wprime", "vprime_actions", "L", "p", "G", "N")
+
+    def __init__(self, cartan_action: Matrix, raising_action: Matrix,
+                 lowering_action: Matrix, W: Subspace, Wprime: Subspace,
+                 vprime_actions: GeneratorSet, L: Subspace,
+                 p: tuple[Fraction, ...], G: LieAlgebra, N: LieAlgebra):
+        self.cartan_action = cartan_action
+        self.raising_action = raising_action
+        self.lowering_action = lowering_action
+        self.W, self.Wprime, self.L = W, Wprime, L
+        self.vprime_actions = vprime_actions
+        self.p, self.G, self.N = p, G, N
 
     @property
     def actions_on_V(self) -> GeneratorSet:

@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 Q = Fraction
 
@@ -350,11 +349,11 @@ def _fraction_row(row: dict[int, int], c: int, ncols: int) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
 class RrefResult:
-    matrix: Matrix
-    rank: int
-    pivots: tuple[int, ...]
+    __slots__ = ("matrix", "rank", "pivots")
+
+    def __init__(self, matrix: Matrix, rank: int, pivots: tuple[int, ...]):
+        self.matrix, self.rank, self.pivots = matrix, rank, pivots
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -474,9 +473,6 @@ class Subspace:
     def basis_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
         basis = self.basis
         return tuple(basis.row(i) for i in range(basis.rows))
-
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.echelon)
 
     def free_columns(self) -> tuple[int, ...]:
         """The non-pivot columns, in increasing order.  The classes of the

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .qlinalg import (
     Matrix,
@@ -36,22 +35,21 @@ def wedge_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(n), 2))
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """Labeled square matrices acting on a common space."""
 
-    labels: tuple[str, ...]
-    matrices: tuple[Matrix, ...]
+    __slots__ = ("labels", "matrices")
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.matrices):
+    def __init__(self, labels: tuple[str, ...], matrices: tuple[Matrix, ...]):
+        if len(labels) != len(matrices):
             raise ValueError("one label per matrix")
-        sizes = {(m.rows, m.cols) for m in self.matrices}
+        sizes = {(m.rows, m.cols) for m in matrices}
         if len(sizes) > 1:
             raise ValueError("generators act on different spaces")
-        for m in self.matrices:
+        for m in matrices:
             if not m.is_square:
                 raise ValueError("generators must be square")
+        self.labels, self.matrices = labels, matrices
 
     @property
     def dim(self) -> int:
@@ -169,10 +167,12 @@ def quotient_action(m: Matrix, w: Subspace) -> Matrix:
         d // s * col.get(r, 0) for r in reps for s, col in cols), d * m.den)
 
 
-@dataclass(frozen=True)
 class WeightDecomposition:
-    spaces: dict[Fraction, Subspace]
-    complete: bool  # do the eigenspaces sum to the whole space?
+    __slots__ = ("spaces", "complete")
+
+    def __init__(self, spaces: dict[Fraction, Subspace], complete: bool):
+        self.spaces = spaces
+        self.complete = complete  # do the eigenspaces sum to the whole space?
 
 
 def weight_decomposition(m: Matrix, candidates: Sequence) -> WeightDecomposition:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -243,3 +247,35 @@ def test_verify_json_at_non_default_seed_is_byte_identical(capsys, seed):
           "--seed", str(seed)])
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SEED_REPORTS[seed]
+
+
+@pytest.mark.parametrize("p, message", [
+    ("0,1,0,0,0,0,1,", "p needs 7 coordinates"),
+    ("0,1,0,0,0,0", "p needs 7 coordinates"),
+    (",0,1,0,0,0,0,1", "p needs 7 coordinates"),
+    ("0,1,,0,0,0,1", "the p14 coordinate is empty"),
+    ("0,1,0,0,0,0, ", "the p45 coordinate is empty"),
+])
+def test_p_with_a_wrong_count_or_an_empty_part_exits_2(capsys, p, message):
+    for argv in (["verify", "--p", p, "--suite", "jacobi.N"],
+                 ["show", "N", "--p", p]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid --p: ")
+        assert message in captured.err and "Fraction" not in captured.err
+        assert captured.out == ""
+
+
+def test_cli_import_loads_neither_dataclasses_nor_typing():
+    """Each verify is a fresh process: the start-up of ``nilcert.cli``
+    pulls in no stdlib machinery that no check uses.  ``-S`` keeps site
+    hooks, which may import typing themselves, out of the measurement."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, nilcert.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -186,6 +186,19 @@ def test_json_round_trip():
     assert L.labels == ("x", "y", "z")
 
 
+def test_equal_algebras_compare_and_hash_equal():
+    for L in (heisenberg3(), G, N):
+        twin = lie_algebra_from_json(lie_algebra_to_json(L))
+        assert twin is not L and twin == L and hash(twin) == hash(L)
+        assert len({L, twin}) == 1
+    assert build_three_step() == N and hash(build_three_step()) == hash(N)
+    # dim, sc and labels each take part in the comparison
+    relabeled = make_lie_algebra(3, {(0, 1): (0, 0, 1)}, ("a", "b", "c"))
+    assert relabeled.sc == heisenberg3().sc and relabeled != heisenberg3()
+    assert G != N and abelian_lie_algebra(2) != abelian_lie_algebra(3)
+    assert heisenberg3() != heisenberg3().sc
+
+
 def test_json_load_with_rational_strings():
     L = lie_algebra_from_json(json.dumps({
         "dim": 3,

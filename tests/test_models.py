@@ -120,6 +120,29 @@ def test_sym2_multiplicative_randomized():
 def test_sl2_element_det_check():
     with pytest.raises(ValueError):
         SL2Element(1, 0, 0, 2)
+    for entries in ((0, 0, 0, 0), (2, 0, 0, 2), ("1/2", 0, 0, 3)):
+        with pytest.raises(ValueError, match="determinant"):
+            SL2Element(*entries)
+
+
+def test_sl2_element_coerces_its_entries():
+    g = SL2Element(2, "3", 1, 2)
+    assert (g.a, g.b, g.c, g.d) == (Q(2), Q(3), Q(1), Q(2))
+    assert all(type(x) is Q for x in (g.a, g.b, g.c, g.d))
+    assert SL2Element("1/2", 0, 0, 2).a == Q(1, 2)
+    with pytest.raises(TypeError):
+        SL2Element(1.0, 0, 0, 1)
+
+
+def test_equal_sl2_elements_compare_and_hash_equal():
+    g = SL2Element(Q(1, 2), 0, 0, 2)
+    h = SL2Element("1/2", Q(0), 0, "2")
+    assert g is not h and g == h and hash(g) == hash(h) and len({g, h}) == 1
+    assert SL2Element.identity() == SL2Element(1, 0, 0, 1)
+    assert SL2Element.upper(1) * SL2Element.upper(2) == SL2Element.upper(3)
+    assert SL2Element.upper(1) != SL2Element.lower(1)
+    assert SL2Element.identity() != (1, 0, 0, 1)
+    assert repr(g) == "SL2Element(1/2, 0, 0, 2)"
 
 
 def test_elliptic_pythagorean():

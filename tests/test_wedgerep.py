@@ -165,6 +165,20 @@ def test_commutant_empty_generators():
     assert commutant(GeneratorSet((), ()), dim=3) == Subspace.full(9)
 
 
+def test_generator_set_rejects_mismatched_labels_and_shapes():
+    a, b = Matrix.identity(2), Matrix.identity(3)
+    gens = GeneratorSet(("a", "b"), (a, a))
+    assert gens.dim == 2 and len(gens) == 2 and list(gens) == [a, a]
+    with pytest.raises(ValueError, match="one label per matrix"):
+        GeneratorSet(("a",), (a, a))
+    with pytest.raises(ValueError, match="one label per matrix"):
+        GeneratorSet(("a", "b"), (a,))
+    with pytest.raises(ValueError, match="different spaces"):
+        GeneratorSet(("a", "b"), (a, b))
+    with pytest.raises(ValueError, match="square"):
+        GeneratorSet(("r",), (Matrix.zero(2, 3),))
+
+
 def test_commutant_irreducible_V():
     assert commutant(sl2_actions_on_V()).dim == 1
 
