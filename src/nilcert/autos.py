@@ -91,25 +91,30 @@ class StabilizerAlgebra:
 
 
 def _leibniz_rows(L: LieAlgebra) -> Iterator[dict[int, int]]:
-    """One row per (pair i<j, output coordinate m) of
+    """The nonzero rows, by pair i<j and then output coordinate m, of
     D[bi,bj] - [D bi, bj] - [bi, D bj] = 0, unknowns D[r,c] at r*dim+c,
-    in integers (scaled by the structure-constant denominator)."""
+    in integers (scaled by the structure-constant denominator).  A row is
+    built only for an m that some bracket term reaches."""
     d = L.dim
     table = L.int_sc.table
     for i, j in itertools.combinations(range(d), 2):
-        rows: list[dict[int, int]] = [{} for _ in range(d)]
+        rows: dict[int, dict[int, int]] = {}
         for k, t in table[i][j]:
             for m in range(d):
-                rows[m][m * d + k] = t
+                rows.setdefault(m, {})[m * d + k] = t
         for k in range(d):
             col = k * d + i
             for m, t in table[k][j]:
-                rows[m][col] = rows[m].get(col, 0) - t
+                row = rows.setdefault(m, {})
+                row[col] = row.get(col, 0) - t
             col = k * d + j
             for m, t in table[i][k]:
-                rows[m][col] = rows[m].get(col, 0) - t
-        for row in rows:
-            yield {c: x for c, x in row.items() if x}
+                row = rows.setdefault(m, {})
+                row[col] = row.get(col, 0) - t
+        for m in sorted(rows):
+            row = {c: x for c, x in rows[m].items() if x}
+            if row:
+                yield row
 
 
 def derivation_algebra(L: LieAlgebra) -> DerivationSpace:

@@ -93,7 +93,7 @@ class CheckResult:
     __slots__ = ("id", "status", "expected", "actual", "claim", "duration_ms")
 
     def __init__(self, id: str, status: str, expected: str, actual: str,
-                 claim: str, duration_ms: int):
+                 claim: str, duration_ms: float):
         self.id, self.status, self.claim = id, status, claim
         self.expected, self.actual = expected, actual
         self.duration_ms = duration_ms
@@ -137,7 +137,7 @@ class Report:
         for r in self.results:
             tag = r.status.upper().ljust(4)
             lines.append(f"[{tag}] {r.id}: expected {r.expected}; "
-                         f"got {r.actual}  ({r.duration_ms} ms)")
+                         f"got {r.actual}  ({r.duration_ms:.1f} ms)")
             if r.status != PASS:
                 lines.append(f"       claim: {r.claim}")
         c = self.counts
@@ -631,7 +631,7 @@ def run(suite: Sequence[str] | None, config: Config) -> Report:
             status, expected, actual = c.fn(ctx)
         except Exception as exc:  # a crashed check is a failed check
             status, expected, actual = FAIL, "check to complete", f"error: {exc}"
-        ms = int((time.perf_counter() - t0) * 1000)
+        ms = (time.perf_counter() - t0) * 1000
         results.append(CheckResult(c.id, status, expected, actual, c.claim, ms))
     return Report(__version__, config, tuple(results))
 

@@ -19,9 +19,10 @@ Basis conventions, fixed once:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .liecore import LieAlgebra, check_jacobi, make_lie_algebra
 from .qlinalg import Matrix, Subspace, qf, unit_vector, vector
@@ -351,9 +352,12 @@ def L_subspace() -> Subspace:
     return Subspace.span(7, [unit_vector(7, k) for k in range(1, 7)])
 
 
-def _two_step_brackets() -> dict[tuple[int, int], tuple[Fraction, ...]]:
+@lru_cache(maxsize=1)
+def _two_step_brackets() -> Mapping[tuple[int, int], tuple[Fraction, ...]]:
     """[s_i, s_j] = s_i^s_j mod W in the p-class coordinates: the
-    reduction modulo W, read at W's ``free_columns``."""
+    reduction modulo W, read at W's ``free_columns``.  Computed once per
+    process and shared by G and every N, so it is read-only; N adds its
+    hook to a copy."""
     w = build_W()
     reps = w.free_columns()
     e = [unit_vector(5, i) for i in range(5)]
@@ -362,7 +366,7 @@ def _two_step_brackets() -> dict[tuple[int, int], tuple[Fraction, ...]]:
         for j in range(i + 1, 5):
             cls = w.reduce(wedge_vector(e[i], e[j]))
             brackets[(i, j)] = vprime_to_algebra([cls[c] for c in reps])
-    return brackets
+    return MappingProxyType(brackets)
 
 
 @lru_cache(maxsize=1)
@@ -392,7 +396,7 @@ def validate_p(p: Sequence) -> tuple[Fraction, ...]:
 def build_three_step(p: Sequence | None = None) -> LieAlgebra:
     """The 12-dim 3-step algebra N: the 2-step brackets plus [s1, p12] = p."""
     pvec = validate_p(DEFAULT_P if p is None else p)
-    brackets = _two_step_brackets()
+    brackets = dict(_two_step_brackets())
     brackets[(0, 5)] = vprime_to_algebra(pvec)
     L = make_lie_algebra(12, brackets, ALGEBRA_LABELS)
     violations = check_jacobi(L)

@@ -495,14 +495,7 @@ class Subspace:
             for t, x in row.items():
                 if t != c:
                     hits[t].append((c, x, a))
-        out = []
-        for t, entries in hits.items():
-            scale = math.lcm(*(a for _, _, a in entries))
-            eq = {t: scale}
-            for c, x, a in entries:
-                eq[c] = -x * (scale // a)
-            out.append(eq)
-        return out
+        return _free_column_rows(hits)
 
     def restrict(self, equations: Iterable[dict[int, int]]) -> "Subspace":
         """{v in this subspace : the sparse integer equations vanish at v},
@@ -668,13 +661,50 @@ def int_kernel(rows: Iterable[dict[int, int]], ncols: int) -> Subspace:
     """Canonical basis of the solutions x in Q^ncols of the linear system
     whose equations are the sparse integer rows {column: coefficient}.
 
-    Every row lists nonzero entries only, and is divided by its content in
-    place.  Callers that can write their system in integers pass it here
-    directly, without a dense rational matrix.  The solutions are the
-    vectors orthogonal to the row space, so they are the span of the row
-    space's own ``equations``."""
-    return Subspace.from_int_rows(
-        ncols, Subspace.from_int_rows(ncols, rows).equations())
+    Every row lists nonzero entries only; the rows are not modified.
+    Callers that can write their system in integers pass it here directly,
+    without a dense rational matrix.
+
+    One elimination: ``_rref_int`` runs with the columns relabelled
+    c -> ncols - 1 - c, so each pivot is the last nonzero column of its
+    row, and the solutions are read off the pivot rows, one per free
+    column t (``_free_column_rows``), each divided by its content.  Every
+    pivot column in the solution for t lies right of t, and the solution
+    is zero at the other free columns, so these are the primitive
+    multiples, with positive leading entries and by increasing leading
+    column t, of the kernel's reduced row-echelon basis: the canonical
+    ``Subspace`` form, without a second elimination."""
+    last = ncols - 1
+    echelon = _rref_int(
+        (_primitive({last - j: x for j, x in r.items()}) for r in rows if r),
+        ncols)
+    pivots = {last - c for c, _ in echelon}
+    hits: dict[int, list[tuple[int, int, int]]] = {
+        t: [] for t in range(ncols) if t not in pivots}
+    for rc, row in echelon:
+        c, a = last - rc, row[rc]
+        for rj, x in row.items():
+            if rj != rc:
+                hits[last - rj].append((c, x, a))
+    return Subspace.__new__(Subspace)._set(
+        ncols, list(zip(hits, map(_primitive, _free_column_rows(hits)))))
+
+
+def _free_column_rows(hits: dict[int, list[tuple[int, int, int]]]
+                      ) -> list[dict[int, int]]:
+    """One integer row for each free column t of a reduced echelon form, in
+    the order of hits, where hits[t] lists (c, x, a) for each pivot row
+    with entry x at t, pivot column c and pivot entry a: the solution of
+    the echelon rows that is scale at t, -x * scale / a at each such c and
+    zero elsewhere, with scale > 0 the lcm of those a."""
+    out = []
+    for t, entries in hits.items():
+        scale = math.lcm(*(a for _, _, a in entries))
+        row = {t: scale}
+        for c, x, a in entries:
+            row[c] = -x * (scale // a)
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,13 @@ def test_run_subset_passes():
     assert all(r.status == "pass" for r in report.results)
 
 
+def test_check_durations_resolve_below_one_millisecond():
+    # nilclass.G-2 reads the lower central series that lcs.G-12-7-0 cached
+    report = run(["lcs.G-12-7-0", "nilclass.G-2"], Config())
+    assert 0 < report.results[1].duration_ms < 1
+    assert "nilclass.G-2: expected 2; got 2  (0." in report.to_text()
+
+
 def test_run_unknown_id_raises():
     with pytest.raises(KeyError):
         run(["no.such.check"], Config())

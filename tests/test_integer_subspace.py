@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilcert import cli
+from nilcert import cli, qlinalg
 from nilcert.autos import (
     DerivationSpace,
     _leibniz_rows,
@@ -21,7 +21,12 @@ from nilcert.autos import (
     factor_on_abelianization,
     shear_space,
 )
-from nilcert.liecore import center, derived_subalgebra, make_lie_algebra
+from nilcert.liecore import (
+    center,
+    derived_subalgebra,
+    heisenberg3,
+    make_lie_algebra,
+)
 from nilcert.models import model_data, subspace_in_algebra, validate_p
 from nilcert.qlinalg import (
     Matrix,
@@ -211,6 +216,66 @@ def test_equations_cut_out_the_subspace():
         eqs = s.equations()
         assert len(eqs) == n - s.dim
         assert int_kernel([dict(e) for e in eqs], n) == s
+
+
+# --------------------------------------------------------------------------
+# int_kernel: one elimination, read off the pivot rows
+# --------------------------------------------------------------------------
+
+@st.composite
+def int_systems(draw):
+    """(n, sparse integer rows): small or huge entries of both signs, many
+    zeros, and repeated or negated copies of drawn rows."""
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9),
+                      st.integers(-BIG, BIG))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         max_size=8))
+    if rows:
+        for _ in range(draw(st.integers(0, 2))):
+            src = draw(st.sampled_from(rows))
+            rows.append([draw(st.sampled_from([1, -1, 3])) * x for x in src])
+    return n, [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_systems())
+@example((3, []))
+@example((1, []))
+@example((4, [{}, {}]))
+@example((3, [{0: 2, 2: -4}, {0: 2, 2: -4}, {0: -1, 2: 2}]))
+@example((3, [{0: 1}, {1: -2, 2: 3}, {2: 5}]))
+@example((1, [{0: -3}]))
+@example((5, [{1: -6, 3: 4, 4: -2}, {0: -1, 4: 7}]))
+def test_int_kernel_matches_two_eliminations_and_the_dense_reference(case):
+    n, rows = case
+    given_rows = [dict(r) for r in rows]
+    ker = int_kernel(rows, n)
+    assert rows == given_rows  # the input rows are left as they were
+    # the definition it replaces: the equations of the row space
+    assert ker == Subspace.from_int_rows(n, Subspace.from_int_rows(
+        n, [dict(r) for r in rows]).equations())
+    dense = [[r.get(j, 0) for j in range(n)] for r in rows]
+    assert_matches_reference(ker, ref_nullspace(dense, n), n)
+    assert ker.dim == n - len(ref_rref(dense, n)[1])
+    for _, v in ker.echelon:
+        for r in rows:
+            assert sum(x * v.get(j, 0) for j, x in r.items()) == 0
+    again = Subspace.from_int_rows(n, [dict(v) for _, v in ker.echelon])
+    assert again.echelon == ker.echelon
+
+
+def test_derivation_algebra_eliminates_once(monkeypatch):
+    calls = []
+    rref_int = qlinalg._rref_int
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return rref_int(rows, ncols)
+
+    monkeypatch.setattr(qlinalg, "_rref_int", counted)
+    assert derivation_algebra(heisenberg3()).dim == 6
+    assert calls == [9]
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from nilcert import models
 from nilcert.autos import exp_nilpotent, sample_h_element
 from nilcert.models import (
+    ALGEBRA_LABELS,
     DEFAULT_P,
     CARTAN,
     LOWERING,
@@ -22,8 +24,14 @@ from nilcert.models import (
     sym2_embed,
     v_coordinates,
     validate_p,
+    vprime_to_algebra,
 )
-from nilcert.liecore import center, check_jacobi, nilpotency_class
+from nilcert.liecore import (
+    center,
+    check_jacobi,
+    make_lie_algebra,
+    nilpotency_class,
+)
 from nilcert.qlinalg import Matrix, Subspace, rank, unit_vector
 from nilcert.wedgerep import NotInvariantError, induced_group_action
 
@@ -261,6 +269,23 @@ def test_models_share_basis_and_differ_at_hook():
     diffs = [(i, j) for i in range(12) for j in range(12)
              if G.sc[i][j] != N.sc[i][j]]
     assert set(diffs) == {(0, 5), (5, 0)}
+
+
+def test_n_at_other_p_leaves_the_shared_two_step_brackets_alone():
+    p1, p2 = (0, 0, 1, 0, 1, 0, 0), (0, Q(1, 2), 0, 0, 0, 0, -2)
+    for p in (p1, p2):
+        assert build_three_step(p).sc[0][5] == vprime_to_algebra(p)
+    fresh = models._two_step_brackets.__wrapped__()
+    assert build_two_step() == make_lie_algebra(12, fresh, ALGEBRA_LABELS)
+    hooked = dict(fresh)
+    hooked[(0, 5)] = vprime_to_algebra(DEFAULT_P)
+    assert build_three_step() == make_lie_algebra(12, hooked, ALGEBRA_LABELS)
+    shared = models._two_step_brackets()
+    assert shared is models._two_step_brackets()
+    assert (0, 5) not in shared and dict(shared) == fresh
+    assert not any(build_two_step().sc[0][5])
+    with pytest.raises(TypeError):
+        shared[(0, 5)] = vprime_to_algebra(p1)
 
 
 def test_model_data_bundle():
