@@ -96,7 +96,7 @@ def _leibniz_rows(L: LieAlgebra) -> Iterator[dict[int, int]]:
     in integers (scaled by the structure-constant denominator).  A row is
     built only for an m that some bracket term reaches."""
     d = L.dim
-    table = L.int_sc.table
+    table = L.table
     for i, j in itertools.combinations(range(d), 2):
         rows: dict[int, dict[int, int]] = {}
         for k, t in table[i][j]:

@@ -1,16 +1,13 @@
 """Lie algebras given by structure constants.
 
-An algebra is its dimension plus the full antisymmetric bracket tensor
-``sc[i][j]`` = coordinates of [b_i, b_j].  Everything downstream (central
-series, centers, derivations) is exact rational linear algebra on that
-tensor.
-
-The computations read a sparse integer view of the tensor, built once per
-algebra and kept on it (``LieAlgebra.int_sc``): the lcm D of all
-structure-constant denominators and, for each pair (i, j), the nonzero
-entries (k, D c_ij^k).  The bracket, the Jacobi scan, the center and the
-Leibniz system of ``autos`` run on it in plain ints and visit only nonzero
-entries; ``Fraction`` appears only in what they return.
+An algebra is its dimension and its structure constants c_ij^k, the
+coordinates of [b_i, b_j], stored once, sparse and in integers
+(``LieAlgebra.table``): the lcm D of all their denominators and, for each
+pair (i, j), the nonzero entries (k, D c_ij^k).  The bracket, the Jacobi
+scan, the center and the Leibniz system of ``autos`` run on it in plain
+ints and visit only nonzero entries; ``Fraction`` appears only in what they
+return.  The dense antisymmetric tensor ``sc[i][j]`` of ``Fraction``
+coordinates is built only when read.
 """
 
 from __future__ import annotations
@@ -35,50 +32,42 @@ from .qlinalg import (
 _ZERO = Fraction(0)
 
 
-class IntStructure:
-    """Structure constants as integers: [b_i, b_j] is the sum of
-    t / denom * b_k over the (k, t) in table[i][j], which lists the nonzero
-    entries only, by increasing k."""
-
-    __slots__ = ("denom", "table")
-
-    def __init__(self, denom: int,
-                 table: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]):
-        self.denom, self.table = denom, table
-
-
 class LieAlgebra:
-    """An algebra by its full structure-constant tensor.  Two algebras are
-    equal when dim, sc and labels are; the derived data below is computed
-    on first use and kept in the instance dict."""
+    """An algebra by its structure constants in integers: [b_i, b_j] is the
+    sum of t / denom * b_k over the (k, t) in table[i][j], which lists the
+    nonzero entries only, by increasing k, and denom is the lcm of their
+    lowest-terms denominators (1 when there are none).  That form is
+    canonical, so two algebras are equal when dim, denom, table and labels
+    are; the dense tensor ``sc`` and the derived data below are computed on
+    first use and kept in the instance dict."""
 
-    def __init__(self, dim: int,
-                 sc: tuple[tuple[tuple[Fraction, ...], ...], ...],
+    def __init__(self, dim: int, denom: int,
+                 table: tuple[tuple[tuple[tuple[int, int], ...], ...], ...],
                  labels: tuple[str, ...]):
-        self.dim, self.sc, self.labels = dim, sc, labels
+        self.dim, self.denom, self.table, self.labels = dim, denom, table, labels
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieAlgebra):
             return NotImplemented
-        return (self.dim, self.sc, self.labels) == (other.dim, other.sc,
-                                                    other.labels)
+        return ((self.dim, self.denom, self.table, self.labels)
+                == (other.dim, other.denom, other.table, other.labels))
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.sc, self.labels))
+        return hash((self.dim, self.denom, self.table, self.labels))
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim {self.dim}: {', '.join(self.labels)})"
 
     @cached_property
-    def int_sc(self) -> IntStructure:
-        """The sparse integer view of sc, built on first use."""
-        denom = math.lcm(*(x.denominator for row in self.sc for v in row
-                           for x in v if x))
-        return IntStructure(denom, tuple(
-            tuple(tuple((k, x.numerator * (denom // x.denominator))
-                        for k, x in enumerate(v) if x)
-                  for v in row)
-            for row in self.sc))
+    def sc(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """The full antisymmetric tensor: sc[i][j] holds the coordinates
+        of [b_i, b_j]; built on first read."""
+        def dense(entries):
+            v = [_ZERO] * self.dim
+            for k, t in entries:
+                v[k] = Fraction(t, self.denom)
+            return tuple(v)
+        return tuple(tuple(dense(e) for e in row) for row in self.table)
 
     @cached_property
     def central_series(self) -> tuple[Subspace, ...]:
@@ -100,7 +89,7 @@ class LieAlgebra:
         [b_a, [b_b, b_c]] has coordinate n equal to the sum over m of
         c_bc^m c_am^n; the three cyclic terms are summed in integers, scaled
         by denom^2, which does not change which sums vanish."""
-        table = self.int_sc.table
+        table = self.table
         violations = []
         for i, j, k in itertools.combinations(range(self.dim), 3):
             acc: dict[int, int] = {}
@@ -116,7 +105,7 @@ class LieAlgebra:
     @cached_property
     def derived(self) -> Subspace:
         """[L, L], the span of the structure constants; built on first use."""
-        table = self.int_sc.table
+        table = self.table
         return Subspace.from_int_rows(self.dim, (
             dict(table[i][j])
             for i, j in itertools.combinations(range(self.dim), 2)))
@@ -139,9 +128,7 @@ def make_lie_algebra(dim: int,
     labels = tuple(labels)
     if len(labels) != dim:
         raise ValueError("need one label per basis element")
-    table: list[list[tuple[Fraction, ...] | None]] = [
-        [None] * dim for _ in range(dim)]
-    zero = tuple([_ZERO] * dim)
+    given: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for (i, j), coords in brackets.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise ValueError(f"basis index out of range in pair ({i}, {j})")
@@ -154,13 +141,14 @@ def make_lie_algebra(dim: int,
             continue
         neg = tuple(-x for x in v)
         for (a, b, val) in ((i, j, v), (j, i, neg)):
-            if table[a][b] is not None and table[a][b] != val:
+            if given.setdefault((a, b), val) != val:
                 raise ValueError(f"conflicting values given for bracket ({a}, {b})")
-            table[a][b] = val
-    sc = tuple(tuple(table[i][j] if table[i][j] is not None else zero
-                     for j in range(dim))
-               for i in range(dim))
-    return LieAlgebra(dim, sc, labels)
+    denom = math.lcm(*(x.denominator for v in given.values() for x in v))
+    table = tuple(tuple(
+        tuple((k, x.numerator * (denom // x.denominator))
+              for k, x in enumerate(given.get((i, j), ())) if x)
+        for j in range(dim)) for i in range(dim))
+    return LieAlgebra(dim, denom, table, labels)
 
 
 def _int_bracket(L: LieAlgebra, x: dict[int, int],
@@ -168,7 +156,7 @@ def _int_bracket(L: LieAlgebra, x: dict[int, int],
     """denom * [x, y] for integer coordinate maps x and y, over the nonzero
     coordinates and nonzero structure constants only."""
     out = [0] * L.dim
-    table = L.int_sc.table
+    table = L.table
     for i, xi in x.items():
         ti = table[i]
         for j, yj in y.items():
@@ -186,7 +174,7 @@ def bracket(L: LieAlgebra,
         raise ValueError("element length does not match algebra dimension")
     dx, xi = clear_denominators(enumerate(x))
     dy, yi = clear_denominators(enumerate(y))
-    den = L.int_sc.denom * dx * dy
+    den = L.denom * dx * dy
     return tuple(Fraction(a, den) if a else _ZERO
                  for a in _int_bracket(L, xi, yi))
 
@@ -235,7 +223,7 @@ def derived_subalgebra(L: LieAlgebra) -> Subspace:
 def center(L: LieAlgebra) -> Subspace:
     """{x : [x, L] = 0}, the kernel of the stacked adjoint maps: one row
     per (j, k), sum_i x_i c_ij^k = 0."""
-    table = L.int_sc.table
+    table = L.table
     rows = []
     for j in range(L.dim):
         block: list[dict[int, int]] = [{} for _ in range(L.dim)]
@@ -268,9 +256,10 @@ def heisenberg3() -> LieAlgebra:
 # Jacobi identity is verified on load and violations are reported.  Every
 # malformed field raises a ValueError that names it.
 
-#: the largest dim a JSON document may declare; the dense bracket tensor of
-#: a dim-d algebra holds d^3 entries, so an unbounded dim would let one
-#: small document exhaust memory
+#: the largest dim a JSON document may declare; a dim-d algebra's table has
+#: d^2 slots at load, its dense tensor ``sc`` d^3 entries when read, and the
+#: Jacobi check scans C(d, 3) basis triples, so an unbounded dim would let
+#: one small document exhaust memory or time
 MAX_JSON_DIM = 128
 
 
@@ -310,8 +299,9 @@ def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
         raise ValueError(f"dim must be nonnegative, got {dim}")
     if dim > MAX_JSON_DIM:
         raise ValueError(
-            f"dim must be at most {MAX_JSON_DIM}, got {dim}: the dense "
-            "structure-constant table has dim^3 entries")
+            f"dim must be at most {MAX_JSON_DIM}, got {dim}: the bracket "
+            "table has dim^2 slots and the Jacobi check scans C(dim, 3) "
+            "basis triples")
     labels = data.get("labels")
     if labels is not None and (
             not isinstance(labels, list) or len(labels) != dim
@@ -329,7 +319,9 @@ def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
                              f"got {entry!r}")
         i = _json_int(entry[0], "bracket index i")
         j = _json_int(entry[1], "bracket index j")
-        brackets[(i, j)] = _json_coords(entry[2], i, j)
+        coords = _json_coords(entry[2], i, j)
+        if brackets.setdefault((i, j), coords) != coords:
+            raise ValueError(f"conflicting values given for bracket ({i}, {j})")
     L = make_lie_algebra(dim, brackets, labels)
     violations = check_jacobi(L)
     if violations:
@@ -342,7 +334,7 @@ def lie_algebra_to_json(L: LieAlgebra) -> str:
     entries = []
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            if not is_zero_vector(L.sc[i][j]):
+            if L.table[i][j]:
                 entries.append([i, j, [str(c) for c in L.sc[i][j]]])
     return json.dumps({"dim": L.dim, "labels": list(L.labels),
                        "brackets": entries})

@@ -3,10 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from nilcert import cli
 from nilcert.cli import Config, list_checks, main, run
 
 FAST_SUITE = ["jacobi.G", "lcs.G-12-7-0", "weights.V", "thm.eigen-relations",
@@ -33,6 +36,38 @@ def test_check_durations_resolve_below_one_millisecond():
     report = run(["lcs.G-12-7-0", "nilclass.G-2"], Config())
     assert 0 < report.results[1].duration_ms < 1
     assert "nilclass.G-2: expected 2; got 2  (0." in report.to_text()
+
+
+def test_model_build_is_not_timed_as_a_check(monkeypatch):
+    def slow_model_data(p=None, build=cli.model_data):
+        time.sleep(0.05)
+        return build(p)
+
+    monkeypatch.setattr(cli, "model_data", slow_model_data)
+    report = run(["jacobi.G", "jacobi.N"], Config())
+    assert [r.status for r in report.results] == ["pass", "pass"]
+    assert report.results[0].duration_ms < 50
+
+
+#: sha256 of the JSON report of every check at two hook targets that no
+#: model can be built for (p12 != 0, and p = 0), recorded while the models
+#: were still built inside the first check that read them: each check that
+#: reads them reports the build error as its own result.
+UNBUILDABLE_P_REPORTS = {
+    (1, 0, 0, 0, 0, 0, 0):
+        "9339af13af81c7a1d3f9de1ac16f827edf87b47666c6f9d6f4c01eeae8314502",
+    (0, 0, 0, 0, 0, 0, 0):
+        "17dc0588871349a5da6ef31d53edc5f3e25e0eab1a610681f56e68793ad888e6",
+}
+
+
+@pytest.mark.parametrize("p", sorted(UNBUILDABLE_P_REPORTS))
+def test_an_unbuildable_p_fails_each_check_that_reads_the_models(p):
+    report = run(None, Config(p=tuple(Fraction(x) for x in p)))
+    errors = [r.id for r in report.results if r.actual.startswith("error: p ")]
+    assert errors[:2] == ["jacobi.G", "jacobi.N"] and len(errors) >= 23
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == UNBUILDABLE_P_REPORTS[p]
 
 
 def test_run_unknown_id_raises():
@@ -145,6 +180,21 @@ def test_show_models(capsys):
     out = capsys.readouterr().out
     assert "[s1, p12] = p13 + p45" in out
     assert "hook target p = p13 + p45" in out
+
+
+#: sha256 of ``nilcert show G`` and ``nilcert show N`` stdout, recorded
+#: while the algebras were still stored as their dense tensors
+SHOW_SHA256 = {
+    "G": "9dbf4dd4f057446949e6c493242c9563e4d4b192bceb7b8af12f3e7f7fba5e6d",
+    "N": "26c8c2f5459bb859b7c58903a4bd3c7e820c4d27c7b635ea76469203cc00d5f8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHOW_SHA256))
+def test_show_is_byte_identical_to_recorded_digest(capsys, name):
+    assert main(["show", name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SHOW_SHA256[name]
 
 
 def test_json_flag_round_trips_through_stdout(capsys):

@@ -1,11 +1,17 @@
+import hashlib
+import itertools
 import json
+import os
 import random
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcert import liecore
 from nilcert.liecore import (
@@ -24,6 +30,7 @@ from nilcert.liecore import (
     make_lie_algebra,
     nilpotency_class,
 )
+from nilcert.autos import derivation_algebra
 from nilcert.models import build_three_step, build_two_step, vprime_to_algebra
 from nilcert.qlinalg import Subspace, is_nilpotent, unit_vector
 
@@ -246,6 +253,15 @@ def test_json_load_rejects_conflicts():
     with pytest.raises(ValueError, match="conflicting"):
         lie_algebra_from_json({"dim": 3, "brackets": [
             [0, 1, [0, 0, 1]], [1, 0, [0, 0, 1]]]})
+    # a repeated pair with other coordinates, not only a swapped one
+    with pytest.raises(ValueError,
+                       match=r"conflicting values given for bracket \(0, 1\)"):
+        lie_algebra_from_json({"dim": 3, "brackets": [
+            [0, 1, [0, 0, 1]], [0, 1, [0, 0, 2]]]})
+    # identical repeats, plain or swapped, are consistent
+    L = lie_algebra_from_json({"dim": 3, "brackets": [
+        [0, 1, [0, 0, 1]], [0, 1, [0, 0, "1"]], [1, 0, [0, 0, -1]]]})
+    assert L.sc == heisenberg3().sc
 
 
 def test_make_lie_algebra_rejects_nonzero_diagonal():
@@ -314,3 +330,103 @@ def test_json_load_rejects_a_huge_dim_under_a_memory_limit():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert f"dim must be at most {MAX_JSON_DIM}, got 100000" in proc.stdout
+
+
+# ------------------------------------------------------------------ one form
+
+ENTRIES = st.one_of(st.just(Q(0)), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def bracket_values(draw, dim):
+    """{(i, j): coordinates of [b_i, b_j]} over some pairs i < j; zero
+    vectors included."""
+    pairs = list(itertools.combinations(range(dim), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    vec = st.lists(ENTRIES, min_size=dim, max_size=dim).map(tuple)
+    zero = st.just((Q(0),) * dim)
+    return {pair: draw(st.one_of(vec, zero)) for pair in chosen}
+
+
+def presentation(draw, dim, values):
+    """A bracket dict for make_lie_algebra that gives each pair as (i, j),
+    as (j, i) with the negated vector, or as both, with some zero diagonal
+    entries."""
+    out = {}
+    for (i, j), v in values.items():
+        form = draw(st.sampled_from(("ij", "ji", "both")))
+        if form != "ji":
+            out[(i, j)] = v
+        if form != "ij":
+            out[(j, i)] = tuple(-x for x in v)
+    for i in draw(st.lists(st.integers(0, dim - 1))) if dim else []:
+        out[(i, i)] = (0,) * dim
+    return out
+
+
+def dense(dim, values):
+    sc = [[(Q(0),) * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), v in values.items():
+        sc[i][j] = tuple(v)
+        sc[j][i] = tuple(-x for x in v)
+    return tuple(tuple(row) for row in sc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_integer_table_is_the_algebra(data):
+    dim = data.draw(st.integers(0, 5))
+    values = data.draw(bracket_values(dim))
+    A = make_lie_algebra(dim, presentation(data.draw, dim, values))
+    assert A.sc == dense(dim, values)
+    # a second presentation of the same brackets is the same algebra
+    B = make_lie_algebra(dim, presentation(data.draw, dim, values))
+    assert A == B and hash(A) == hash(B)
+    # other brackets, or other labels, compare equal exactly when the dense
+    # tensor and the labels do (the definition before the integer table)
+    other = data.draw(st.one_of(
+        st.just(values),
+        st.just({pair: v for pair, v in values.items() if any(v)}),
+        bracket_values(dim)))
+    labels = data.draw(st.sampled_from([
+        None, tuple(f"e{i + 1}" for i in range(dim)),
+        tuple(f"f{i + 1}" for i in range(dim))]))
+    C = make_lie_algebra(dim, presentation(data.draw, dim, other), labels)
+    same = A.sc == C.sc and A.labels == C.labels
+    assert (A == C) == same and (C == A) == same
+    if same:
+        assert hash(A) == hash(C)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def test_verify_never_builds_the_dense_tensor():
+    # a fresh process, since G and N are shared within one
+    code = ("from nilcert.cli import Config, model_data, run; "
+            "run(None, Config()); d = model_data(); "
+            "print([name for name in ('G', 'N') "
+            "if 'sc' in vars(getattr(d, name))])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    L = lie_algebra_from_json(lie_algebra_to_json(N))
+    lower_central_series(L), center(L), derivation_algebra(L)
+    assert "sc" not in vars(L)
+    assert L.sc == N.sc and "sc" in vars(L)
+
+
+#: sha256 of lie_algebra_to_json of G and N at the default p, recorded
+#: while the algebra was still stored as its dense tensor
+MODEL_JSON_SHA256 = {
+    "G": "e9cc0efde417b04424bf65909e0b2a40e389e9b72dd3bcabbc3b5fb4c666a12e",
+    "N": "f402feb189118b407633124adf1fa1901bc86494ac147de969e9b4be67073a6f",
+}
+
+
+def test_model_json_is_byte_identical_to_recorded_digest():
+    for name, L in (("G", G), ("N", N)):
+        digest = hashlib.sha256(lie_algebra_to_json(L).encode()).hexdigest()
+        assert digest == MODEL_JSON_SHA256[name]
