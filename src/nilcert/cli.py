@@ -194,20 +194,22 @@ class Context:
 
 
 class Check:
-    __slots__ = ("id", "description", "claim", "fn")
+    __slots__ = ("id", "description", "claim", "fn", "reads_models")
 
     def __init__(self, id: str, description: str, claim: str,
-                 fn: Callable[[Context], tuple[str, str, str]]):
+                 fn: Callable[[Context], tuple[str, str, str]],
+                 reads_models: bool):
         self.id, self.description, self.claim = id, description, claim
         self.fn = fn
+        self.reads_models = reads_models  # does fn read ctx.data?
 
 
 _REGISTRY: list[Check] = []
 
 
-def _check(id: str, description: str, claim: str):
+def _check(id: str, description: str, claim: str, reads_models: bool = True):
     def wrap(fn):
-        _REGISTRY.append(Check(id, description, claim, fn))
+        _REGISTRY.append(Check(id, description, claim, fn, reads_models))
         return fn
     return wrap
 
@@ -333,7 +335,7 @@ def _commutant_v(ctx):
 @_check("wedge.commutant-2",
         "commutant on the exterior square",
         "the induced action on wedge^2 V has a 2-dimensional commutant: "
-        "exactly two irreducible summands")
+        "exactly two irreducible summands", reads_models=False)
 def _commutant_wedge(ctx):
     d = commutant(induced_sl2_on_wedge()).dim
     return _status(d == 2), "2", str(d)
@@ -514,7 +516,8 @@ def _line_stab(ctx):
         "sampled group elements do not fix the line through p",
         "seeded hyperbolic, unipotent and elliptic elements all move the "
         "line through p; finite-order elliptic elements are not exhausted "
-        "by sampling, so a clean run is reported as a warning, not a pass")
+        "by sampling, so a clean run is reported as a warning, not a pass",
+        reads_models=False)
 def _sampled_nonfixing(ctx):
     line = line_through(ctx.config.p)
     fixing = []
@@ -534,7 +537,8 @@ def _sampled_nonfixing(ctx):
 @_check("bound.eigenspace-max3",
         "eigenspace dimension bound on V'",
         "for sampled elements acting on the 7-dimensional V', every rational "
-        "eigenvalue has eigenspace dimension at most 3 (= floor(7/2))")
+        "eigenvalue has eigenspace dimension at most 3 (= floor(7/2))",
+        reads_models=False)
 def _eigenspace_bound(ctx):
     worst = 0
     details = []
@@ -557,7 +561,7 @@ def _eigenspace_bound(ctx):
         "nonzero fixed vectors on V",
         "every sampled determinant-one element acting on V fixes a nonzero "
         "vector (weights for hyperbolic, unipotence for parabolic, odd "
-        "dimension for elliptic)")
+        "dimension for elliptic)", reads_models=False)
 def _coran_fixed(ctx):
     bad = []
     for i in range(25):
@@ -571,7 +575,8 @@ def _coran_fixed(ctx):
 @_check("fixed.specific-lines",
         "specific fixed lines",
         "the hyperbolic representative fixes exactly the line of s3; the "
-        "exponential of the raising action fixes exactly the line of s1")
+        "exponential of the raising action fixes exactly the line of s1",
+        reads_models=False)
 def _coran_specific(ctx):
     hyp = group_action_on_V(sym2_embed(SL2Element.hyperbolic(2)))
     fs_h = fixed_space(hyp)
@@ -587,7 +592,7 @@ def _coran_specific(ctx):
 @_check("oracle.heisenberg-der6",
         "derivation oracle: Heisenberg algebra",
         "the generic Leibniz kernel gives the classical dimension 6 for the "
-        "3-dimensional Heisenberg algebra")
+        "3-dimensional Heisenberg algebra", reads_models=False)
 def _oracle_heis(ctx):
     d = derivation_algebra(heisenberg3()).dim
     return _status(d == 6), "6", str(d)
@@ -596,7 +601,7 @@ def _oracle_heis(ctx):
 @_check("oracle.abelian-der-n2",
         "derivation oracle: abelian algebras",
         "the Leibniz system is vacuous for abelian algebras, so derivations "
-        "are all of gl(n): dimension n^2")
+        "are all of gl(n): dimension n^2", reads_models=False)
 def _oracle_abelian(ctx):
     d2 = derivation_algebra(abelian_lie_algebra(2)).dim
     d3 = derivation_algebra(abelian_lie_algebra(3)).dim
@@ -624,13 +629,14 @@ def run(suite: Sequence[str] | None, config: Config) -> Report:
     else:
         checks = list(_REGISTRY)
     ctx = Context(config)
-    # build the models before the clock starts, so that no check's time
-    # carries them; a build error is not cached, so each check that reads
-    # ctx.data meets it again as its own error result
-    try:
-        ctx.data
-    except Exception:
-        pass
+    # build the models before the clock starts, if a check reads them, so
+    # that no check's time carries them; a build error is not cached, so
+    # each check that reads ctx.data meets it again as its own error result
+    if any(c.reads_models for c in checks):
+        try:
+            ctx.data
+        except Exception:
+            pass
     results = []
     for c in checks:
         t0 = time.perf_counter()

@@ -308,22 +308,74 @@ def _reduce(row: dict[int, int],
     return _primitive(out) if out else out
 
 
+def _forced_columns(rows: list[dict[int, int]]
+                    ) -> tuple[set[int], list[dict[int, int]]]:
+    """(forced, rest) for primitive nonzero rows: forced holds the columns
+    c that one-entry rows force to zero, so that e_c lies in their span,
+    and rest, zero at every forced column, spans the rest modulo those e_c.
+
+    A one-entry row is a multiple of e_c, so c is deleted from every other
+    row, found through a column -> rows index; a row that drops to one
+    entry forces its own column in turn and is dropped.  Each shortened row
+    is a copy, divided by its content again; the others are passed on as
+    they are."""
+    forced = {c for row in rows if len(row) == 1 for c in row}
+    if not forced:
+        return forced, rows
+    left: dict[int, dict[int, int]] = {}
+    by_col: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        if len(row) > 1:
+            left[i] = row
+            for c in row:
+                by_col.setdefault(c, []).append(i)
+    copied: set[int] = set()
+    todo = list(forced)
+    while todo:
+        c = todo.pop()
+        for i in by_col.get(c, ()):
+            row = left.get(i)
+            if row is None:
+                continue
+            if i not in copied:
+                row = left[i] = dict(row)
+                copied.add(i)
+            del row[c]
+            if len(row) == 1:
+                del left[i]
+                j = next(iter(row))
+                if j not in forced:
+                    forced.add(j)
+                    todo.append(j)
+    return forced, [_primitive(row) if i in copied else row
+                    for i, row in left.items()]
+
+
 def _rref_int(rows: Iterable[dict[int, int]],
               ncols: int) -> list[tuple[int, dict[int, int]]]:
     """Sparse fraction-free Gauss-Jordan elimination over the integers.
 
-    Each incoming row is reduced against the pivot rows found so far and,
-    if anything is left, its leading column becomes a new pivot, which is
-    then cleared from the older pivot rows.  Every update is a primitive
-    integer combination, so no Fraction is built and entries stay small.
-    An older row only changes at a column right of its own pivot, so the
-    pivot rows stay in echelon shape.  Returns (pivot column, primitive row)
-    pairs by increasing pivot; every pivot entry is positive, and
-    row / row[pivot] is the RREF row.
+    First the forced zeros (``_forced_columns``): for each column c that
+    the one-entry rows force, e_c lies in the row space, so e_c is the RREF
+    row with pivot c and every other RREF row is zero at c.  Those rows are
+    {c: 1}, and only the rows left, with the forced columns deleted, are
+    eliminated.
+
+    Each row left is reduced against the pivot rows found so far and, if
+    anything is left, its leading column becomes a new pivot, which is then
+    cleared from the older pivot rows.  Every update is a primitive integer
+    combination, so no Fraction is built and entries stay small.  An older
+    row only changes at a column right of its own pivot, so the pivot rows
+    stay in echelon shape.  Returns (pivot column, primitive row) pairs by
+    increasing pivot; every pivot entry is positive, and row / row[pivot]
+    is the RREF row.  The rows must be primitive and nonzero; a row dict
+    that is passed in may be returned, but none is changed.
     """
+    forced, rows = _forced_columns(list(rows))
+    room = ncols - len(forced)
     basis: dict[int, dict[int, int]] = {}
     for row in rows:
-        if len(basis) == ncols:
+        if len(basis) == room:
             break
         hits = [(c, basis[c]) for c in row if c in basis]
         if hits:
@@ -337,6 +389,7 @@ def _rref_int(rows: Iterable[dict[int, int]],
             if c in brow:
                 basis[pc] = _reduce(brow, [(c, row)])
         basis[c] = row
+    basis.update((c, {c: 1}) for c in forced)
     return sorted(basis.items())
 
 
@@ -410,7 +463,7 @@ class Subspace:
     ``Fraction`` RREF matrix ``basis`` is built only when it is read, once.
     """
 
-    __slots__ = ("ambient_dim", "echelon", "_basis")
+    __slots__ = ("ambient_dim", "echelon", "_pivot_rows", "_basis")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         """The row space of basis, a matrix with ambient_dim columns."""
@@ -424,6 +477,7 @@ class Subspace:
              echelon: list[tuple[int, dict[int, int]]]) -> "Subspace":
         self.ambient_dim = ambient_dim
         self.echelon = tuple(echelon)
+        self._pivot_rows = dict(echelon)
         self._basis = None
         return self
 
@@ -545,8 +599,9 @@ class Subspace:
         """(s, r) for the integer vector row {column: entry}: s > 0, and r is
         s * row minus the combination of the echelon rows that clears every
         pivot column, so r / s is the canonical representative of row."""
-        return _eliminate(row, [(c, prow) for c, prow in self.echelon
-                                if c in row])
+        pivot_rows = self._pivot_rows
+        return _eliminate(row, [(c, pivot_rows[c]) for c in row
+                                if c in pivot_rows])
 
     def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Canonical representative of v modulo this subspace: v minus the

@@ -49,6 +49,24 @@ def test_model_build_is_not_timed_as_a_check(monkeypatch):
     assert report.results[0].duration_ms < 50
 
 
+def test_a_suite_that_reads_no_models_does_not_build_them(monkeypatch):
+    calls = []
+
+    def no_models(p=None):
+        calls.append(p)
+        raise RuntimeError("the models are not available")
+
+    monkeypatch.setattr(cli, "model_data", no_models)
+    report = run(["oracle.heisenberg-der6", "oracle.abelian-der-n2"], Config())
+    assert [r.status for r in report.results] == ["pass", "pass"]
+    # every check marked as not reading the models runs without them
+    free = [c.id for c in cli._REGISTRY if not c.reads_models]
+    report = run(free, Config())
+    assert [r.id for r in report.results] == free
+    assert not [r.id for r in report.results if r.actual.startswith("error")]
+    assert calls == []
+
+
 #: sha256 of the JSON report of every check at two hook targets that no
 #: model can be built for (p12 != 0, and p = 0), recorded while the models
 #: were still built inside the first check that read them: each check that
