@@ -1,9 +1,15 @@
 """Derivation algebras and automorphism certificates.
 
 Derivations of a structure-constant algebra are the kernel of one exact
-linear system (the Leibniz identity over all basis pairs, dim * C(dim, 2)
-equations in dim^2 unknowns, matrices flattened row-major).  Everything else
-here: stabilizer algebras, shear spaces, abelianization factors, exact
+linear system: the Leibniz identity over the basis pairs, dim equations per
+pair in dim^2 unknowns, matrices flattened row-major.  The rows of a pair
+(i, j) read only the brackets of the pairs that meet {i, j}, so the system
+splits by pairs.  ``derivation_algebra`` takes all pairs at once, for any
+algebra.  For the shipped models, N differs from G only at the hook pair
+(s1, p12), so ``nilcert verify`` restricts the p-free kernel of G's rows
+over the pairs that miss s1 and p12 (``models.hook_free_derivations``) by
+each model's rows over the other 21 pairs.  Everything else here:
+stabilizer algebras, shear spaces, abelianization factors, exact
 exponentials, eigenline tests, and the seeded H-element sampler.
 """
 
@@ -11,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .liecore import LieAlgebra, bracket, derived_subalgebra
@@ -90,14 +96,21 @@ class StabilizerAlgebra:
                      for row in self.space.basis_vectors())
 
 
-def _leibniz_rows(L: LieAlgebra) -> Iterator[dict[int, int]]:
-    """The nonzero rows, by pair i<j and then output coordinate m, of
-    D[bi,bj] - [D bi, bj] - [bi, D bj] = 0, unknowns D[r,c] at r*dim+c,
-    in integers (scaled by the structure-constant denominator).  A row is
-    built only for an m that some bracket term reaches."""
+def _leibniz_rows(L: LieAlgebra,
+                  pairs: Iterable[tuple[int, int]] | None = None
+                  ) -> Iterator[dict[int, int]]:
+    """The nonzero rows, by pair i<j (all pairs, or those in pairs) and
+    then output coordinate m, of D[bi,bj] - [D bi, bj] - [bi, D bj] = 0,
+    unknowns D[r,c] at r*dim+c, in integers (scaled by the
+    structure-constant denominator).  A row is built only for an m that
+    some bracket term reaches.  The rows of (i, j) read the brackets
+    [bi, bj], [bk, bj] and [bi, bk] for every k, so they depend only on
+    the brackets of pairs that meet {i, j}."""
     d = L.dim
     table = L.table
-    for i, j in itertools.combinations(range(d), 2):
+    if pairs is None:
+        pairs = itertools.combinations(range(d), 2)
+    for i, j in pairs:
         rows: dict[int, dict[int, int]] = {}
         for k, t in table[i][j]:
             for m in range(d):

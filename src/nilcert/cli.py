@@ -8,7 +8,8 @@ is byte-identical across runs with the same configuration (timings are kept
 out of it for that reason; the text form shows them).
 
 Exit codes: 0 all pass (warnings allowed), 1 some check failed, 2 usage or
-configuration error.
+configuration error, 3 some check raised instead of answering (reported
+with status ``error``, never as a failure).
 """
 
 from __future__ import annotations
@@ -34,11 +35,14 @@ from .liecore import (
 )
 from .models import (
     DEFAULT_P,
+    HOOK_PAIRS,
+    CertificationError,
     ModelData,
     SL2Element,
     VPRIME_LABELS,
     binary_form_action,
     group_action_on_V,
+    hook_free_derivations,
     induced_sl2_on_wedge,
     model_data,
     subspace_in_algebra,
@@ -55,7 +59,9 @@ from .wedgerep import (
 )
 from .autos import (
     EIGEN_RELATION_PAIRS,
+    DerivationSpace,
     IrrationalEigenvalueError,
+    _leibniz_rows,
     derivation_algebra,
     derivation_defects,
     eigen_relation_kernel,
@@ -72,6 +78,7 @@ from .autos import (
 PASS = "pass"
 FAIL = "fail"
 WARN = "warn"
+ERROR = "error"  # the check raised: no answer, so neither pass nor fail
 
 
 class Config:
@@ -115,9 +122,13 @@ class Report:
 
     @property
     def counts(self) -> dict[str, int]:
-        c = {PASS: 0, FAIL: 0, WARN: 0}
+        """Results by status; the error count is listed only when nonzero,
+        so a report without errors keeps its bytes."""
+        c = {PASS: 0, FAIL: 0, WARN: 0, ERROR: 0}
         for r in self.results:
             c[r.status] += 1
+        if not c[ERROR]:
+            del c[ERROR]
         c["total"] = len(self.results)
         return c
 
@@ -141,8 +152,9 @@ class Report:
             if r.status != PASS:
                 lines.append(f"       claim: {r.claim}")
         c = self.counts
+        errors = f", {c[ERROR]} errors" if ERROR in c else ""
         lines.append(f"{c['total']} checks: {c[PASS]} passed, "
-                     f"{c[FAIL]} failed, {c[WARN]} warnings")
+                     f"{c[FAIL]} failed, {c[WARN]} warnings{errors}")
         return "\n".join(lines) + "\n"
 
 
@@ -160,11 +172,11 @@ class Context:
 
     @cached_property
     def der_G(self):
-        return derivation_algebra(self.data.G)
+        return _model_derivations(self.data.G)
 
     @cached_property
     def der_N(self):
-        return derivation_algebra(self.data.N)
+        return _model_derivations(self.data.N)
 
     @cached_property
     def stab_W(self):
@@ -191,6 +203,16 @@ class Context:
             self._samples_on_Vprime[index] = binary_form_action(
                 self.element(index)[1], 6)
         return self._samples_on_Vprime[index]
+
+
+def _model_derivations(L) -> DerivationSpace:
+    """der(L) for G or an N of ``models``: the Leibniz rows outside the
+    hook pairs have the p-free kernel K, so only the 21 hook pairs' rows
+    are built, and they restrict K (``models.hook_free_derivations``).
+    The result is the canonical ``Subspace``, equal to
+    ``derivation_algebra(L).space``."""
+    return DerivationSpace(L, hook_free_derivations().restrict(
+        _leibniz_rows(L, HOOK_PAIRS)))
 
 
 class Check:
@@ -642,8 +664,10 @@ def run(suite: Sequence[str] | None, config: Config) -> Report:
         t0 = time.perf_counter()
         try:
             status, expected, actual = c.fn(ctx)
-        except Exception as exc:  # a crashed check is a failed check
-            status, expected, actual = FAIL, "check to complete", f"error: {exc}"
+        except Exception as exc:
+            # a crash refutes nothing; a failed exact cross-check does
+            status = FAIL if isinstance(exc, CertificationError) else ERROR
+            expected, actual = "check to complete", f"error: {exc}"
         ms = (time.perf_counter() - t0) * 1000
         results.append(CheckResult(c.id, status, expected, actual, c.claim, ms))
     return Report(__version__, config, tuple(results))
@@ -751,7 +775,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.write(report.to_json())
     else:
         sys.stdout.write(report.to_text())
-    return 1 if report.counts[FAIL] else 0
+    counts = report.counts
+    return 3 if ERROR in counts else 1 if counts[FAIL] else 0
 
 
 if __name__ == "__main__":

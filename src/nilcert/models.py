@@ -18,6 +18,7 @@ Basis conventions, fixed once:
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
@@ -25,7 +26,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .liecore import LieAlgebra, check_jacobi, make_lie_algebra
-from .qlinalg import Matrix, Subspace, qf, unit_vector, vector
+from .qlinalg import Matrix, Subspace, int_kernel, qf, unit_vector, vector
 from .wedgerep import (
     GeneratorSet,
     NotInvariantError,
@@ -45,6 +46,15 @@ ALGEBRA_LABELS = V_LABELS + VPRIME_LABELS
 
 #: default central target of the 3-step bracket hook: p13 + p45 in V' coords.
 DEFAULT_P = (_ZERO, _ONE, _ZERO, _ZERO, _ZERO, _ZERO, _ONE)
+
+
+class CertificationError(AssertionError):
+    """An exact cross-check inside nilcert refuted an identification that
+    the checks build on: the binary-form matrices against the
+    exterior-square action, or the Jacobi identity of a model.  That
+    refutes the check that meets it, so ``cli.run`` reports it as a
+    failure, where any other exception is an error."""
+
 
 CARTAN = Matrix.from_rows([(2, 0, 0), (0, 0, 0), (0, 0, -2)])
 RAISING = Matrix.from_rows([(0, 1, 0), (0, 0, 1), (0, 0, 0)])
@@ -279,7 +289,7 @@ def _certify_binary_forms() -> dict[int, tuple[int, tuple[tuple[int, ...], ...]]
     """The Phi ratios of ``BINARY_FORM_SCALES``, by degree, once the
     binary-form matrices they give for upper(1) and lower(1) are checked
     against the exterior-square path (h s h^t on V, then wedge^2 V mod W,
-    W-invariance checked); raises AssertionError on any difference.
+    W-invariance checked); raises CertificationError on any difference.
 
     Both maps are rational homomorphisms SL2(Q) -> GL.  Agreement at
     upper(1) gives agreement at upper(1)^k = upper(k) for every integer k;
@@ -294,7 +304,7 @@ def _certify_binary_forms() -> dict[int, tuple[int, tuple[tuple[int, ...], ...]]
         on_vprime = quotient_action(induced_group_action(on_v), w)
         if (_binary_form_matrix(g, 4, phi[4]) != on_v
                 or _binary_form_matrix(g, 6, phi[6]) != on_vprime):
-            raise AssertionError(
+            raise CertificationError(
                 f"binary forms disagree with the exterior-square action of {g}")
     return phi
 
@@ -352,12 +362,22 @@ def L_subspace() -> Subspace:
     return Subspace.span(7, [unit_vector(7, k) for k in range(1, 7)])
 
 
+#: the basis pair (s1, p12) of the hook [s1, p12] = p, the one bracket in
+#: which N differs from G
+HOOK = (0, 5)
+
+#: the basis pairs i < j that meet the hook: the Leibniz rows of a pair
+#: (i, j) read the brackets of the pairs that meet {i, j}, so these 21 are
+#: the only pairs whose rows read the hook
+HOOK_PAIRS = tuple(pair for pair in itertools.combinations(range(12), 2)
+                   if set(pair) & set(HOOK))
+
+
 @lru_cache(maxsize=1)
 def _two_step_brackets() -> Mapping[tuple[int, int], tuple[Fraction, ...]]:
     """[s_i, s_j] = s_i^s_j mod W in the p-class coordinates: the
     reduction modulo W, read at W's ``free_columns``.  Computed once per
-    process and shared by G and every N, so it is read-only; N adds its
-    hook to a copy."""
+    process, so it is read-only."""
     w = build_W()
     reps = w.free_columns()
     e = [unit_vector(5, i) for i in range(5)]
@@ -374,7 +394,7 @@ def build_two_step() -> LieAlgebra:
     """The 12-dim 2-step algebra G: [u, v] = u^v mod W, V' central."""
     L = make_lie_algebra(12, _two_step_brackets(), ALGEBRA_LABELS)
     if check_jacobi(L):
-        raise AssertionError("2-step model failed the Jacobi identity")
+        raise CertificationError("2-step model failed the Jacobi identity")
     return L
 
 
@@ -394,16 +414,46 @@ def validate_p(p: Sequence) -> tuple[Fraction, ...]:
 
 
 def build_three_step(p: Sequence | None = None) -> LieAlgebra:
-    """The 12-dim 3-step algebra N: the 2-step brackets plus [s1, p12] = p."""
+    """The 12-dim 3-step algebra N: the 2-step brackets plus [s1, p12] = p.
+
+    G's integer table is copied, scaled to the lcm of G's denominator and
+    p's, and the hook is written at (s1, p12), its negation at (p12, s1):
+    the canonical table that ``make_lie_algebra`` builds from the same
+    brackets, without a ``Fraction`` per entry."""
     pvec = validate_p(DEFAULT_P if p is None else p)
-    brackets = dict(_two_step_brackets())
-    brackets[(0, 5)] = vprime_to_algebra(pvec)
-    L = make_lie_algebra(12, brackets, ALGEBRA_LABELS)
+    G = build_two_step()
+    denom = math.lcm(G.denom, *(x.denominator for x in pvec))
+    scale = denom // G.denom
+    table = [list(row) if scale == 1 else
+             [tuple((k, t * scale) for k, t in e) for e in row]
+             for row in G.table]
+    hook = tuple((k, x.numerator * (denom // x.denominator))
+                 for k, x in enumerate(vprime_to_algebra(pvec)) if x)
+    i, j = HOOK
+    table[i][j] = hook
+    table[j][i] = tuple((k, -t) for k, t in hook)
+    L = LieAlgebra(12, denom, tuple(map(tuple, table)), G.labels)
     violations = check_jacobi(L)
     if violations:
-        raise AssertionError(
+        raise CertificationError(
             f"3-step model failed the Jacobi identity on {violations}")
     return L
+
+
+@lru_cache(maxsize=1)
+def hook_free_derivations() -> Subspace:
+    """K: the solutions in gl(12) of G's Leibniz rows over the 45 basis
+    pairs outside ``HOOK_PAIRS`` (168 rows, dimension 72), built on first
+    use and kept for the process.
+
+    Those rows never read the hook, and N has G's brackets elsewhere, so
+    N's rows there are G's times N.denom / G.denom.  K is therefore the
+    same for G and for every N, and der(G) and der(N) are K restricted by
+    their own rows over ``HOOK_PAIRS`` (``cli.Context``)."""
+    from .autos import _leibniz_rows  # autos imports this module
+    free = (pair for pair in itertools.combinations(range(12), 2)
+            if pair not in HOOK_PAIRS)
+    return int_kernel(_leibniz_rows(build_two_step(), free), 144)
 
 
 class ModelData:

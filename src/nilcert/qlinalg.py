@@ -553,11 +553,20 @@ class Subspace:
 
     def restrict(self, equations: Iterable[dict[int, int]]) -> "Subspace":
         """{v in this subspace : the sparse integer equations vanish at v},
-        as one kernel over the coordinates on the echelon rows."""
-        ker = int_kernel(_products(equations, [row for _, row in self.echelon]),
+        as one kernel over the coordinates on the echelon rows.
+
+        No second elimination: echelon row i is the only one nonzero at its
+        pivot p_i, and zero left of it.  So the combination by a kernel row
+        y with leading coordinate t is zero left of p_t, has y_t row_t[p_t]
+        > 0 at p_t, and is zero at the leading p_t' of every other kernel
+        row, where y is zero.  These combinations, divided by their
+        content, are the canonical rows."""
+        echelon = self.echelon
+        ker = int_kernel(_products(equations, [row for _, row in echelon]),
                          self.dim)
-        return Subspace.from_int_rows(
-            self.ambient_dim, (self._int_combination(y) for _, y in ker.echelon))
+        return Subspace.__new__(Subspace)._set(self.ambient_dim, [
+            (echelon[t][0], _primitive(self._int_combination(y)))
+            for t, y in ker.echelon])
 
     def preimage(self, images: Iterable[Sequence[dict[int, int]]],
                  k: int) -> "Subspace":

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nilcert import cli
+from nilcert import cli, models
 from nilcert.cli import Config, list_checks, main, run
 
 FAST_SUITE = ["jacobi.G", "lcs.G-12-7-0", "weights.V", "thm.eigen-relations",
@@ -68,10 +68,19 @@ def test_a_suite_that_reads_no_models_does_not_build_them(monkeypatch):
 
 
 #: sha256 of the JSON report of every check at two hook targets that no
-#: model can be built for (p12 != 0, and p = 0), recorded while the models
-#: were still built inside the first check that read them: each check that
-#: reads them reports the build error as its own result.
+#: model can be built for (p12 != 0, and p = 0): each check that reads the
+#: models reports the build error as its own result, with status ``error``.
 UNBUILDABLE_P_REPORTS = {
+    (1, 0, 0, 0, 0, 0, 0):
+        "5d18aadec3ed1cdb88b4dc794adc17581b24f544a75d27d0581e2fa3fb699583",
+    (0, 0, 0, 0, 0, 0, 0):
+        "331594475d32a002b9a3e89fe5ff5b70ebaf0099a24a0351070c506381a509e5",
+}
+
+#: the same reports as recorded while a crashed check still read as
+#: ``fail`` (and while the models were still built inside the first check
+#: that read them)
+CRASH_AS_FAIL_REPORTS = {
     (1, 0, 0, 0, 0, 0, 0):
         "9339af13af81c7a1d3f9de1ac16f827edf87b47666c6f9d6f4c01eeae8314502",
     (0, 0, 0, 0, 0, 0, 0):
@@ -80,12 +89,87 @@ UNBUILDABLE_P_REPORTS = {
 
 
 @pytest.mark.parametrize("p", sorted(UNBUILDABLE_P_REPORTS))
-def test_an_unbuildable_p_fails_each_check_that_reads_the_models(p):
+def test_an_unbuildable_p_errors_each_check_that_reads_the_models(p):
     report = run(None, Config(p=tuple(Fraction(x) for x in p)))
     errors = [r.id for r in report.results if r.actual.startswith("error: p ")]
     assert errors[:2] == ["jacobi.G", "jacobi.N"] and len(errors) >= 23
+    reads = {c.id for c in cli._REGISTRY if c.reads_models}
+    assert all(r.status == "error" for r in report.results if r.id in reads)
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == UNBUILDABLE_P_REPORTS[p]
+    # the statuses are all that moved: read each error as a failure again
+    data = report.as_dict()
+    for check in data["checks"]:
+        if check["status"] == "error":
+            check["status"] = "fail"
+    data["summary"]["fail"] += data["summary"].pop("error")
+    old = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(old.encode()).hexdigest() == CRASH_AS_FAIL_REPORTS[p]
+
+
+def _raising(ctx):
+    raise RuntimeError("the check crashed")
+
+
+def test_a_crashed_check_is_an_error_not_a_failure(monkeypatch, capsys):
+    check = next(c for c in cli._REGISTRY if c.id == "jacobi.G")
+    monkeypatch.setattr(check, "fn", _raising)
+    report = run(["jacobi.G", "lcs.G-12-7-0", "n.der-dim-32"], Config())
+    assert [r.status for r in report.results] == ["error", "pass", "fail"]
+    assert report.results[0].actual == "error: the check crashed"
+    assert report.counts == {"pass": 1, "fail": 1, "warn": 0, "error": 1,
+                             "total": 3}
+    assert json.loads(report.to_json())["summary"]["error"] == 1
+    text = report.to_text()
+    assert "[ERROR] jacobi.G: expected check to complete; got error: " \
+        "the check crashed" in text
+    assert text.endswith("3 checks: 1 passed, 1 failed, 0 warnings, "
+                         "1 errors\n")
+    # an error outranks a failure in the exit code
+    assert main(["verify", "--suite", "jacobi.G,n.der-dim-32"]) == 3
+    assert main(["verify", "--suite", "jacobi.G", "--json"]) == 3
+    capsys.readouterr()
+    assert main(["verify", "--suite", "lcs.G-12-7-0,n.der-dim-32"]) == 1
+    out = capsys.readouterr().out
+    assert "error" not in out
+
+
+def test_a_report_without_errors_has_no_error_count():
+    report = run(["jacobi.G", "n.der-dim-32"], Config())
+    assert "error" not in report.counts
+    assert "error" not in report.as_dict()["summary"]
+    assert report.to_text().endswith(
+        "2 checks: 1 passed, 1 failed, 0 warnings\n")
+
+
+def test_a_model_build_that_raises_errors_every_check_that_reads_it(
+        monkeypatch, capsys):
+    def broken(p=None):
+        raise RuntimeError("no model today")
+
+    monkeypatch.setattr(cli, "model_data", broken)
+    report = run(None, Config(trials=5))
+    reads = {c.id for c in cli._REGISTRY if c.reads_models}
+    for r in report.results:
+        if r.id in reads:
+            assert (r.status, r.actual) == ("error", "error: no model today")
+        else:
+            assert r.status != "error"
+    assert report.counts["error"] == len(reads)
+    assert main(["verify", "--suite", "jacobi.N,oracle.heisenberg-der6"]) == 3
+    assert "[ERROR] jacobi.N" in capsys.readouterr().out
+
+
+def test_a_refuting_cross_check_is_a_failure_not_an_error(monkeypatch):
+    # an exact guard that refutes what a check builds on answers the check
+    def refuted(p=None):
+        raise models.CertificationError("3-step model failed the Jacobi "
+                                        "identity on [(0, 1, 2)]")
+
+    monkeypatch.setattr(cli, "model_data", refuted)
+    report = run(["jacobi.N", "n.der-dim-32"], Config())
+    assert [r.status for r in report.results] == ["fail", "fail"]
+    assert "error" not in report.counts
 
 
 def test_run_unknown_id_raises():
