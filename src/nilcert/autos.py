@@ -25,6 +25,7 @@ from .models import SL2Element, binary_form_action
 from .qlinalg import (
     Matrix,
     Subspace,
+    _products,
     char_poly,
     count_real_roots,
     eigenspace,
@@ -168,42 +169,61 @@ def derivation_defects(der: DerivationSpace) -> tuple[list[int], list[int]]:
     nonzero, indices of those whose cube is nonzero).
 
     Each basis derivation is read as its integer echelon row, a positive
-    multiple of the basis matrix, so both tests run on sparse integer
-    columns.  The factor is zero exactly when every column at a quotient
-    representative (a non-pivot column of [L, L]) lies in [L, L], and the
-    cube is zero exactly when D^2 maps every column of D to zero.  Like
-    ``factor_on_abelianization``, it raises NotInvariantError, with a basis
-    vector of [L, L] as witness, for a derivation that moves [L, L].
+    multiple of the basis matrix, flattened row-major (D[r, c] at r*n + c).
+    The guard and the factor test are linear in D, so both are sparse
+    functionals built from [L, L]'s ``equations()`` and evaluated on every
+    echelon row at once by one ``_products`` call:
+
+    - guard: D u lies in [L, L] for each echelon row u of [L, L] exactly
+      when sum_(r, c) e_r u_c D[r, c] = 0 for each equation e;
+    - factor: the factor is zero exactly when each column k at a quotient
+      representative (a non-pivot column of [L, L]) lies in [L, L], that
+      is, sum_r e_r D[r, k] = 0 for each equation e.
+
+    A basis derivation fails a test exactly when one of that test's
+    functionals is nonzero on it.  Like ``factor_on_abelianization``, it
+    raises NotInvariantError for a derivation that moves [L, L]; the
+    witness is the basis vector k of [L, L] for the smallest (derivation
+    index, k) that fails the guard.  The cube is zero exactly when D^2 maps
+    every column of D to zero, tested per derivation on its sparse columns.
     """
     n = der.algebra.dim
     derived = derived_subalgebra(der.algebra)
-    reps = derived.free_columns()
-    bad_factor, bad_cube = [], []
-    for idx, (_, row) in enumerate(der.space.echelon):
-        cols: list[dict[int, int]] = [{} for _ in range(n)]
+    equations = derived.equations()
+    guard = [(k, {r * n + c: e * x for r, e in eq.items()
+                  for c, x in u.items()})
+             for k, (_, u) in enumerate(derived.echelon) for eq in equations]
+    factor = [{r * n + k: e for r, e in eq.items()}
+              for k in derived.free_columns() for eq in equations]
+    rows = [row for _, row in der.space.echelon]
+    values = _products([f for _, f in guard] + factor, rows)
+    moved = min(((idx, k) for (k, _), v in zip(guard, values) for idx in v),
+                default=None)
+    if moved is not None:
+        raise NotInvariantError(
+            "subspace is not preserved by the given matrix",
+            derived.basis_vectors()[moved[1]])
+    bad_factor = sorted({idx for v in values[len(guard):] for idx in v})
+    bad_cube = []
+    for idx, row in enumerate(rows):
+        cols: dict[int, dict[int, int]] = {}
         for rc, x in row.items():
             r, c = divmod(rc, n)
-            cols[c][r] = x
-        for k, (_, u) in enumerate(derived.echelon):
-            if not derived.contains_int_row(_apply_columns(cols, u)):
-                raise NotInvariantError(
-                    "subspace is not preserved by the given matrix",
-                    derived.basis_vectors()[k])
-        if not all(derived.contains_int_row(cols[k]) for k in reps):
-            bad_factor.append(idx)
+            cols.setdefault(c, {})[r] = x
         if any(_apply_columns(cols, _apply_columns(cols, col))
-               for col in cols if col):
+               for col in cols.values()):
             bad_cube.append(idx)
     return bad_factor, bad_cube
 
 
-def _apply_columns(cols: list[dict[int, int]],
+def _apply_columns(cols: dict[int, dict[int, int]],
                    v: dict[int, int]) -> dict[int, int]:
-    """The integer matrix with sparse columns cols applied to the sparse
-    integer vector v, zeros dropped."""
+    """The integer matrix with sparse columns {column: {row: entry}}, which
+    lists nonzero columns only, applied to the sparse integer vector v,
+    zeros dropped."""
     out: dict[int, int] = {}
     for j, x in v.items():
-        for r, y in cols[j].items():
+        for r, y in cols.get(j, {}).items():
             out[r] = out.get(r, 0) + x * y
     return {r: y for r, y in out.items() if y}
 

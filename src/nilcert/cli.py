@@ -675,11 +675,22 @@ def run(suite: Sequence[str] | None, config: Config) -> Report:
 
 def _parse_p(text: str) -> tuple[Fraction, ...]:
     """The coordinates of --p; a wrong count or an empty coordinate is
-    reported as such, before any part is read as a rational."""
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) == len(VPRIME_LABELS) and "" in parts:
-        raise ValueError(
-            f"the {VPRIME_LABELS[parts.index('')]} coordinate is empty")
+    reported as such, before any part is read as a rational, and a part
+    that is not one by its coordinate's label."""
+    parts: list = [s.strip() for s in text.split(",")]
+    if len(parts) == len(VPRIME_LABELS):
+        if "" in parts:
+            raise ValueError(
+                f"the {VPRIME_LABELS[parts.index('')]} coordinate is empty")
+        for i, (label, part) in enumerate(zip(VPRIME_LABELS, parts)):
+            try:
+                parts[i] = Fraction(part)
+            except ZeroDivisionError:
+                raise ValueError(f"the {label} coordinate {part!r} has a "
+                                 "zero denominator") from None
+            except ValueError:
+                raise ValueError(f"the {label} coordinate {part!r} is not a "
+                                 "rational number") from None
     return validate_p(parts)
 
 
@@ -747,7 +758,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         p = DEFAULT_P if args.p is None else _parse_p(args.p)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"invalid --p: {exc}", file=sys.stderr)
         return 2
 

@@ -416,6 +416,22 @@ def test_verify_json_at_non_default_seed_is_byte_identical(capsys, seed):
     ("0,1,0,0,0,0, ", "the p45 coordinate is empty"),
 ])
 def test_p_with_a_wrong_count_or_an_empty_part_exits_2(capsys, p, message):
+    assert_p_rejected(capsys, p, message)
+
+
+@pytest.mark.parametrize("p, message", [
+    ("0,1/0,0,0,0,0,0", "the p13 coordinate '1/0' has a zero denominator"),
+    ("0,1,0,0,0,0,-3/0", "the p45 coordinate '-3/0' has a zero denominator"),
+    ("0,nan,0,0,0,0,0", "the p13 coordinate 'nan' is not a rational number"),
+    ("0,1,0,inf,0,0,1", "the p15 coordinate 'inf' is not a rational number"),
+    ("0,1,0,0,1 / 2,0,1", "the p25 coordinate '1 / 2' is not a rational"),
+    ("0,1,x,0,0,1/0,1", "the p14 coordinate 'x' is not a rational number"),
+])
+def test_p_with_a_coordinate_that_is_not_rational_exits_2(capsys, p, message):
+    assert_p_rejected(capsys, p, message)
+
+
+def assert_p_rejected(capsys, p, message):
     for argv in (["verify", "--p", p, "--suite", "jacobi.N"],
                  ["show", "N", "--p", p]):
         assert main(argv) == 2
@@ -423,6 +439,23 @@ def test_p_with_a_wrong_count_or_an_empty_part_exits_2(capsys, p, message):
         assert captured.err.startswith("invalid --p: ")
         assert message in captured.err and "Fraction" not in captured.err
         assert captured.out == ""
+
+
+def test_python_m_nilcert_is_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    args = ["verify", "--json", "--suite", "oracle.heisenberg-der6"]
+    procs = [subprocess.run([sys.executable, "-m", module, *args],
+                            capture_output=True, timeout=60, env=env)
+             for module in ("nilcert", "nilcert.cli")]
+    assert procs[0].returncode == procs[1].returncode == 0, procs[0].stderr
+    assert procs[0].stdout == procs[1].stdout
+    assert b'"oracle.heisenberg-der6"' in procs[0].stdout
+    # importing the package does not run, or load, the entry point
+    code = "import sys, nilcert; print('nilcert.__main__' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_cli_import_loads_neither_dataclasses_nor_typing():

@@ -22,6 +22,7 @@ from nilcert.autos import (
     shear_space,
 )
 from nilcert.liecore import (
+    abelian_lie_algebra,
     center,
     derived_subalgebra,
     heisenberg3,
@@ -417,6 +418,84 @@ def test_a_derivation_that_moves_the_derived_algebra_raises_the_same_error():
         derivation_defects(fake)
     assert str(int_error.value) == str(fraction_error.value)
     assert int_error.value.witness == fraction_error.value.witness
+
+
+def flat_derivation(n, entries):
+    """The row-major flattening of the n x n matrix with the given
+    {(row, column): value} entries."""
+    flat = [Q(0)] * (n * n)
+    for (r, c), x in entries.items():
+        flat[r * n + c] = Q(x)
+    return flat
+
+
+def test_the_witness_is_the_first_vector_moved_by_the_first_moving_row():
+    G = model_data().G
+    # [G, G] is spanned by p12..p45 (basis indices 5..11), so its basis
+    # vector k is e_(5 + k).  Row 0 keeps [G, G]; row 1 moves basis
+    # vectors 4 (p25 -> s1) and 6 (p45 -> s3); row 2 moves basis vector 0
+    # (p12 -> s2).  The first (row, vector) is (1, 4), although a later
+    # row moves a smaller vector.
+    fake = DerivationSpace(G, Subspace.span(144, [
+        flat_derivation(12, {(0, 1): 1}),
+        flat_derivation(12, {(0, 9): 1, (2, 11): -2}),
+        flat_derivation(12, {(1, 5): 3}),
+    ]))
+    assert [row for _, row in fake.space.echelon] == [
+        {1: 1}, {9: 1, 35: -2}, {17: 1}]
+    with pytest.raises(NotInvariantError) as fraction_error:
+        fraction_defects(fake)
+    with pytest.raises(NotInvariantError) as int_error:
+        derivation_defects(fake)
+    assert str(int_error.value) == str(fraction_error.value)
+    assert int_error.value.witness == fraction_error.value.witness
+    assert int_error.value.witness == unit_vector(12, 9)
+
+
+def test_on_an_abelian_algebra_every_nonzero_derivation_is_a_factor_defect():
+    # der(Q^3) = gl(3), whose basis is the matrix units E_rc; only the
+    # diagonal units survive cubing
+    der = derivation_algebra(abelian_lie_algebra(3))
+    assert derived_subalgebra(der.algebra).dim == 0
+    assert derivation_defects(der) == fraction_defects(der) == (
+        list(range(9)), [0, 4, 8])
+
+
+HALVES = st.integers(-6, 6).map(lambda k: Q(k, 2))
+
+
+@st.composite
+def half_integer_p(draw):
+    """p in L with integer and half-integer coordinates, nonzero, with
+    p13 = 0 or p13 != 0 as drawn."""
+    p13 = draw(st.one_of(st.just(Q(0)), HALVES.filter(bool)))
+    rest = draw(st.lists(st.one_of(st.just(Q(0)), HALVES),
+                         min_size=5, max_size=5))
+    if not p13 and not any(rest):
+        rest[0] = Q(1)
+    return (Q(0), p13, *rest)
+
+
+@settings(max_examples=40, deadline=None)
+@given(half_integer_p())
+@example((Q(0), Q(1), Q(0), Q(0), Q(0), Q(0), Q(1)))
+@example((Q(0), Q(0), Q(1), Q(0), Q(1), Q(0), Q(0)))
+@example((Q(0), Q(1, 2), Q(0), Q(0), Q(0), Q(0), Q(-2)))
+def test_defects_of_the_restricted_der_N_equal_the_fraction_path(p):
+    # the der(N) that verify reads: K restricted by the hook-pair rows
+    der = cli.Context(cli.Config(p=validate_p(p))).der_N
+    assert derivation_defects(der) == fraction_defects(der)
+
+
+def test_derivation_defects_runs_no_membership_test(monkeypatch):
+    der = cli.Context(cli.Config()).der_N
+
+    def refuse(*args):
+        raise AssertionError("a per-derivation membership test ran")
+
+    monkeypatch.setattr(Subspace, "int_reduce", refuse)
+    monkeypatch.setattr(Subspace, "contains_int_row", refuse)
+    assert derivation_defects(der) == ([0], [0])
 
 
 # --------------------------------------------------------------------------
