@@ -6,8 +6,8 @@ pair in dim^2 unknowns, matrices flattened row-major.  The rows of a pair
 (i, j) read only the brackets of the pairs that meet {i, j}, so the system
 splits by pairs.  ``derivation_algebra`` takes all pairs at once, for any
 algebra.  For the shipped models, N differs from G only at the hook pair
-(s1, p12), so ``nilcert verify`` restricts the p-free kernel of G's rows
-over the pairs that miss s1 and p12 (``models.hook_free_derivations``) by
+(s1, p12), so ``model_derivations`` restricts the p-free kernel of G's
+rows over the pairs that miss s1 and p12 (``hook_free_derivations``) by
 each model's rows over the other 21 pairs.  Everything else here:
 stabilizer algebras, shear spaces, abelianization factors, exact
 exponentials, eigenline tests, and the seeded H-element sampler.
@@ -17,22 +17,25 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from .liecore import LieAlgebra, bracket, derived_subalgebra
-from .models import SL2Element, binary_form_action
+from .models import HOOK, SL2Element, binary_form_action, build_two_step
 from .qlinalg import (
     Matrix,
     Subspace,
-    _products,
+    apply_equations,
     char_poly,
     count_real_roots,
     eigenspace,
     int_kernel,
     int_matmul,
     rank,
+    sparse_rows,
     strip_rational_roots,
+    weighted_sum,
 )
 from .wedgerep import (
     GeneratorSet,
@@ -99,41 +102,65 @@ class StabilizerAlgebra:
 
 def _leibniz_rows(L: LieAlgebra,
                   pairs: Iterable[tuple[int, int]] | None = None
-                  ) -> Iterator[dict[int, int]]:
+                  ) -> Iterable[dict[int, int]]:
     """The nonzero rows, by pair i<j (all pairs, or those in pairs) and
     then output coordinate m, of D[bi,bj] - [D bi, bj] - [bi, D bj] = 0,
-    unknowns D[r,c] at r*dim+c, in integers (scaled by the
-    structure-constant denominator).  A row is built only for an m that
-    some bracket term reaches.  The rows of (i, j) read the brackets
-    [bi, bj], [bk, bj] and [bi, bk] for every k, so they depend only on
-    the brackets of pairs that meet {i, j}."""
+    unknowns D[r,c] at r*dim+c, in integers (times L.denom), summed from
+    its three terms.  The rows of (i, j) read the brackets [bi, bj],
+    [bk, bj] and [bi, bk] for every k, so they depend only on the brackets
+    of pairs that meet {i, j}."""
     d = L.dim
     table = L.table
     if pairs is None:
         pairs = itertools.combinations(range(d), 2)
-    for i, j in pairs:
-        rows: dict[int, dict[int, int]] = {}
-        for k, t in table[i][j]:
-            for m in range(d):
-                rows.setdefault(m, {})[m * d + k] = t
-        for k in range(d):
-            col = k * d + i
-            for m, t in table[k][j]:
-                row = rows.setdefault(m, {})
-                row[col] = row.get(col, 0) - t
-            col = k * d + j
-            for m, t in table[i][k]:
-                row = rows.setdefault(m, {})
-                row[col] = row.get(col, 0) - t
-        for m in sorted(rows):
-            row = {c: x for c, x in rows[m].items() if x}
-            if row:
-                yield row
+
+    def terms():
+        for pos, (i, j) in enumerate(pairs):
+            key = pos * d  # the row of (i, j) at coordinate m is key + m
+            for k, t in table[i][j]:
+                for m in range(d):
+                    yield key + m, m * d + k, t
+            for k in range(d):
+                for m, t in table[k][j]:
+                    yield key + m, k * d + i, -t
+                for m, t in table[i][k]:
+                    yield key + m, k * d + j, -t
+    return sparse_rows(terms()).values()
 
 
 def derivation_algebra(L: LieAlgebra) -> DerivationSpace:
     """All D with D[x,y] = [Dx,y] + [x,Dy], as one exact kernel."""
     return DerivationSpace(L, int_kernel(_leibniz_rows(L), L.dim * L.dim))
+
+
+#: the basis pairs i < j that meet the hook pair (s1, p12) of the shipped
+#: models: the Leibniz rows of a pair (i, j) read the brackets of the pairs
+#: that meet {i, j}, so these 21 are the only pairs whose rows read the hook
+HOOK_PAIRS = tuple(pair for pair in itertools.combinations(range(12), 2)
+                   if set(pair) & set(HOOK))
+
+
+@lru_cache(maxsize=1)
+def hook_free_derivations() -> Subspace:
+    """K: the solutions in gl(12) of G's Leibniz rows over the 45 basis
+    pairs outside ``HOOK_PAIRS`` (168 rows, dimension 72), built on first
+    use and kept for the process.
+
+    Those rows never read the hook, and N has G's brackets elsewhere, so
+    N's rows there are G's times N.denom / G.denom.  K is therefore the
+    same for G and for every N, and der(G) and der(N) are K restricted by
+    their own rows over ``HOOK_PAIRS`` (``model_derivations``)."""
+    free = (pair for pair in itertools.combinations(range(12), 2)
+            if pair not in HOOK_PAIRS)
+    return int_kernel(_leibniz_rows(build_two_step(), free), 144)
+
+
+def model_derivations(L: LieAlgebra) -> DerivationSpace:
+    """der(L) for G or an N of ``models``, equal to
+    ``derivation_algebra(L)``: K (``hook_free_derivations``) restricted
+    by L's rows over the 21 hook pairs."""
+    return DerivationSpace(L, hook_free_derivations().restrict(
+        _leibniz_rows(L, HOOK_PAIRS)))
 
 
 def shear_space(L: LieAlgebra, c: Subspace) -> Subspace:
@@ -172,7 +199,7 @@ def derivation_defects(der: DerivationSpace) -> tuple[list[int], list[int]]:
     multiple of the basis matrix, flattened row-major (D[r, c] at r*n + c).
     The guard and the factor test are linear in D, so both are sparse
     functionals built from [L, L]'s ``equations()`` and evaluated on every
-    echelon row at once by one ``_products`` call:
+    echelon row at once by one ``apply_equations`` call:
 
     - guard: D u lies in [L, L] for each echelon row u of [L, L] exactly
       when sum_(r, c) e_r u_c D[r, c] = 0 for each equation e;
@@ -196,7 +223,7 @@ def derivation_defects(der: DerivationSpace) -> tuple[list[int], list[int]]:
     factor = [{r * n + k: e for r, e in eq.items()}
               for k in derived.free_columns() for eq in equations]
     rows = [row for _, row in der.space.echelon]
-    values = _products([f for _, f in guard] + factor, rows)
+    values = apply_equations([f for _, f in guard] + factor, rows)
     moved = min(((idx, k) for (k, _), v in zip(guard, values) for idx in v),
                 default=None)
     if moved is not None:
@@ -206,26 +233,13 @@ def derivation_defects(der: DerivationSpace) -> tuple[list[int], list[int]]:
     bad_factor = sorted({idx for v in values[len(guard):] for idx in v})
     bad_cube = []
     for idx, row in enumerate(rows):
-        cols: dict[int, dict[int, int]] = {}
+        cols: list[dict[int, int]] = [{} for _ in range(n)]
         for rc, x in row.items():
-            r, c = divmod(rc, n)
-            cols.setdefault(c, {})[r] = x
-        if any(_apply_columns(cols, _apply_columns(cols, col))
-               for col in cols.values()):
+            cols[rc % n][rc // n] = x
+        if any(weighted_sum(weighted_sum(col, cols), cols)
+               for col in cols if col):
             bad_cube.append(idx)
     return bad_factor, bad_cube
-
-
-def _apply_columns(cols: dict[int, dict[int, int]],
-                   v: dict[int, int]) -> dict[int, int]:
-    """The integer matrix with sparse columns {column: {row: entry}}, which
-    lists nonzero columns only, applied to the sparse integer vector v,
-    zeros dropped."""
-    out: dict[int, int] = {}
-    for j, x in v.items():
-        for r, y in cols.get(j, {}).items():
-            out[r] = out.get(r, 0) + x * y
-    return {r: y for r, y in out.items() if y}
 
 
 def is_automorphism(L: LieAlgebra, t_mat: Matrix) -> bool:

@@ -35,14 +35,12 @@ from .liecore import (
 )
 from .models import (
     DEFAULT_P,
-    HOOK_PAIRS,
     CertificationError,
     ModelData,
     SL2Element,
     VPRIME_LABELS,
     binary_form_action,
     group_action_on_V,
-    hook_free_derivations,
     induced_sl2_on_wedge,
     model_data,
     subspace_in_algebra,
@@ -59,9 +57,7 @@ from .wedgerep import (
 )
 from .autos import (
     EIGEN_RELATION_PAIRS,
-    DerivationSpace,
     IrrationalEigenvalueError,
-    _leibniz_rows,
     derivation_algebra,
     derivation_defects,
     eigen_relation_kernel,
@@ -70,6 +66,7 @@ from .autos import (
     infinitesimal_line_stabilizer,
     line_through,
     max_eigenspace_dim,
+    model_derivations,
     sample_derivation,
     sample_h_element,
     stabilizer_algebra,
@@ -172,11 +169,11 @@ class Context:
 
     @cached_property
     def der_G(self):
-        return _model_derivations(self.data.G)
+        return model_derivations(self.data.G)
 
     @cached_property
     def der_N(self):
-        return _model_derivations(self.data.N)
+        return model_derivations(self.data.N)
 
     @cached_property
     def stab_W(self):
@@ -203,16 +200,6 @@ class Context:
             self._samples_on_Vprime[index] = binary_form_action(
                 self.element(index)[1], 6)
         return self._samples_on_Vprime[index]
-
-
-def _model_derivations(L) -> DerivationSpace:
-    """der(L) for G or an N of ``models``: the Leibniz rows outside the
-    hook pairs have the p-free kernel K, so only the 21 hook pairs' rows
-    are built, and they restrict K (``models.hook_free_derivations``).
-    The result is the canonical ``Subspace``, equal to
-    ``derivation_algebra(L).space``."""
-    return DerivationSpace(L, hook_free_derivations().restrict(
-        _leibniz_rows(L, HOOK_PAIRS)))
 
 
 class Check:

@@ -25,6 +25,7 @@ from .qlinalg import (
     clear_denominators,
     int_kernel,
     is_zero_vector,
+    sparse_rows,
     unit_vector,
     vector,
 )
@@ -71,16 +72,17 @@ class LieAlgebra:
 
     @cached_property
     def central_series(self) -> tuple[Subspace, ...]:
-        """The lower central series, built on first use (see
-        ``lower_central_series``)."""
+        """The lower central series from [L, L] (``derived``) on, built on
+        first use (see ``lower_central_series``)."""
         full = Subspace.full(self.dim)
-        series = [full]
-        for _ in range(self.dim + 1):
+        series = [full, self.derived]
+        while series[-1].dim:
+            # nilpotent: the dims fall strictly, so term dim is zero
+            if len(series) > self.dim:
+                raise ValueError("algebra is not nilpotent: lower central "
+                                 "series did not reach zero")
             series.append(bracket_subspace(self, full, series[-1]))
-            if series[-1].dim == 0:
-                return tuple(series)
-        raise ValueError("algebra is not nilpotent: lower central series "
-                         "did not reach zero")
+        return tuple(series)
 
     @cached_property
     def jacobi_violations(self) -> tuple[tuple[int, int, int], ...]:
@@ -223,15 +225,10 @@ def derived_subalgebra(L: LieAlgebra) -> Subspace:
 def center(L: LieAlgebra) -> Subspace:
     """{x : [x, L] = 0}, the kernel of the stacked adjoint maps: one row
     per (j, k), sum_i x_i c_ij^k = 0."""
-    table = L.table
-    rows = []
-    for j in range(L.dim):
-        block: list[dict[int, int]] = [{} for _ in range(L.dim)]
-        for i in range(L.dim):
-            for k, t in table[i][j]:
-                block[k][i] = t
-        rows += block
-    return int_kernel(rows, L.dim)
+    d, table = L.dim, L.table
+    return int_kernel(sparse_rows(
+        (j * d + k, i, t) for j in range(d) for i in range(d)
+        for k, t in table[i][j]).values(), d)
 
 
 def abelian_lie_algebra(n: int) -> LieAlgebra:

@@ -18,7 +18,6 @@ Basis conventions, fixed once:
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
@@ -26,7 +25,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .liecore import LieAlgebra, check_jacobi, make_lie_algebra
-from .qlinalg import Matrix, Subspace, int_kernel, qf, unit_vector, vector
+from .qlinalg import Matrix, Subspace, qf, unit_vector, vector
 from .wedgerep import (
     GeneratorSet,
     NotInvariantError,
@@ -353,8 +352,10 @@ def vprime_to_algebra(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def subspace_in_algebra(s: Subspace) -> Subspace:
-    """Embed a subspace of V' into the algebra coordinate space."""
-    return Subspace.span(12, [vprime_to_algebra(b) for b in s.basis_vectors()])
+    """Embed a subspace of V' as coordinates 5..11 of the algebra."""
+    if s.ambient_dim != 7:
+        raise ValueError("expected 7 coordinates")
+    return s.embed(12, 5)
 
 
 def L_subspace() -> Subspace:
@@ -365,12 +366,6 @@ def L_subspace() -> Subspace:
 #: the basis pair (s1, p12) of the hook [s1, p12] = p, the one bracket in
 #: which N differs from G
 HOOK = (0, 5)
-
-#: the basis pairs i < j that meet the hook: the Leibniz rows of a pair
-#: (i, j) read the brackets of the pairs that meet {i, j}, so these 21 are
-#: the only pairs whose rows read the hook
-HOOK_PAIRS = tuple(pair for pair in itertools.combinations(range(12), 2)
-                   if set(pair) & set(HOOK))
 
 
 @lru_cache(maxsize=1)
@@ -438,22 +433,6 @@ def build_three_step(p: Sequence | None = None) -> LieAlgebra:
         raise CertificationError(
             f"3-step model failed the Jacobi identity on {violations}")
     return L
-
-
-@lru_cache(maxsize=1)
-def hook_free_derivations() -> Subspace:
-    """K: the solutions in gl(12) of G's Leibniz rows over the 45 basis
-    pairs outside ``HOOK_PAIRS`` (168 rows, dimension 72), built on first
-    use and kept for the process.
-
-    Those rows never read the hook, and N has G's brackets elsewhere, so
-    N's rows there are G's times N.denom / G.denom.  K is therefore the
-    same for G and for every N, and der(G) and der(N) are K restricted by
-    their own rows over ``HOOK_PAIRS`` (``cli.Context``)."""
-    from .autos import _leibniz_rows  # autos imports this module
-    free = (pair for pair in itertools.combinations(range(12), 2)
-            if pair not in HOOK_PAIRS)
-    return int_kernel(_leibniz_rows(build_two_step(), free), 144)
 
 
 class ModelData:

@@ -11,12 +11,12 @@ entry is read.  One sparse fraction-free Gauss-Jordan elimination
 (``_rref_int``) serves ``rref``, ``kernel_basis``, ``eigenspace`` and
 every ``Subspace``, ``det`` is a Bareiss elimination, and ``char_poly``,
 the nilpotence tests, ``rational_roots`` and the Sturm chains work on
-integer matrices and primitive integer polynomials.  Systems
-that other modules can write down in integers (the Leibniz, shear, center
-and commutant systems) skip the dense matrix: they pass sparse rows
-``{column: int}`` to ``int_kernel``, which ``kernel_basis`` also calls, or
-to ``Subspace.from_int_rows``; ``clear_denominators`` gives the exact
-integer form of a rational vector for that.
+integer matrices and primitive integer polynomials.  Systems that other
+modules write down in integers (the Leibniz, center, commutant and wedge
+systems) skip the dense matrix: ``sparse_rows`` sums their integer terms
+into sparse rows ``{column: int}`` for ``int_kernel`` (which
+``kernel_basis`` also calls) or ``Subspace.from_int_rows``;
+``clear_denominators`` gives the integer form of a rational vector.
 Matrices act on column vectors, so the composite map "apply h, then g" is
 the product ``g * h``, and a linear map is built column by column from the
 images of the basis vectors with ``Matrix.from_columns``.  A ``Subspace``
@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections import defaultdict
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 Q = Fraction
@@ -510,6 +511,16 @@ class Subspace:
         return cls.__new__(cls)._set(
             ambient_dim, [(i, {i: 1}) for i in range(ambient_dim)])
 
+    def embed(self, ambient_dim: int, offset: int) -> "Subspace":
+        """The image in Q^ambient_dim under e_j -> e_(j + offset), whose
+        canonical rows are the shifted echelon rows: nothing is eliminated."""
+        if not 0 <= offset <= ambient_dim - self.ambient_dim:
+            raise ValueError(f"Q^{self.ambient_dim} shifted by {offset} "
+                             f"does not fit in Q^{ambient_dim}")
+        return Subspace.__new__(Subspace)._set(ambient_dim, [
+            (c + offset, {j + offset: x for j, x in row.items()})
+            for c, row in self.echelon])
+
     @property
     def dim(self) -> int:
         return len(self.echelon)
@@ -562,10 +573,10 @@ class Subspace:
         row, where y is zero.  These combinations, divided by their
         content, are the canonical rows."""
         echelon = self.echelon
-        ker = int_kernel(_products(equations, [row for _, row in echelon]),
-                         self.dim)
+        rows = [row for _, row in echelon]
+        ker = int_kernel(apply_equations(equations, rows), self.dim)
         return Subspace.__new__(Subspace)._set(self.ambient_dim, [
-            (echelon[t][0], _primitive(self._int_combination(y)))
+            (echelon[t][0], _primitive(weighted_sum(y, rows)))
             for t, y in ker.echelon])
 
     def preimage(self, images: Iterable[Sequence[dict[int, int]]],
@@ -578,7 +589,7 @@ class Subspace:
         for f in images:
             if len(f) != k:
                 raise ValueError(f"{len(f)} images where {k} are expected")
-            system += _products(equations, f)
+            system += apply_equations(equations, f)
         return int_kernel(system, k)
 
     def moved_by(self, m: Matrix) -> int | None:
@@ -590,14 +601,6 @@ class Subspace:
             if not self.contains_int_row(m.int_apply(u)):
                 return k
         return None
-
-    def _int_combination(self, weights: dict[int, int]) -> dict[int, int]:
-        """sum_i weights[i] * (echelon row i), in integers, zeros dropped."""
-        out: dict[int, int] = {}
-        for i, w in weights.items():
-            for j, x in self.echelon[i][1].items():
-                out[j] = out.get(j, 0) + w * x
-        return {j: x for j, x in out.items() if x}
 
     def contains_int_row(self, row: dict[int, int]) -> bool:
         """Membership of the integer vector {column: entry}, which lists
@@ -662,9 +665,10 @@ class Subspace:
         terms = [(qf(c), row[p])
                  for c, (p, row) in zip(coeffs, self.echelon, strict=True)]
         d = math.lcm(*(c.denominator * a for c, a in terms if c))
-        return d, self._int_combination({
+        return d, weighted_sum({
             i: c.numerator * (d // (c.denominator * a))
-            for i, (c, a) in enumerate(terms) if c})
+            for i, (c, a) in enumerate(terms) if c},
+            [row for _, row in self.echelon])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
@@ -684,22 +688,55 @@ class Subspace:
                 f"ambient dimension mismatch: {self.ambient_dim} vs {other.ambient_dim}")
 
 
-def _products(equations: Iterable[dict[int, int]],
-              vectors: Sequence[dict[int, int]]) -> list[dict[int, int]]:
+def sparse_rows(terms: Iterable[tuple[object, int, int]]
+                ) -> dict[object, dict[int, int]]:
+    """The sparse integer rows of the terms (row key, column, value), keyed
+    by row in increasing key order: the values at one (row, column) are
+    summed, and cancelled entries and empty rows are dropped."""
+    rows: dict[object, dict[int, int]] = {}
+    get = rows.get
+    for key, j, x in terms:
+        row = get(key)
+        if row is None:
+            rows[key] = {j: x}
+        else:
+            row[j] = row.get(j, 0) + x
+    out = {}
+    for key in sorted(rows):
+        row = rows[key]
+        if 0 in row.values():
+            row = {j: x for j, x in row.items() if x}
+        if row:
+            out[key] = row
+    return out
+
+
+def weighted_sum(weights: dict[int, int],
+                 vectors: Sequence[dict[int, int]] | Mapping[int, dict]
+                 ) -> dict[int, int]:
+    """sum_i weights[i] * vectors[i] over sparse integer vectors, zeros
+    dropped."""
+    out: dict[int, int] = {}
+    get = out.get
+    for i, w in weights.items():
+        for j, x in vectors[i].items():
+            out[j] = get(j, 0) + w * x
+    if 0 in out.values():
+        return {j: x for j, x in out.items() if x}
+    return out
+
+
+def apply_equations(equations: Iterable[dict[int, int]],
+                    vectors: Sequence[dict[int, int]]
+                    ) -> list[dict[int, int]]:
     """For each sparse integer equation e, the sparse row {j: e . vectors[j]}
-    over the sparse integer vectors, zeros dropped."""
-    by_col: dict[int, list[tuple[int, int]]] = {}
+    over the sparse integer vectors, zeros dropped: the weighted sum, with
+    e's weights, of the columns of the vectors read as rows."""
+    by_col: defaultdict[int, dict[int, int]] = defaultdict(dict)
     for j, v in enumerate(vectors):
         for t, x in v.items():
-            by_col.setdefault(t, []).append((j, x))
-    system = []
-    for eq in equations:
-        out: dict[int, int] = {}
-        for t, e in eq.items():
-            for j, x in by_col.get(t, ()):
-                out[j] = out.get(j, 0) + e * x
-        system.append({j: x for j, x in out.items() if x})
-    return system
+            by_col[t][j] = x
+    return [weighted_sum(eq, by_col) for eq in equations]
 
 
 def kernel_basis(m: Matrix) -> Subspace:

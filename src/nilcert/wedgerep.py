@@ -11,6 +11,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from .qlinalg import (
     Matrix,
@@ -18,6 +19,7 @@ from .qlinalg import (
     eigenspace,
     int_kernel,
     qf,
+    sparse_rows,
 )
 
 
@@ -68,44 +70,44 @@ def wedge_vector(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction
     return tuple(u[i] * v[j] - u[j] * v[i] for i, j in wedge_pairs(len(u)))
 
 
+@lru_cache(maxsize=None)
+def _unit_terms(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each basis pair k = (i, j) of wedge^2 Q^n, the terms (r * n + c,
+    t, s) of E_rc(e_i^e_j) = sum s e_t, where the matrix unit E_rc acts as
+    a derivation: [c=i] e_r^e_j + [c=j] e_i^e_r.  The basis pair (a, b),
+    a < b, is number a(2n - a - 1)/2 + b - a - 1."""
+    def term(rc: int, a: int, b: int) -> tuple[int, int, int]:
+        if a < b:
+            return rc, a * (2 * n - a - 1) // 2 + b - a - 1, 1
+        return rc, b * (2 * n - b - 1) // 2 + a - b - 1, -1
+    return tuple(
+        tuple([term(r * n + i, r, j) for r in range(n) if r != j]
+              + [term(r * n + j, i, r) for r in range(n) if r != i])
+        for i, j in wedge_pairs(n))
+
+
 def induced_algebra_action(x: Matrix) -> Matrix:
     """Derivation extension of x: u^v -> xu^v + u^xv, on x's integer
-    numerators: column (i, j) is x e_i ^ e_j + e_i ^ x e_j, where x e_i is
-    column i of x."""
+    numerators: column k is sum_rc x[r, c] E_rc(e_k) (``_unit_terms``)."""
     if not x.is_square:
         raise ValueError("inducing from a non-square matrix")
     n, a = x.rows, x.nums
-    pairs = wedge_pairs(n)
-    index = {pair: k for k, pair in enumerate(pairs)}
-    cols = []
-    for i, j in pairs:
-        col: dict[int, int] = {}
-        for r in range(n):
-            if r != j:
-                _add_wedge(col, index, r, j, a[r * n + i])
-            if r != i:
-                _add_wedge(col, index, i, r, a[r * n + j])
-        cols.append(col)
-    return Matrix.from_ints(len(pairs), len(pairs), (
-        col.get(k, 0) for k in range(len(pairs)) for col in cols), x.den)
+    table = _unit_terms(n)
+    m = len(table)
+    rows = sparse_rows((t, k, s * a[rc]) for k, terms in enumerate(table)
+                       for rc, t, s in terms if a[rc])
+    return Matrix.from_ints(m, m, (rows.get(t, {}).get(k, 0)
+                                   for t in range(m) for k in range(m)), x.den)
 
 
 def derivation_images(u: dict[int, int], n: int) -> list[dict[int, int]]:
     """The n^2 images of the sparse integer vector u of wedge^2 Q^n under
-    the matrix units acting as derivations: entry r * n + c is E_rc u,
-    where E_rc sends e_i^e_j to [c=i] e_r^e_j + [c=j] e_i^e_r.  Where two
-    terms cancel, an image keeps a zero entry."""
-    pairs = wedge_pairs(n)
-    index = {pair: k for k, pair in enumerate(pairs)}
-    images: list[dict[int, int]] = [{} for _ in range(n * n)]
-    for k, x in u.items():
-        i, j = pairs[k]
-        for r in range(n):
-            if r != j:
-                _add_wedge(images[r * n + i], index, r, j, x)
-            if r != i:
-                _add_wedge(images[r * n + j], index, i, r, x)
-    return images
+    the matrix units acting as derivations: entry r * n + c is E_rc u
+    (``_unit_terms``), zeros dropped."""
+    table = _unit_terms(n)
+    images = sparse_rows((rc, t, s * x) for k, x in u.items()
+                         for rc, t, s in table[k])
+    return [images.get(rc, {}) for rc in range(n * n)]
 
 
 def wedge_square_base(amb: int) -> int:
@@ -118,17 +120,6 @@ def wedge_square_base(amb: int) -> int:
     if s * s != disc or s < 3:
         raise ValueError(f"ambient dim {amb} is not of the form n(n-1)/2")
     return (s + 1) // 2
-
-
-def _add_wedge(image: dict[int, int], index: dict[tuple[int, int], int],
-               i: int, j: int, x: int) -> None:
-    """image += x e_i^e_j, written on the basis pairs (i < j) that index
-    numbers."""
-    if x:
-        if i > j:
-            i, j, x = j, i, -x
-        k = index[i, j]
-        image[k] = image.get(k, 0) + x
 
 
 def induced_group_action(g: Matrix) -> Matrix:
@@ -202,24 +193,18 @@ def commutant(gens: GeneratorSet, dim: int | None = None) -> Subspace:
             raise ValueError("commutant of an empty generator set needs a dimension")
         return Subspace.full(dim * dim)
     n = gens.dim
-    rows = []
-    for g in gens:
-        # row (r, c) is (Xg - gX)[r, c] = 0, for g's integer numerators;
-        # the entry g[p, q] = x enters row (r, q) at X[r, p] and row (p, c)
-        # at X[q, c]
-        block: list[dict[int, int]] = [{} for _ in range(n * n)]
-        for idx, x in enumerate(g.nums):
-            if not x:
-                continue
-            p, q = divmod(idx, n)
-            for r in range(n):
-                row = block[r * n + q]
-                row[r * n + p] = row.get(r * n + p, 0) + x
-            for c in range(n):
-                row = block[p * n + c]
-                row[q * n + c] = row.get(q * n + c, 0) - x
-        rows += [{j: x for j, x in row.items() if x} for row in block]
-    return int_kernel(rows, n * n)
+    # row (r, c) of generator g is (Xg - gX)[r, c] = 0, for g's integer
+    # numerators; the entry g[p, q] = x enters row (r, q) at X[r, p] and
+    # row (p, c) at X[q, c]
+    terms = []
+    for idx, g in enumerate(gens):
+        key = idx * n * n
+        for pq, x in enumerate(g.nums):
+            if x:
+                p, q = divmod(pq, n)
+                terms += [(key + r * n + q, r * n + p, x) for r in range(n)]
+                terms += [(key + p * n + c, q * n + c, -x) for c in range(n)]
+    return int_kernel(sparse_rows(terms).values(), n * n)
 
 
 def invariant_closure(seeds: Sequence[Sequence[Fraction]],

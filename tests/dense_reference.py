@@ -1,11 +1,12 @@
 """Dense ``Fraction`` references shared by the tests: Gauss-Jordan
-elimination and nullspaces, polynomial long division and matrix powers,
-written out plainly so that the integer routines of ``nilcert`` can be
-checked against them."""
+elimination and nullspaces, polynomial long division, matrix powers and the
+derivation action on the exterior square, written out plainly so that the
+integer routines of ``nilcert`` can be checked against them."""
 
 from fractions import Fraction as Q
 
-from nilcert.qlinalg import Matrix, Polynomial
+from nilcert.qlinalg import Matrix, Polynomial, unit_vector
+from nilcert.wedgerep import wedge_pairs, wedge_vector
 
 
 def ref_rref(rows, ncols):
@@ -61,3 +62,14 @@ def mat_pow(m, k):
     for _ in range(k):
         out = out * m
     return out
+
+
+def wedge_derivation(x):
+    """The derivation action of the square Matrix x on wedge^2, column by
+    column from its definition: x e_i ^ e_j + e_i ^ x e_j."""
+    n = x.rows
+    e = [unit_vector(n, i) for i in range(n)]
+    return Matrix.from_columns([
+        tuple(a + b for a, b in zip(wedge_vector(x.apply(e[i]), e[j]),
+                                    wedge_vector(e[i], x.apply(e[j]))))
+        for i, j in wedge_pairs(n)])

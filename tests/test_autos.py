@@ -53,14 +53,13 @@ from nilcert.qlinalg import (
 )
 from nilcert.wedgerep import (
     NotInvariantError,
-    induced_algebra_action,
     induced_group_action,
     quotient_action,
     wedge_pairs,
     wedge_vector,
 )
 
-from dense_reference import mat_pow
+from dense_reference import mat_pow, wedge_derivation
 
 DATA = model_data()
 G, N = DATA.G, DATA.N
@@ -605,13 +604,14 @@ def test_sample_in_subspace_matches_the_dense_reference():
 
 def dense_stabilizer(w):
     """The stabilizer system written out densely: one column per matrix
-    unit E_rc, its induced derivation action on w's basis, modulo w."""
+    unit E_rc, its derivation action on w's basis (from the definition, not
+    from the integer table that ``stabilizer_algebra`` reads), modulo w."""
     n = wedge_square_base(w.ambient_dim)
     reps = w.free_columns()
     images = []
     for r in range(n):
         for c in range(n):
-            ind = induced_algebra_action(Matrix(n, n, (
+            ind = wedge_derivation(Matrix(n, n, (
                 Q(int((a, b) == (r, c))) for a in range(n) for b in range(n))))
             reduced = [w.reduce(ind.apply(bv)) for bv in w.basis_vectors()]
             images.append([v[t] for v in reduced for t in reps])

@@ -16,7 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilcert import cli, models, qlinalg
-from nilcert.autos import _leibniz_rows, derivation_algebra
+from nilcert.autos import (
+    HOOK_PAIRS,
+    _leibniz_rows,
+    derivation_algebra,
+    hook_free_derivations,
+    model_derivations,
+)
 from nilcert.liecore import (
     check_jacobi,
     lie_algebra_to_json,
@@ -24,11 +30,9 @@ from nilcert.liecore import (
 )
 from nilcert.models import (
     ALGEBRA_LABELS,
-    HOOK_PAIRS,
     ModelData,
     build_three_step,
     build_two_step,
-    hook_free_derivations,
     model_data,
     validate_p,
     vprime_to_algebra,
@@ -123,7 +127,7 @@ def test_all_pairs_is_the_default():
 
 def test_restricted_der_g_equals_the_full_kernel():
     G = build_two_step()
-    der = cli._model_derivations(G)
+    der = model_derivations(G)
     assert der.algebra is G
     assert der.space == full_kernel(G) == derivation_algebra(G).space
     assert der.dim == 39
@@ -132,7 +136,7 @@ def test_restricted_der_g_equals_the_full_kernel():
 @pytest.mark.parametrize("p", PINNED_P)
 def test_restricted_der_n_equals_the_full_kernel_at_pinned_p(p):
     N = build_three_step(parse(p))
-    der = cli._model_derivations(N)
+    der = model_derivations(N)
     assert der.algebra is N
     assert der.space == full_kernel(N) == derivation_algebra(N).space
 
@@ -143,7 +147,7 @@ def test_restricted_der_n_equals_the_full_kernel_at_pinned_p(p):
 @example((Q(0), Q(0), Q(1), Q(0), Q(1, 3), Q(0), Q(0)))
 def test_restricted_der_n_equals_the_full_kernel(p):
     N = build_three_step(p)
-    assert cli._model_derivations(N).space == full_kernel(N)
+    assert model_derivations(N).space == full_kernel(N)
 
 
 @settings(max_examples=25, deadline=None)
@@ -226,7 +230,7 @@ def test_two_p_build_k_once(monkeypatch):
 
 def test_importing_the_cli_does_not_build_k():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import nilcert.cli, nilcert.models as m; "
+    code = ("import nilcert.cli, nilcert.autos as m; "
             "print(m.hook_free_derivations.cache_info().misses)")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=60,

@@ -356,8 +356,8 @@ def test_p_scan_checks_build_the_central_series_once(monkeypatch):
     report = run(P_SCAN_SUITE, Config(p=validate_p(
         ["0", "3", "0", "0", "0", "0", "-5"])))
     assert [r.actual for r in report.results[1:3]] == ["(12, 7, 1, 0)", "3"]
-    # one call per step of N's series 12 > 7 > 1 > 0
-    assert len(calls) == 3 and len({id(L) for L in calls}) == 1
+    # [N, N] (12 > 7) is N.derived; one call per later step 7 > 1 > 0
+    assert len(calls) == 2 and len({id(L) for L in calls}) == 1
 
 
 def test_memoised_results_are_fresh_lists():
