@@ -35,7 +35,6 @@ from .liecore import (
     nilpotency_class,
 )
 from .wedgerep import (
-    GeneratorSet,
     NotInvariantError,
     commutant,
     induced_algebra_action,
@@ -63,7 +62,6 @@ from .models import (
 from .autos import (
     DerivationSpace,
     IrrationalEigenvalueError,
-    StabilizerAlgebra,
     derivation_algebra,
     derivation_defects,
     eigen_relation_kernel,

@@ -38,7 +38,6 @@ from .qlinalg import (
     weighted_sum,
 )
 from .wedgerep import (
-    GeneratorSet,
     NotInvariantError,
     derivation_images,
     quotient_action,
@@ -63,9 +62,7 @@ class DerivationSpace:
         return self.space.dim
 
     def basis_matrices(self) -> tuple[Matrix, ...]:
-        n = self.algebra.dim
-        return tuple(Matrix.from_flat(n, row)
-                     for row in self.space.basis_vectors())
+        return self.space.basis_matrices()
 
     def contains(self, m: Matrix) -> bool:
         return self.space.contains(m.flatten())
@@ -82,22 +79,6 @@ class DerivationSpace:
         equations = c.equations()
         return self.space.restrict({r * d + col: x for r, x in eq.items()}
                                    for col in range(d) for eq in equations)
-
-
-class StabilizerAlgebra:
-    __slots__ = ("n", "space")
-
-    def __init__(self, n: int, space: Subspace):
-        self.n = n  # acts on Q^n
-        self.space = space  # subspace of the n^2 matrix space, row-major
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def basis_matrices(self) -> tuple[Matrix, ...]:
-        return tuple(Matrix.from_flat(self.n, row)
-                     for row in self.space.basis_vectors())
 
 
 def _leibniz_rows(L: LieAlgebra,
@@ -169,16 +150,16 @@ def shear_space(L: LieAlgebra, c: Subspace) -> Subspace:
     return derivation_algebra(L).with_image_in(c)
 
 
-def stabilizer_algebra(w: Subspace) -> StabilizerAlgebra:
-    """{x in gl(n) : the induced derivation action on wedge^2 preserves w}.
+def stabilizer_algebra(w: Subspace) -> Subspace:
+    """{x in gl(n) : the induced derivation action on wedge^2 preserves w},
+    flattened row-major in Q^(n^2), as ``commutant`` returns it.
 
     The image of a vector u of w under x is sum_rc x[r, c] E_rc u, linear in
     x's entries, so this is the preimage of w under those images, taken
     over w's integer echelon rows: one kernel over the n^2 coordinates.
     """
     n = wedge_square_base(w.ambient_dim)
-    return StabilizerAlgebra(n, w.preimage(
-        (derivation_images(u, n) for _, u in w.echelon), n * n))
+    return w.preimage((derivation_images(u, n) for _, u in w.echelon), n * n)
 
 
 def factor_on_abelianization(L: LieAlgebra, d_mat: Matrix) -> Matrix:
@@ -317,7 +298,7 @@ def line_fixed_by(p: Sequence[Fraction], g: Matrix) -> bool:
 
 
 def infinitesimal_line_stabilizer(p: Sequence[Fraction],
-                                  gens: GeneratorSet) -> Subspace:
+                                  gens: Sequence[Matrix]) -> Subspace:
     """{coefficient vectors a : (sum_i a_i g_i) p lies on the line of p}.
 
     The map xi -> xi p is linear in xi, so this is one preimage of the line

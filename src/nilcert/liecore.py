@@ -289,6 +289,11 @@ def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
     if not isinstance(data, Mapping):
         raise ValueError(
             f"the algebra document must be a JSON object, got {data!r}")
+    # a misspelled "brackets" would otherwise load as the abelian algebra
+    unknown = [k for k in data if k not in ("dim", "labels", "brackets")]
+    if unknown:
+        raise ValueError(f"unknown fields {unknown}: an algebra document has "
+                         "only dim, labels and brackets")
     if "dim" not in data:
         raise ValueError("missing field: dim")
     dim = _json_int(data["dim"], "dim")

@@ -27,7 +27,6 @@ from types import MappingProxyType
 from .liecore import LieAlgebra, check_jacobi, make_lie_algebra
 from .qlinalg import Matrix, Subspace, qf, unit_vector, vector
 from .wedgerep import (
-    GeneratorSet,
     NotInvariantError,
     induced_algebra_action,
     induced_group_action,
@@ -110,12 +109,9 @@ def _action_on_V(image: Callable[[Matrix], Matrix], formula: str) -> Matrix:
 
 
 @lru_cache(maxsize=1)
-def sl2_actions_on_V() -> GeneratorSet:
+def sl2_actions_on_V() -> tuple[Matrix, Matrix, Matrix]:
     """Actions of the sl2 triple (h, e, f) on V, the generators used everywhere."""
-    return GeneratorSet(("h", "e", "f"),
-                        (algebra_action_on_V(CARTAN),
-                         algebra_action_on_V(RAISING),
-                         algebra_action_on_V(LOWERING)))
+    return tuple(algebra_action_on_V(x) for x in (CARTAN, RAISING, LOWERING))
 
 
 class SL2Element:
@@ -321,10 +317,9 @@ def build_W() -> Subspace:
 
 
 @lru_cache(maxsize=1)
-def induced_sl2_on_wedge() -> GeneratorSet:
-    gens = sl2_actions_on_V()
-    return GeneratorSet(gens.labels,
-                        tuple(induced_algebra_action(m) for m in gens))
+def induced_sl2_on_wedge() -> tuple[Matrix, Matrix, Matrix]:
+    """The (h, e, f) actions on wedge^2 V, as derivations."""
+    return tuple(induced_algebra_action(m) for m in sl2_actions_on_V())
 
 
 @lru_cache(maxsize=1)
@@ -336,12 +331,10 @@ def build_Wprime() -> Subspace:
 
 
 @lru_cache(maxsize=1)
-def sl2_actions_on_Vprime() -> GeneratorSet:
-    """Factors of the induced algebra actions on V' (7x7 matrices)."""
+def sl2_actions_on_Vprime() -> tuple[Matrix, Matrix, Matrix]:
+    """Factors of the induced (h, e, f) actions on V' (7x7 matrices)."""
     w = build_W()
-    gens = induced_sl2_on_wedge()
-    return GeneratorSet(gens.labels,
-                        tuple(quotient_action(m, w) for m in gens))
+    return tuple(quotient_action(m, w) for m in induced_sl2_on_wedge())
 
 
 def vprime_to_algebra(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -439,36 +432,25 @@ class ModelData:
     """Everything the verification suite consumes, built once and shared.
 
     The parts that do not depend on the hook target p (G, W, W', the sl2
-    actions) are cached per process, so a new p builds only N."""
+    actions) are cached per process, so a new p builds only N.  The sl2
+    actions on V and on V' are (h, e, f) tuples."""
 
-    __slots__ = ("cartan_action", "raising_action", "lowering_action", "W",
-                 "Wprime", "vprime_actions", "L", "p", "G", "N")
+    __slots__ = ("actions_on_V", "W", "Wprime", "vprime_actions", "L", "p",
+                 "G", "N")
 
-    def __init__(self, cartan_action: Matrix, raising_action: Matrix,
-                 lowering_action: Matrix, W: Subspace, Wprime: Subspace,
-                 vprime_actions: GeneratorSet, L: Subspace,
-                 p: tuple[Fraction, ...], G: LieAlgebra, N: LieAlgebra):
-        self.cartan_action = cartan_action
-        self.raising_action = raising_action
-        self.lowering_action = lowering_action
+    def __init__(self, actions_on_V: tuple[Matrix, ...], W: Subspace,
+                 Wprime: Subspace, vprime_actions: tuple[Matrix, ...],
+                 L: Subspace, p: tuple[Fraction, ...], G: LieAlgebra,
+                 N: LieAlgebra):
+        self.actions_on_V, self.vprime_actions = actions_on_V, vprime_actions
         self.W, self.Wprime, self.L = W, Wprime, L
-        self.vprime_actions = vprime_actions
         self.p, self.G, self.N = p, G, N
-
-    @property
-    def actions_on_V(self) -> GeneratorSet:
-        return GeneratorSet(("h", "e", "f"),
-                            (self.cartan_action, self.raising_action,
-                             self.lowering_action))
 
 
 @lru_cache(maxsize=4)
 def _model_data_cached(p: tuple[Fraction, ...]) -> ModelData:
-    gens = sl2_actions_on_V()
     return ModelData(
-        cartan_action=gens.matrices[0],
-        raising_action=gens.matrices[1],
-        lowering_action=gens.matrices[2],
+        actions_on_V=sl2_actions_on_V(),
         W=build_W(),
         Wprime=build_Wprime(),
         vprime_actions=sl2_actions_on_Vprime(),

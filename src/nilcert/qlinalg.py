@@ -539,6 +539,16 @@ class Subspace:
         basis = self.basis
         return tuple(basis.row(i) for i in range(basis.rows))
 
+    def basis_matrices(self) -> tuple[Matrix, ...]:
+        """The basis vectors of a subspace of Q^(n^2) as n-by-n matrices,
+        read row-major: each is an echelon row over its pivot entry."""
+        n = math.isqrt(self.ambient_dim)
+        if n * n != self.ambient_dim:
+            raise ValueError(f"ambient dim {self.ambient_dim} is not a square")
+        return tuple(Matrix.from_ints(n, n, (row.get(j, 0)
+                                             for j in range(n * n)), row[c])
+                     for c, row in self.echelon)
+
     def free_columns(self) -> tuple[int, ...]:
         """The non-pivot columns, in increasing order.  The classes of the
         standard basis vectors at these columns are a basis of the quotient

@@ -37,33 +37,6 @@ def wedge_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(n), 2))
 
 
-class GeneratorSet:
-    """Labeled square matrices acting on a common space."""
-
-    __slots__ = ("labels", "matrices")
-
-    def __init__(self, labels: tuple[str, ...], matrices: tuple[Matrix, ...]):
-        if len(labels) != len(matrices):
-            raise ValueError("one label per matrix")
-        sizes = {(m.rows, m.cols) for m in matrices}
-        if len(sizes) > 1:
-            raise ValueError("generators act on different spaces")
-        for m in matrices:
-            if not m.is_square:
-                raise ValueError("generators must be square")
-        self.labels, self.matrices = labels, matrices
-
-    @property
-    def dim(self) -> int:
-        return self.matrices[0].rows if self.matrices else 0
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-
 def wedge_vector(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if len(u) != len(v):
         raise ValueError("wedge of vectors of different lengths")
@@ -180,19 +153,19 @@ def weight_decomposition(m: Matrix, candidates: Sequence) -> WeightDecomposition
     return WeightDecomposition(spaces, complete)
 
 
-def commutant(gens: GeneratorSet, dim: int | None = None) -> Subspace:
-    """{X : Xg = gX for all generators}, flattened row-major in Q^(n^2).
+def commutant(gens: Sequence[Matrix]) -> Subspace:
+    """{X : Xg = gX for all generators}, flattened row-major in Q^(n^2),
+    for one or more square generators of one size n.
 
     A one-dimensional commutant certifies irreducibility for the actions
     shipped here, which all integrate representations of a semisimple
-    algebra and are therefore completely reducible.  The ``dim`` argument is
-    only needed for an empty generator set, whose commutant is everything.
+    algebra and are therefore completely reducible.
     """
-    if len(gens) == 0:
-        if dim is None:
-            raise ValueError("commutant of an empty generator set needs a dimension")
-        return Subspace.full(dim * dim)
-    n = gens.dim
+    if not gens:
+        raise ValueError("commutant of no generators")
+    n = gens[0].rows
+    if any(g.rows != n or g.cols != n for g in gens):
+        raise ValueError("generators must be square and of one size")
     # row (r, c) of generator g is (Xg - gX)[r, c] = 0, for g's integer
     # numerators; the entry g[p, q] = x enters row (r, q) at X[r, p] and
     # row (p, c) at X[q, c]
@@ -208,11 +181,11 @@ def commutant(gens: GeneratorSet, dim: int | None = None) -> Subspace:
 
 
 def invariant_closure(seeds: Sequence[Sequence[Fraction]],
-                      gens: GeneratorSet) -> Subspace:
+                      gens: Sequence[Matrix]) -> Subspace:
     """Smallest subspace containing the seeds and invariant under all
     generators, grown on integer rows by the generators' images until no
     generator moves it."""
-    n = gens.dim
+    n = gens[0].rows
     current = Subspace.span(n, seeds)
     while any(current.moved_by(g) is not None for g in gens):
         rows = [u for _, u in current.echelon]

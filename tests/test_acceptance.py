@@ -80,11 +80,11 @@ def test_c03_weights():
     expected = Polynomial([1])
     for w in spectrum:
         expected = expected * Polynomial([-w, 1])
-    assert char_poly(DATA.cartan_action) == expected
+    assert char_poly(DATA.actions_on_V[0]) == expected
     for i, w in enumerate(spectrum):
-        eig = kernel_basis(DATA.cartan_action - Matrix.identity(5).scale(w))
+        eig = kernel_basis(DATA.actions_on_V[0] - Matrix.identity(5).scale(w))
         assert eig == Subspace.span(5, [unit_vector(5, i)])
-    quot = quotient_action(induced_algebra_action(DATA.cartan_action), DATA.W)
+    quot = quotient_action(induced_algebra_action(DATA.actions_on_V[0]), DATA.W)
     assert quot == Matrix.diagonal((6, 4, 2, 0, -2, -4, -6))
 
 
@@ -97,7 +97,7 @@ def test_c04_identifications():
 
 def test_c05_invariance_and_irreducibility():
     assert DATA.W.dim == 3
-    for m in (DATA.cartan_action, DATA.raising_action, DATA.lowering_action):
+    for m in DATA.actions_on_V:
         act = induced_algebra_action(m)
         for bv in DATA.W.basis_vectors():
             assert DATA.W.contains(act.apply(bv))
@@ -112,14 +112,13 @@ def test_c05_invariance_and_irreducibility():
 def test_c06_stabilizer_certificate():
     stab = stabilizer_algebra(DATA.W)
     expected_span = Subspace.span(25, [
-        Matrix.identity(5).flatten(), DATA.cartan_action.flatten(),
-        DATA.raising_action.flatten(), DATA.lowering_action.flatten()])
+        m.flatten() for m in (Matrix.identity(5), *DATA.actions_on_V)])
     assert stab.dim == 4
-    assert stab.space == expected_span
+    assert stab == expected_span
     assert stab.dim < 5  # no open orbit for an algebraic action on V
     stab_wp = stabilizer_algebra(DATA.Wprime)
     assert stab_wp.dim == 4
-    assert stab.space.contains_subspace(stab_wp.space)
+    assert stab.contains_subspace(stab_wp)
 
 
 def test_c07_eigenvalue_relations():
@@ -207,7 +206,7 @@ def test_c12_fixed_point_certificate():
         assert fixed_space(g5).dim >= 1
     hyper = group_action_on_V(sym2_embed(SL2Element.hyperbolic(2)))
     assert fixed_space(hyper) == Subspace.span(5, [unit_vector(5, 2)])
-    uni = exp_nilpotent(DATA.raising_action)
+    uni = exp_nilpotent(DATA.actions_on_V[1])
     assert fixed_space(uni) == Subspace.span(5, [unit_vector(5, 0)])
 
 

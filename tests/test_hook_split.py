@@ -85,8 +85,7 @@ def full_kernel_over(L, pairs):
 def show_text(N, p) -> str:
     """``nilcert show N --p p`` for the given algebra in place of N."""
     data = model_data(p)
-    swapped = ModelData(data.cartan_action, data.raising_action,
-                        data.lowering_action, data.W, data.Wprime,
+    swapped = ModelData(data.actions_on_V, data.W, data.Wprime,
                         data.vprime_actions, data.L, data.p, data.G, N)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "model_data", lambda p=None: swapped)

@@ -19,7 +19,9 @@ from nilcert.autos import (
     derivation_algebra,
     derivation_defects,
     factor_on_abelianization,
+    model_derivations,
     shear_space,
+    stabilizer_algebra,
 )
 from nilcert.liecore import (
     abelian_lie_algebra,
@@ -36,7 +38,7 @@ from nilcert.qlinalg import (
     int_kernel,
     unit_vector,
 )
-from nilcert.wedgerep import NotInvariantError
+from nilcert.wedgerep import NotInvariantError, commutant
 
 from dense_reference import ref_nullspace, ref_rref
 
@@ -525,3 +527,34 @@ def test_p_dependent_checks_build_no_basis_of_der_N_or_the_shear_space(
     assert len(report.results) == 7
     assert "error" not in "".join(r.actual for r in report.results)
     assert not [b for b in built if b[0] == 144]
+
+
+# --------------------------------------------------------------------------
+# Subspace.basis_matrices against the Fraction basis vectors
+# --------------------------------------------------------------------------
+
+MATRIX_SPACES = {
+    "der(G)": lambda data: model_derivations(data.G).space,
+    "der(N)": lambda data: model_derivations(data.N).space,
+    "stab(W)": lambda data: stabilizer_algebra(data.W),
+    "commutant(V)": lambda data: commutant(data.actions_on_V),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_SPACES)
+def test_basis_matrices_match_the_flat_basis_vectors(name):
+    space = MATRIX_SPACES[name](model_data(validate_p(PINNED_P[2].split(","))))
+    mats = space.basis_matrices()
+    # read off the integer echelon rows, without the Fraction basis
+    assert space._basis is None
+    n = math.isqrt(space.ambient_dim)
+    assert mats == tuple(Matrix.from_flat(n, v)
+                         for v in space.basis_vectors())
+    assert len(mats) == space.dim > 0
+
+
+def test_basis_matrices_need_a_square_ambient_dimension():
+    w = model_data().W
+    with pytest.raises(ValueError, match="ambient dim 10 is not a square"):
+        w.basis_matrices()
+    assert Subspace.zero(9).basis_matrices() == ()

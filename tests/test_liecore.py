@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
@@ -247,6 +248,33 @@ def test_json_load_rejects_malformed_fields(doc, field):
 
 def test_json_load_accepts_dimension_zero():
     assert lie_algebra_from_json('{"dim": 0}').dim == 0
+
+
+def test_json_load_rejects_a_misspelled_field():
+    # "bracket" for "brackets" used to load as the abelian algebra
+    with pytest.raises(ValueError, match=r"unknown fields \['bracket'\]"):
+        lie_algebra_from_json('{"dim": 3, "bracket": [[0, 1, [0, 0, 1]]]}')
+
+
+def load_workloads():
+    # nilbench has no package __init__, so the file is loaded by path
+    path = Path(__file__).resolve().parents[1] / "nilbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("nilbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_json_load_rejects_a_benchmark_pool_entry_in_place_of_its_text():
+    pool = load_workloads().algebra_pool()
+    entry = next(e for e in pool if not e["reject"])
+    with pytest.raises(ValueError,
+                       match=r"unknown fields \['kind', 'reject', 'text'\]"):
+        lie_algebra_from_json(entry)
+    assert lie_algebra_from_json(entry["text"]).dim == entry["dim"]
+    # the documents themselves carry only the known fields
+    assert all(set(json.loads(e["text"])) == {"dim", "labels", "brackets"}
+               for e in pool)
 
 
 def test_json_load_rejects_conflicts():

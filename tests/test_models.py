@@ -295,7 +295,7 @@ def test_model_data_bundle():
     lprime = Subspace.span(7, [unit_vector(7, k) for k in range(2, 7)])
     assert data.L.dim == 6 and lprime.dim == 5
     assert len(data.W.free_columns()) == 7
-    assert data.vprime_actions.matrices[0] == Matrix.diagonal((6, 4, 2, 0, -2, -4, -6))
+    assert data.vprime_actions[0] == Matrix.diagonal((6, 4, 2, 0, -2, -4, -6))
     # the default hook target lies in L but not in L', and L' sits inside L
     assert data.L.contains(data.p)
     assert not lprime.contains(data.p)

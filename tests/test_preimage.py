@@ -15,7 +15,7 @@ from nilcert.models import (
     induced_sl2_on_wedge,
 )
 from nilcert.qlinalg import Matrix, Subspace, unit_vector
-from nilcert.wedgerep import GeneratorSet, invariant_closure, wedge_vector
+from nilcert.wedgerep import invariant_closure, wedge_vector
 
 from dense_reference import ref_nullspace
 
@@ -35,7 +35,7 @@ def dense_preimage(spanning, m, images, k):
 def fraction_closure(seeds, gens):
     """Smallest generator-invariant subspace containing the seeds, grown in
     Fractions by repeated application until the dimension stops."""
-    n = gens.dim
+    n = gens[0].rows
     current = Subspace.span(n, seeds)
     while True:
         vectors = list(current.basis_vectors())
@@ -171,8 +171,7 @@ def closure_cases(draw):
     vec = st.lists(ENTRIES, min_size=n, max_size=n)
     mats = draw(st.lists(st.lists(ENTRIES, min_size=n * n, max_size=n * n),
                          min_size=1, max_size=3))
-    gens = GeneratorSet(tuple(f"g{i}" for i in range(len(mats))),
-                        tuple(Matrix(n, n, a) for a in mats))
+    gens = tuple(Matrix(n, n, a) for a in mats)
     return draw(st.lists(vec, max_size=2)), gens
 
 

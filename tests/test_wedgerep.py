@@ -13,7 +13,6 @@ from nilcert.models import (
 )
 from nilcert.qlinalg import Matrix, Subspace, unit_vector
 from nilcert.wedgerep import (
-    GeneratorSet,
     NotInvariantError,
     commutant,
     induced_algebra_action,
@@ -162,21 +161,22 @@ def test_weight_decomposition_incomplete():
 # ------------------------------------------------------------------ commutant
 
 def test_commutant_empty_generators():
-    assert commutant(GeneratorSet((), ()), dim=3) == Subspace.full(9)
+    # no generator fixes the size n of the matrix space
+    with pytest.raises(ValueError, match="no generators"):
+        commutant(())
 
 
-def test_generator_set_rejects_mismatched_labels_and_shapes():
+def test_commutant_rejects_non_square_and_mixed_size_generators():
     a, b = Matrix.identity(2), Matrix.identity(3)
-    gens = GeneratorSet(("a", "b"), (a, a))
-    assert gens.dim == 2 and len(gens) == 2 and list(gens) == [a, a]
-    with pytest.raises(ValueError, match="one label per matrix"):
-        GeneratorSet(("a",), (a, a))
-    with pytest.raises(ValueError, match="one label per matrix"):
-        GeneratorSet(("a", "b"), (a,))
-    with pytest.raises(ValueError, match="different spaces"):
-        GeneratorSet(("a", "b"), (a, b))
-    with pytest.raises(ValueError, match="square"):
-        GeneratorSet(("r",), (Matrix.zero(2, 3),))
+    assert commutant([a, a]) == Subspace.full(4)
+    with pytest.raises(ValueError, match="square and of one size"):
+        commutant((Matrix.zero(2, 3),))
+    with pytest.raises(ValueError, match="square and of one size"):
+        commutant((a, Matrix.zero(2, 3)))
+    with pytest.raises(ValueError, match="square and of one size"):
+        commutant((a, b))
+    with pytest.raises(ValueError, match="square and of one size"):
+        commutant((b, a))
 
 
 def test_commutant_irreducible_V():
@@ -184,9 +184,7 @@ def test_commutant_irreducible_V():
 
 
 def test_commutant_wedge_two_summands():
-    gens = sl2_actions_on_V()
-    ind = GeneratorSet(gens.labels,
-                       tuple(induced_algebra_action(m) for m in gens))
+    ind = tuple(induced_algebra_action(m) for m in sl2_actions_on_V())
     assert commutant(ind).dim == 2
 
 
@@ -208,17 +206,14 @@ def test_invariant_closure_zero_seed():
 
 
 def test_invariant_closure_lowering_chain_fills_V():
-    gens = sl2_actions_on_V()
-    only_lowering = GeneratorSet(("f",), (gens.matrices[2],))
-    assert invariant_closure([E5[0]], only_lowering) == Subspace.full(5)
+    lowering = sl2_actions_on_V()[2]
+    assert invariant_closure([E5[0]], (lowering,)) == Subspace.full(5)
 
 
 def test_invariant_closure_wprime():
     wp = build_Wprime()
     assert wp.dim == 7
-    gens = sl2_actions_on_V()
-    ind = GeneratorSet(gens.labels,
-                       tuple(induced_algebra_action(m) for m in gens))
+    ind = tuple(induced_algebra_action(m) for m in sl2_actions_on_V())
     seed = wedge_vector(E5[0], E5[1])
     assert invariant_closure([seed], ind) == wp
     # invariance of the result
