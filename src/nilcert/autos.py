@@ -5,10 +5,15 @@ linear system: the Leibniz identity over the basis pairs, dim equations per
 pair in dim^2 unknowns, matrices flattened row-major.  The rows of a pair
 (i, j) read only the brackets of the pairs that meet {i, j}, so the system
 splits by pairs.  ``derivation_algebra`` takes all pairs at once, for any
-algebra.  For the shipped models, N differs from G only at the hook pair
-(s1, p12), so ``model_derivations`` restricts the p-free kernel of G's
-rows over the pairs that miss s1 and p12 (``hook_free_derivations``) by
-each model's rows over the other 21 pairs.  Everything else here:
+algebra.  A monomial table (every bracket of two basis vectors a multiple
+of one basis vector) is solved as given; any other is solved for the copy
+P^-1 L P in a basis adapted to the descending series (the lower central
+series, or its terms until they stop shrinking when it does not reach
+zero), whose table is sparser, and the kernel is mapped back by P.  For
+the shipped models, N differs from G only at the hook pair (s1, p12), so
+``model_derivations`` restricts the p-free kernel of G's rows over the
+pairs that miss s1 and p12 (``hook_free_derivations``) by each model's
+rows over the other 21 pairs.  Everything else here:
 stabilizer algebras, shear spaces, abelianization factors, exact
 exponentials, eigenline tests, and the seeded H-element sampler.
 """
@@ -21,7 +26,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .liecore import LieAlgebra, bracket, derived_subalgebra
+from .liecore import LieAlgebra, bracket, derived_subalgebra, int_bracket
 from .models import HOOK, SL2Element, binary_form_action, build_two_step
 from .qlinalg import (
     Matrix,
@@ -81,17 +86,18 @@ class DerivationSpace:
                                    for col in range(d) for eq in equations)
 
 
-def _leibniz_rows(L: LieAlgebra,
+def _leibniz_rows(table: Sequence[Sequence[Sequence[tuple[int, int]]]],
                   pairs: Iterable[tuple[int, int]] | None = None
                   ) -> Iterable[dict[int, int]]:
     """The nonzero rows, by pair i<j (all pairs, or those in pairs) and
     then output coordinate m, of D[bi,bj] - [D bi, bj] - [bi, D bj] = 0,
-    unknowns D[r,c] at r*dim+c, in integers (times L.denom), summed from
-    its three terms.  The rows of (i, j) read the brackets [bi, bj],
-    [bk, bj] and [bi, bk] for every k, so they depend only on the brackets
-    of pairs that meet {i, j}."""
-    d = L.dim
-    table = L.table
+    unknowns D[r,c] at r*dim+c, for the brackets in an integer table laid
+    out as ``LieAlgebra.table`` (dim is its length), summed from its three
+    terms.  The rows are linear in the table, so a table scaled by a
+    constant factor has the same kernel.  The rows of (i, j) read the
+    brackets [bi, bj], [bk, bj] and [bi, bk] for every k, so they depend
+    only on the brackets of pairs that meet {i, j}."""
+    d = len(table)
     if pairs is None:
         pairs = itertools.combinations(range(d), 2)
 
@@ -109,9 +115,63 @@ def _leibniz_rows(L: LieAlgebra,
     return sparse_rows(terms()).values()
 
 
+def _adapted_basis(L: LieAlgebra) -> tuple[list[int], list[int]]:
+    """(P, Q), row-major: the integer lower triangular P whose column c is
+    the echelon row with pivot c of the deepest term of
+    ``L.descending_series`` that has one (e_c for the columns that no term
+    below L pivots), and Q = delta P^-1, the primitive integer multiple of
+    P^-1.  The pivots of a subspace are among those of any subspace
+    containing it, so the columns of P pivoted in a term are a basis of
+    that term.  Q comes from forward substitution on det(P) P^-1, which is
+    integral, so every division in it is exact."""
+    d = L.dim
+    p = [0] * (d * d)
+    p[::d + 1] = [1] * d
+    for term in L.descending_series[1:]:
+        for c, row in term.echelon:
+            for r in range(c, d):
+                p[r * d + c] = row.get(r, 0)
+    det = math.prod(p[::d + 1])
+    q = [0] * (d * d)
+    for k in range(d):
+        q[k * d + k] = det // p[k * d + k]
+        for m in reversed(range(k)):
+            q[k * d + m] = -sum(q[k * d + j] * p[j * d + m]
+                                for j in range(m + 1, k + 1)) // p[m * d + m]
+    g = math.gcd(*q)
+    return p, [x // g for x in q]
+
+
 def derivation_algebra(L: LieAlgebra) -> DerivationSpace:
-    """All D with D[x,y] = [Dx,y] + [x,Dy], as one exact kernel."""
-    return DerivationSpace(L, int_kernel(_leibniz_rows(L), L.dim * L.dim))
+    """All D with D[x,y] = [Dx,y] + [x,Dy], as one exact kernel.
+
+    When every bracket of two basis vectors is a multiple of one basis
+    vector, that is the kernel of L's own Leibniz rows.  Otherwise it is
+    taken for L' = P^-1 L P, with P and Q = delta P^-1 from
+    ``_adapted_basis``: in a basis adapted to the descending series the
+    brackets are sparser.  The table of L' is Q [P e_i, P e_j], a constant
+    multiple of its own, and each echelon row U of der(L') gives P U Q, a
+    positive multiple of the derivation P U P^-1 of L; the span of those
+    is brought to canonical form."""
+    d = L.dim
+    if all(len(entry) < 2 for row in L.table for entry in row):
+        return DerivationSpace(L, int_kernel(_leibniz_rows(L.table), d * d))
+    p, q = _adapted_basis(L)
+    cols = [{r: p[r * d + c] for r in range(c, d) if p[r * d + c]}
+            for c in range(d)]
+    table = [[()] * d for _ in range(d)]
+    for i, j in itertools.combinations(range(d), 2):
+        w = int_matmul(q, int_bracket(L, cols[i], cols[j]), d, d, 1)
+        table[i][j] = tuple((k, t) for k, t in enumerate(w) if t)
+        table[j][i] = tuple((k, -t) for k, t in enumerate(w) if t)
+    rows = []
+    for _, u in int_kernel(_leibniz_rows(table), d * d).echelon:
+        flat = [0] * (d * d)
+        for j, x in u.items():
+            flat[j] = x
+        out = int_matmul(p, int_matmul(flat, q, d, d, d), d, d, d)
+        rows.append({j: x for j, x in enumerate(out) if x})
+    return DerivationSpace(L, Subspace.from_int_rows(d * d, rows))
 
 
 #: the basis pairs i < j that meet the hook pair (s1, p12) of the shipped
@@ -133,7 +193,7 @@ def hook_free_derivations() -> Subspace:
     their own rows over ``HOOK_PAIRS`` (``model_derivations``)."""
     free = (pair for pair in itertools.combinations(range(12), 2)
             if pair not in HOOK_PAIRS)
-    return int_kernel(_leibniz_rows(build_two_step(), free), 144)
+    return int_kernel(_leibniz_rows(build_two_step().table, free), 144)
 
 
 def model_derivations(L: LieAlgebra) -> DerivationSpace:
@@ -141,7 +201,7 @@ def model_derivations(L: LieAlgebra) -> DerivationSpace:
     ``derivation_algebra(L)``: K (``hook_free_derivations``) restricted
     by L's rows over the 21 hook pairs."""
     return DerivationSpace(L, hook_free_derivations().restrict(
-        _leibniz_rows(L, HOOK_PAIRS)))
+        _leibniz_rows(L.table, HOOK_PAIRS)))
 
 
 def shear_space(L: LieAlgebra, c: Subspace) -> Subspace:

@@ -71,18 +71,31 @@ class LieAlgebra:
         return tuple(tuple(dense(e) for e in row) for row in self.table)
 
     @cached_property
-    def central_series(self) -> tuple[Subspace, ...]:
-        """The lower central series from [L, L] (``derived``) on, built on
-        first use (see ``lower_central_series``)."""
+    def descending_series(self) -> tuple[Subspace, ...]:
+        """L, [L, L], [L, [L, L]], ..., ending at the first zero term or at
+        the last term before the series stops shrinking, built on first
+        use.  Each term lies inside the one before it for any table, Jacobi
+        or not, and once a term equals the next it stays there, so this
+        always ends; it is the lower central series when L is nilpotent."""
         full = Subspace.full(self.dim)
-        series = [full, self.derived]
+        series = [full]
         while series[-1].dim:
-            # nilpotent: the dims fall strictly, so term dim is zero
-            if len(series) > self.dim:
-                raise ValueError("algebra is not nilpotent: lower central "
-                                 "series did not reach zero")
-            series.append(bracket_subspace(self, full, series[-1]))
+            term = (bracket_subspace(self, full, series[-1])
+                    if len(series) > 1 else self.derived)
+            if term.dim == series[-1].dim:
+                break
+            series.append(term)
         return tuple(series)
+
+    @cached_property
+    def central_series(self) -> tuple[Subspace, ...]:
+        """The lower central series, from L to its first zero term (see
+        ``lower_central_series``); raises when it stops above zero."""
+        series = self.descending_series
+        if series[-1].dim:
+            raise ValueError("algebra is not nilpotent: lower central "
+                             "series did not reach zero")
+        return series
 
     @cached_property
     def jacobi_violations(self) -> tuple[tuple[int, int, int], ...]:
@@ -153,8 +166,8 @@ def make_lie_algebra(dim: int,
     return LieAlgebra(dim, denom, table, labels)
 
 
-def _int_bracket(L: LieAlgebra, x: dict[int, int],
-                 y: dict[int, int]) -> list[int]:
+def int_bracket(L: LieAlgebra, x: dict[int, int],
+                y: dict[int, int]) -> list[int]:
     """denom * [x, y] for integer coordinate maps x and y, over the nonzero
     coordinates and nonzero structure constants only."""
     out = [0] * L.dim
@@ -178,7 +191,7 @@ def bracket(L: LieAlgebra,
     dy, yi = clear_denominators(enumerate(y))
     den = L.denom * dx * dy
     return tuple(Fraction(a, den) if a else _ZERO
-                 for a in _int_bracket(L, xi, yi))
+                 for a in int_bracket(L, xi, yi))
 
 
 def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
@@ -198,7 +211,7 @@ def bracket_subspace(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != L.dim or b.ambient_dim != L.dim:
         raise ValueError("subspace ambient dimension does not match the algebra")
     return Subspace.from_int_rows(L.dim, (
-        {k: v for k, v in enumerate(_int_bracket(L, x, y)) if v}
+        {k: v for k, v in enumerate(int_bracket(L, x, y)) if v}
         for _, x in a.echelon for _, y in b.echelon))
 
 
@@ -206,8 +219,8 @@ def lower_central_series(L: LieAlgebra) -> list[Subspace]:
     """Descending series, ending at the first zero term; computed once per
     algebra, and every call returns a new list.
 
-    Raises on non-nilpotent input instead of looping: the series of a
-    dim-d algebra must reach zero within d steps.
+    Raises on non-nilpotent input instead of looping: a series that stops
+    shrinking above zero never reaches it.
     """
     return list(L.central_series)
 
@@ -310,6 +323,9 @@ def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
             or not all(isinstance(x, str) for x in labels)):
         raise ValueError(
             f"labels must be a list of {dim} strings, got {labels!r}")
+    if labels is not None and len(set(labels)) < dim:
+        repeated = next(x for k, x in enumerate(labels) if x in labels[:k])
+        raise ValueError(f"labels must be distinct: {repeated!r} is repeated")
     entries = data.get("brackets", [])
     if not isinstance(entries, list):
         raise ValueError("brackets must be a list of [i, j, coords] entries, "

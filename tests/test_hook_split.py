@@ -75,11 +75,11 @@ def fraction_three_step(p):
 
 
 def full_kernel(L):
-    return int_kernel(_leibniz_rows(L), L.dim * L.dim)
+    return int_kernel(_leibniz_rows(L.table), L.dim * L.dim)
 
 
 def full_kernel_over(L, pairs):
-    return int_kernel(_leibniz_rows(L, pairs), L.dim * L.dim)
+    return int_kernel(_leibniz_rows(L.table, pairs), L.dim * L.dim)
 
 
 def show_text(N, p) -> str:
@@ -113,7 +113,7 @@ def test_the_hook_pairs_are_the_pairs_that_meet_s1_or_p12():
 
 def test_k_is_the_kernel_of_g_over_the_free_pairs():
     K = hook_free_derivations()
-    assert len(list(_leibniz_rows(build_two_step(), FREE_PAIRS))) == 168
+    assert len(list(_leibniz_rows(build_two_step().table, FREE_PAIRS))) == 168
     assert K.dim == 72 and K.ambient_dim == 144
     assert K == full_kernel_over(build_two_step(), FREE_PAIRS)
     assert hook_free_derivations() is K
@@ -121,7 +121,8 @@ def test_k_is_the_kernel_of_g_over_the_free_pairs():
 
 def test_all_pairs_is_the_default():
     for L in (build_two_step(), build_three_step()):
-        assert list(_leibniz_rows(L, ALL_PAIRS)) == list(_leibniz_rows(L))
+        assert (list(_leibniz_rows(L.table, ALL_PAIRS))
+                == list(_leibniz_rows(L.table)))
 
 
 def test_restricted_der_g_equals_the_full_kernel():
@@ -155,9 +156,9 @@ def test_n_rows_off_the_hook_pairs_are_g_rows_scaled(p):
     G, N = build_two_step(), build_three_step(p)
     scale = N.denom // G.denom
     assert N.denom == scale * G.denom
-    assert list(_leibniz_rows(N, FREE_PAIRS)) == [
+    assert list(_leibniz_rows(N.table, FREE_PAIRS)) == [
         {c: scale * x for c, x in row.items()}
-        for row in _leibniz_rows(G, FREE_PAIRS)]
+        for row in _leibniz_rows(G.table, FREE_PAIRS)]
 
 
 # --------------------------------------------------------------------------

@@ -296,7 +296,8 @@ def full_shear_space(L, c):
         for t in c.free_columns()]
     membership = ({r * d + col: x for r, x in cond.items()}
                   for col in range(d) for cond in conditions)
-    return int_kernel(itertools.chain(_leibniz_rows(L), membership), d * d)
+    return int_kernel(itertools.chain(_leibniz_rows(L.table), membership),
+                      d * d)
 
 
 #: L' = span(p14, p15, p25, p35, p45) inside V'

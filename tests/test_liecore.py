@@ -250,6 +250,21 @@ def test_json_load_accepts_dimension_zero():
     assert lie_algebra_from_json('{"dim": 0}').dim == 0
 
 
+def test_zero_algebra_series_is_one_zero_term():
+    L = lie_algebra_from_json('{"dim": 0}')
+    assert lower_central_series(L) == [Subspace.zero(0)]
+    assert nilpotency_class(L) == 0
+
+
+def test_json_load_rejects_repeated_labels():
+    with pytest.raises(ValueError, match="distinct: 'x' is repeated"):
+        lie_algebra_from_json('{"dim": 2, "labels": ["x", "x"]}')
+    with pytest.raises(ValueError, match="'y' is repeated"):
+        lie_algebra_from_json({"dim": 4, "labels": ["x", "y", "z", "y"]})
+    assert lie_algebra_from_json(
+        '{"dim": 2, "labels": ["x", "X"]}').labels == ("x", "X")
+
+
 def test_json_load_rejects_a_misspelled_field():
     # "bracket" for "brackets" used to load as the abelian algebra
     with pytest.raises(ValueError, match=r"unknown fields \['bracket'\]"):
