@@ -3,19 +3,17 @@
 Derivations of a structure-constant algebra are the kernel of one exact
 linear system: the Leibniz identity over the basis pairs, dim equations per
 pair in dim^2 unknowns, matrices flattened row-major.  The rows of a pair
-(i, j) read only the brackets of the pairs that meet {i, j}, so the system
-splits by pairs.  ``derivation_algebra`` takes all pairs at once, for any
-algebra.  A monomial table (every bracket of two basis vectors a multiple
-of one basis vector) is solved as given; any other is solved for the copy
-P^-1 L P in a basis adapted to the descending series (the lower central
-series, or its terms until they stop shrinking when it does not reach
-zero), whose table is sparser, and the kernel is mapped back by P.  For
-the shipped models, N differs from G only at the hook pair (s1, p12), so
-``model_derivations`` restricts the p-free kernel of G's rows over the
-pairs that miss s1 and p12 (``hook_free_derivations``) by each model's
-rows over the other 21 pairs.  Everything else here:
-stabilizer algebras, shear spaces, abelianization factors, exact
-exponentials, eigenline tests, and the seeded H-element sampler.
+(i, j) read only the brackets of the pairs that meet {i, j}.
+``derivation_algebra`` is the one way to get der(L), and it picks its
+method from the table.  An algebra with G's brackets at every pair but the
+hook pair (s1, p12), as G and every N of ``models`` have, restricts the
+p-free kernel of G's rows over the pairs that miss s1 and p12
+(``hook_free_derivations``) by its own rows over the other 21.  Any other
+is solved for the copy P^-1 L P in a basis adapted to the descending
+series, whose table is sparser, and the kernel is mapped back by P; for a
+monomial table P is the identity.  Everything else here: stabilizer
+algebras, shear spaces, abelianization factors, exact exponentials,
+eigenline tests, and the seeded H-element sampler.
 """
 
 from __future__ import annotations
@@ -115,63 +113,78 @@ def _leibniz_rows(table: Sequence[Sequence[Sequence[tuple[int, int]]]],
     return sparse_rows(terms()).values()
 
 
-def _adapted_basis(L: LieAlgebra) -> tuple[list[int], list[int]]:
-    """(P, Q), row-major: the integer lower triangular P whose column c is
-    the echelon row with pivot c of the deepest term of
-    ``L.descending_series`` that has one (e_c for the columns that no term
-    below L pivots), and Q = delta P^-1, the primitive integer multiple of
-    P^-1.  The pivots of a subspace are among those of any subspace
-    containing it, so the columns of P pivoted in a term are a basis of
-    that term.  Q comes from forward substitution on det(P) P^-1, which is
-    integral, so every division in it is exact."""
+def _is_g_off_the_hook(L: LieAlgebra) -> bool:
+    """Are L's brackets G's, as rationals, at every basis pair but (s1,
+    p12) and (p12, s1)?  Then L's integer entries there are G's times s."""
+    if L.dim != 12:
+        return False
+    G = build_two_step()
+    s, r = divmod(L.denom, G.denom)
+    entries = list(itertools.chain.from_iterable(L.table))
+    a, b = HOOK
+    entries[a * 12 + b] = entries[b * 12 + a] = ()  # G's are empty
+    return not r and entries == [
+        tuple((k, s * t) for k, t in e) if e and s > 1 else e
+        for e in itertools.chain.from_iterable(G.table)]
+
+
+def _adapted_basis(L: LieAlgebra) -> tuple[list[dict[int, int]],
+                                           list[dict[int, int]]]:
+    """(P's columns, Q's rows), sparse: column c of the integer lower
+    triangular P is the echelon row with pivot c of the deepest term of
+    ``L.descending_series`` that has one (e_c if no term below L does), and
+    Q = delta P^-1 is the primitive integer multiple of P^-1.  The pivots
+    of a subspace are among those of any subspace containing it, so P's
+    columns pivoted in a term are a basis of it; P = Q = I when every term
+    is spanned by basis vectors, as for a monomial table.  Q comes from
+    forward substitution on det(P) P^-1, which is integral, so every
+    division in it is exact."""
     d = L.dim
-    p = [0] * (d * d)
-    p[::d + 1] = [1] * d
+    cols = [{c: 1} for c in range(d)]
     for term in L.descending_series[1:]:
         for c, row in term.echelon:
-            for r in range(c, d):
-                p[r * d + c] = row.get(r, 0)
-    det = math.prod(p[::d + 1])
-    q = [0] * (d * d)
+            cols[c] = row
+    det = math.prod(col[c] for c, col in enumerate(cols))
+    rows = []
     for k in range(d):
-        q[k * d + k] = det // p[k * d + k]
+        q = {k: det // cols[k][k]}
         for m in reversed(range(k)):
-            q[k * d + m] = -sum(q[k * d + j] * p[j * d + m]
-                                for j in range(m + 1, k + 1)) // p[m * d + m]
-    g = math.gcd(*q)
-    return p, [x // g for x in q]
+            t = sum(x * cols[m].get(j, 0) for j, x in q.items())
+            if t:
+                q[m] = -t // cols[m][m]
+        rows.append(q)
+    g = math.gcd(*(x for q in rows for x in q.values()))
+    return cols, [{m: x // g for m, x in q.items()} for q in rows]
 
 
 def derivation_algebra(L: LieAlgebra) -> DerivationSpace:
     """All D with D[x,y] = [Dx,y] + [x,Dy], as one exact kernel.
 
-    When every bracket of two basis vectors is a multiple of one basis
-    vector, that is the kernel of L's own Leibniz rows.  Otherwise it is
-    taken for L' = P^-1 L P, with P and Q = delta P^-1 from
-    ``_adapted_basis``: in a basis adapted to the descending series the
-    brackets are sparser.  The table of L' is Q [P e_i, P e_j], a constant
-    multiple of its own, and each echelon row U of der(L') gives P U Q, a
-    positive multiple of the derivation P U P^-1 of L; the span of those
-    is brought to canonical form."""
+    When L has G's brackets off the hook pair, as G and every N of
+    ``models`` do, that is K (``hook_free_derivations``) restricted by L's
+    rows over ``HOOK_PAIRS``.  Otherwise it is taken for L' = P^-1 L P,
+    with P's columns and Q = delta P^-1's rows from ``_adapted_basis``, in
+    whose basis the brackets are sparser.  The table of L' is
+    Q [P e_i, P e_j], a constant multiple of its own, and each echelon row
+    U of der(L') gives P U Q, a positive multiple of the derivation
+    P U P^-1 of L: U's weighted sum of the images P E_ab Q.  The span of
+    those is brought to canonical form."""
+    if _is_g_off_the_hook(L):
+        return DerivationSpace(L, hook_free_derivations().restrict(
+            _leibniz_rows(L.table, HOOK_PAIRS)))
     d = L.dim
-    if all(len(entry) < 2 for row in L.table for entry in row):
-        return DerivationSpace(L, int_kernel(_leibniz_rows(L.table), d * d))
-    p, q = _adapted_basis(L)
-    cols = [{r: p[r * d + c] for r in range(c, d) if p[r * d + c]}
-            for c in range(d)]
+    cols, rows = _adapted_basis(L)
     table = [[()] * d for _ in range(d)]
     for i, j in itertools.combinations(range(d), 2):
-        w = int_matmul(q, int_bracket(L, cols[i], cols[j]), d, d, 1)
-        table[i][j] = tuple((k, t) for k, t in enumerate(w) if t)
-        table[j][i] = tuple((k, -t) for k, t in enumerate(w) if t)
-    rows = []
-    for _, u in int_kernel(_leibniz_rows(table), d * d).echelon:
-        flat = [0] * (d * d)
-        for j, x in u.items():
-            flat[j] = x
-        out = int_matmul(p, int_matmul(flat, q, d, d, d), d, d, d)
-        rows.append({j: x for j, x in enumerate(out) if x})
-    return DerivationSpace(L, Subspace.from_int_rows(d * d, rows))
+        v = int_bracket(L, cols[i], cols[j])
+        w = [(k, t) for k, q in enumerate(rows)
+             if (t := sum(x * v[m] for m, x in q.items()))]
+        table[i][j], table[j][i] = w, [(k, -t) for k, t in w]
+    units = [{r * d + c: x * y for r, x in cols[a].items()
+              for c, y in rows[b].items()} for a in range(d) for b in range(d)]
+    return DerivationSpace(L, Subspace.from_int_rows(d * d, (
+        weighted_sum(u, units)
+        for _, u in int_kernel(_leibniz_rows(table), d * d).echelon)))
 
 
 #: the basis pairs i < j that meet the hook pair (s1, p12) of the shipped
@@ -185,23 +198,11 @@ HOOK_PAIRS = tuple(pair for pair in itertools.combinations(range(12), 2)
 def hook_free_derivations() -> Subspace:
     """K: the solutions in gl(12) of G's Leibniz rows over the 45 basis
     pairs outside ``HOOK_PAIRS`` (168 rows, dimension 72), built on first
-    use and kept for the process.
-
-    Those rows never read the hook, and N has G's brackets elsewhere, so
-    N's rows there are G's times N.denom / G.denom.  K is therefore the
-    same for G and for every N, and der(G) and der(N) are K restricted by
-    their own rows over ``HOOK_PAIRS`` (``model_derivations``)."""
+    use and kept for the process.  Those rows never read the hook, so K is
+    the same for every algebra with G's brackets off the hook."""
     free = (pair for pair in itertools.combinations(range(12), 2)
             if pair not in HOOK_PAIRS)
     return int_kernel(_leibniz_rows(build_two_step().table, free), 144)
-
-
-def model_derivations(L: LieAlgebra) -> DerivationSpace:
-    """der(L) for G or an N of ``models``, equal to
-    ``derivation_algebra(L)``: K (``hook_free_derivations``) restricted
-    by L's rows over the 21 hook pairs."""
-    return DerivationSpace(L, hook_free_derivations().restrict(
-        _leibniz_rows(L.table, HOOK_PAIRS)))
 
 
 def shear_space(L: LieAlgebra, c: Subspace) -> Subspace:

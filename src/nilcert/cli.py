@@ -66,7 +66,6 @@ from .autos import (
     infinitesimal_line_stabilizer,
     line_through,
     max_eigenspace_dim,
-    model_derivations,
     sample_derivation,
     sample_h_element,
     stabilizer_algebra,
@@ -169,11 +168,11 @@ class Context:
 
     @cached_property
     def der_G(self):
-        return model_derivations(self.data.G)
+        return derivation_algebra(self.data.G)
 
     @cached_property
     def der_N(self):
-        return model_derivations(self.data.N)
+        return derivation_algebra(self.data.N)
 
     @cached_property
     def stab_W(self):

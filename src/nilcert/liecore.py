@@ -134,15 +134,18 @@ def make_lie_algebra(dim: int,
                      labels: Sequence[str] | None = None) -> LieAlgebra:
     """Build an algebra from brackets on basis pairs.
 
-    Pairs omitted from ``brackets`` are zero; antisymmetry is filled in, and
-    conflicting duplicate pairs are rejected.  Jacobi is NOT verified here;
-    callers that need the guarantee run check_jacobi.
+    Pairs omitted from ``brackets`` are zero; antisymmetry is filled in;
+    conflicting duplicate pairs and repeated labels are rejected.  Jacobi
+    is NOT verified here; callers that need the guarantee run check_jacobi.
     """
     if labels is None:
         labels = tuple(f"e{i + 1}" for i in range(dim))
     labels = tuple(labels)
     if len(labels) != dim:
         raise ValueError("need one label per basis element")
+    if len(set(labels)) < dim:
+        repeated = next(x for k, x in enumerate(labels) if x in labels[:k])
+        raise ValueError(f"labels must be distinct: {repeated!r} is repeated")
     given: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for (i, j), coords in brackets.items():
         if not (0 <= i < dim and 0 <= j < dim):
@@ -323,9 +326,6 @@ def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
             or not all(isinstance(x, str) for x in labels)):
         raise ValueError(
             f"labels must be a list of {dim} strings, got {labels!r}")
-    if labels is not None and len(set(labels)) < dim:
-        repeated = next(x for k, x in enumerate(labels) if x in labels[:k])
-        raise ValueError(f"labels must be distinct: {repeated!r} is repeated")
     entries = data.get("brackets", [])
     if not isinstance(entries, list):
         raise ValueError("brackets must be a list of [i, j, coords] entries, "

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcert import autos
-from nilcert.autos import _leibniz_rows, derivation_algebra
+from nilcert.autos import _adapted_basis, _leibniz_rows, \
+    derivation_algebra
 from nilcert.liecore import (
     ad_matrix,
     check_jacobi,
@@ -104,6 +105,29 @@ def test_adapted_kernel_equals_the_given_basis_kernel(L):
     assert derivation_algebra(L).space == leibniz_kernel(L)
 
 
+@st.composite
+def monomial_algebras(draw):
+    """Tables where every bracket of two basis vectors is an integer
+    multiple of one basis vector, Jacobi or not."""
+    d = draw(st.integers(1, 7))
+    brackets = {}
+    for i, j in itertools.combinations(range(d), 2):
+        t = draw(st.integers(-3, 3))
+        if t:
+            k = draw(st.integers(0, d - 1))
+            brackets[(i, j)] = [t * (m == k) for m in range(d)]
+    return make_lie_algebra(d, brackets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_algebras())
+def test_a_monomial_table_is_its_own_adapted_copy(L):
+    assert is_monomial(L)
+    units = [{c: 1} for c in range(L.dim)]
+    assert _adapted_basis(L) == (units, units)
+    assert derivation_algebra(L).space == leibniz_kernel(L)
+
+
 def test_every_accepted_pool_document_keeps_its_derivation_algebra():
     accepted = 0
     for entry in load_workloads().algebra_pool():
@@ -156,7 +180,7 @@ def test_fallback_matches_the_dense_leibniz_kernel(name, changed):
     dim, brackets = FALLBACK[name]
     L = (make_lie_algebra(dim, change_basis(dim, brackets, dense_u(dim)))
          if changed else make_lie_algebra(dim, brackets))
-    # a changed basis takes the adapted path, the given one the direct one
+    # a changed basis is not monomial; the given one is, so P = I there
     assert is_monomial(L) is not changed
     with pytest.raises(ValueError, match="not nilpotent"):
         L.central_series

@@ -2,7 +2,8 @@
 rows of the 21 hook pairs, and N as G's integer table plus the hook, each
 checked against the full construction it replaces: the 144-column Leibniz
 kernel over all 66 basis pairs, and ``make_lie_algebra`` on Fraction
-brackets."""
+brackets.  ``derivation_algebra`` takes that split exactly for the tables
+with G's brackets off the hook pair."""
 
 import itertools
 import os
@@ -15,15 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilcert import cli, models, qlinalg
+from nilcert import autos, cli, models, qlinalg
 from nilcert.autos import (
     HOOK_PAIRS,
     _leibniz_rows,
     derivation_algebra,
     hook_free_derivations,
-    model_derivations,
 )
 from nilcert.liecore import (
+    abelian_lie_algebra,
     check_jacobi,
     lie_algebra_to_json,
     make_lie_algebra,
@@ -127,18 +128,18 @@ def test_all_pairs_is_the_default():
 
 def test_restricted_der_g_equals_the_full_kernel():
     G = build_two_step()
-    der = model_derivations(G)
+    der = derivation_algebra(G)
     assert der.algebra is G
-    assert der.space == full_kernel(G) == derivation_algebra(G).space
+    assert der.space == full_kernel(G)
     assert der.dim == 39
 
 
 @pytest.mark.parametrize("p", PINNED_P)
 def test_restricted_der_n_equals_the_full_kernel_at_pinned_p(p):
     N = build_three_step(parse(p))
-    der = model_derivations(N)
+    der = derivation_algebra(N)
     assert der.algebra is N
-    assert der.space == full_kernel(N) == derivation_algebra(N).space
+    assert der.space == full_kernel(N)
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,7 +148,7 @@ def test_restricted_der_n_equals_the_full_kernel_at_pinned_p(p):
 @example((Q(0), Q(0), Q(1), Q(0), Q(1, 3), Q(0), Q(0)))
 def test_restricted_der_n_equals_the_full_kernel(p):
     N = build_three_step(p)
-    assert model_derivations(N).space == full_kernel(N)
+    assert derivation_algebra(N).space == full_kernel(N)
 
 
 @settings(max_examples=25, deadline=None)
@@ -159,6 +160,59 @@ def test_n_rows_off_the_hook_pairs_are_g_rows_scaled(p):
     assert list(_leibniz_rows(N.table, FREE_PAIRS)) == [
         {c: scale * x for c, x in row.items()}
         for row in _leibniz_rows(G.table, FREE_PAIRS)]
+
+
+def g_with(pair, coords):
+    """G built from its Fraction brackets, with the bracket of pair set to
+    the given algebra coordinates."""
+    brackets = dict(models._two_step_brackets())
+    brackets[pair] = coords
+    return make_lie_algebra(12, brackets, ALGEBRA_LABELS)
+
+
+#: tables against which derivation_algebra picks its method, and whether it
+#: takes the hook split: G's brackets off the hook pair, as rationals
+SELECTION = {
+    "abelian-12": (lambda: abelian_lie_algebra(12), False),
+    # (s2, s3) is outside HOOK_PAIRS
+    "G-changed-off-the-hook": (
+        lambda: g_with((1, 2), [Q(int(k == 8)) for k in range(12)]), False),
+    # p = p12 + p13 is not central: a Lie algebra, but not nilpotent
+    "G-with-a-non-central-hook": (lambda: g_with(
+        models.HOOK, vprime_to_algebra((1, 1, 0, 0, 0, 0, 0))), True),
+    # [s1, p12] = s2 fails Jacobi on (s1, s3, p12)
+    "G-with-a-hook-outside-V'": (lambda: g_with(
+        models.HOOK, [Q(int(k == 1)) for k in range(12)]), True),
+    "N-half-integer-p": (lambda: build_three_step(
+        parse("0,1/2,0,-2,0,3/2,0")), True),
+}
+
+
+@pytest.mark.parametrize("name", SELECTION)
+def test_derivation_algebra_picks_its_method_from_the_table(
+        name, monkeypatch):
+    make, split = SELECTION[name]
+    L = make()
+    adapted = []
+    basis = autos._adapted_basis
+
+    def recording(L):
+        adapted.append(L)
+        return basis(L)
+
+    monkeypatch.setattr(autos, "_adapted_basis", recording)
+    der = derivation_algebra(L)
+    assert der.space == full_kernel(L)
+    assert len(adapted) == (not split)
+    if name == "abelian-12":
+        assert der.dim == 144
+    elif name == "G-with-a-non-central-hook":
+        with pytest.raises(ValueError, match="not nilpotent"):
+            L.central_series
+    elif name == "G-with-a-hook-outside-V'":
+        assert (0, 2, 5) in check_jacobi(L)
+    elif name == "N-half-integer-p":
+        assert L.denom > build_two_step().denom
 
 
 # --------------------------------------------------------------------------

@@ -12,14 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilcert import cli, qlinalg
+from nilcert import autos, cli
 from nilcert.autos import (
     DerivationSpace,
     _leibniz_rows,
     derivation_algebra,
     derivation_defects,
     factor_on_abelianization,
-    model_derivations,
     shear_space,
     stabilizer_algebra,
 )
@@ -269,16 +268,21 @@ def test_int_kernel_matches_two_eliminations_and_the_dense_reference(case):
 
 
 def test_derivation_algebra_eliminates_once(monkeypatch):
+    # the descending series and the canonical form of the mapped-back rows
+    # take eliminations of their own; the Leibniz system takes one kernel
     calls = []
-    rref_int = qlinalg._rref_int
+    kernel = autos.int_kernel
 
     def counted(rows, ncols):
-        calls.append(ncols)
-        return rref_int(rows, ncols)
+        rows = list(rows)
+        calls.append((rows, ncols))
+        return kernel(rows, ncols)
 
-    monkeypatch.setattr(qlinalg, "_rref_int", counted)
-    assert derivation_algebra(heisenberg3()).dim == 6
-    assert calls == [9]
+    monkeypatch.setattr(autos, "int_kernel", counted)
+    L = heisenberg3()
+    assert derivation_algebra(L).dim == 6
+    # a monomial table is its own adapted copy: P = Q = I
+    assert calls == [(list(_leibniz_rows(L.table)), 9)]
 
 
 # --------------------------------------------------------------------------
@@ -535,8 +539,8 @@ def test_p_dependent_checks_build_no_basis_of_der_N_or_the_shear_space(
 # --------------------------------------------------------------------------
 
 MATRIX_SPACES = {
-    "der(G)": lambda data: model_derivations(data.G).space,
-    "der(N)": lambda data: model_derivations(data.N).space,
+    "der(G)": lambda data: derivation_algebra(data.G).space,
+    "der(N)": lambda data: derivation_algebra(data.N).space,
     "stab(W)": lambda data: stabilizer_algebra(data.W),
     "commutant(V)": lambda data: commutant(data.actions_on_V),
 }

@@ -265,6 +265,14 @@ def test_json_load_rejects_repeated_labels():
         '{"dim": 2, "labels": ["x", "X"]}').labels == ("x", "X")
 
 
+def test_the_builder_rejects_repeated_labels():
+    # so lie_algebra_to_json never writes a document the loader rejects
+    with pytest.raises(ValueError, match="distinct: 'x' is repeated"):
+        make_lie_algebra(2, {}, ["x", "x"])
+    L = make_lie_algebra(2, {}, ["x", "X"])
+    assert lie_algebra_from_json(lie_algebra_to_json(L)) == L
+
+
 def test_json_load_rejects_a_misspelled_field():
     # "bracket" for "brackets" used to load as the abelian algebra
     with pytest.raises(ValueError, match=r"unknown fields \['bracket'\]"):

@@ -112,3 +112,9 @@ def test_no_module_imports_another_modules_private_name():
 def test_models_imports_nothing_from_autos():
     assert [mod for mod, _ in _imports(SRC / "models.py")
             if mod == "autos"] == []
+
+
+def test_the_cli_leaves_the_choice_of_derivation_method_to_autos():
+    names = {name for mod, name in _imports(SRC / "cli.py") if mod == "autos"}
+    assert "derivation_algebra" in names
+    assert not names & {"hook_free_derivations", "HOOK_PAIRS"}
