@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -25,9 +26,9 @@ from .qlinalg import (
     clear_denominators,
     int_kernel,
     is_zero_vector,
+    qf,
     sparse_rows,
     unit_vector,
-    vector,
 )
 
 _ZERO = Fraction(0)
@@ -134,8 +135,9 @@ def make_lie_algebra(dim: int,
                      labels: Sequence[str] | None = None) -> LieAlgebra:
     """Build an algebra from brackets on basis pairs.
 
-    Pairs omitted from ``brackets`` are zero; antisymmetry is filled in;
-    conflicting duplicate pairs and repeated labels are rejected.  Jacobi
+    Coordinates are ints, read as they are, or anything else ``qf``
+    takes; pairs omitted from ``brackets`` are zero; antisymmetry is filled
+    in; conflicting duplicate pairs and repeated labels are rejected.  Jacobi
     is NOT verified here; callers that need the guarantee run check_jacobi.
     """
     if labels is None:
@@ -146,11 +148,11 @@ def make_lie_algebra(dim: int,
     if len(set(labels)) < dim:
         repeated = next(x for k, x in enumerate(labels) if x in labels[:k])
         raise ValueError(f"labels must be distinct: {repeated!r} is repeated")
-    given: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    given: dict[tuple[int, int], tuple[int | Fraction, ...]] = {}
     for (i, j), coords in brackets.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise ValueError(f"basis index out of range in pair ({i}, {j})")
-        v = vector(coords)
+        v = tuple(x if type(x) is int else qf(x) for x in coords)
         if len(v) != dim:
             raise ValueError(f"bracket coordinates for ({i}, {j}) have wrong length")
         if i == j:
@@ -263,8 +265,9 @@ def heisenberg3() -> LieAlgebra:
 # Schema: {"dim": int, "labels": [str, ...]?, "brackets": [[i, j, coords], ...]}
 # where 0 <= dim <= MAX_JSON_DIM, labels (if given) holds dim strings, i
 # and j are basis indices, and coords is a list of dim rationals written as
-# ints or "num/den" strings.  dim, the indices and integer coordinates must
-# be JSON integers: a float or a boolean is rejected, not truncated.
+# JSON integers or strings "n" or "n/d" (``_RATIONAL``).  dim, the indices
+# and integer coordinates must be JSON integers: a float or a boolean is
+# rejected, not truncated.
 # Omitted pairs are zero; antisymmetry is completed automatically; the
 # Jacobi identity is verified on load and violations are reported.  Every
 # malformed field raises a ValueError that names it.
@@ -275,6 +278,11 @@ def heisenberg3() -> LieAlgebra:
 #: one small document exhaust memory or time
 MAX_JSON_DIM = 128
 
+#: the one grammar of a string coordinate, "n" or "n/d": an ASCII integer
+#: with an optional minus sign, over an optional ASCII denominator d, which
+#: must be nonzero; no plus sign, spaces, underscores, decimals or exponents
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 def _json_int(value, name: str) -> int:
     # bool is a subclass of int, and int() would truncate a float
@@ -283,20 +291,28 @@ def _json_int(value, name: str) -> int:
     return value
 
 
-def _json_coords(coords, i: int, j: int) -> list[Fraction]:
+def _json_coords(coords, i: int, j: int) -> list[int | Fraction]:
+    """The coordinates of [b_i, b_j] as given: a JSON integer as that int,
+    a string "n" as int(n) and a string "n/d" as Fraction(n, d); every
+    other value is rejected."""
     name = f"bracket coordinates for ({i}, {j})"
     if not isinstance(coords, list):
         raise ValueError(f"{name} must be a list, got {coords!r}")
     out = []
     for c in coords:
         if isinstance(c, str):
+            m = _RATIONAL.fullmatch(c)
             try:
-                out.append(Fraction(c))
+                if m is None:
+                    raise ValueError
+                num, den = m.groups()
+                out.append(int(num) if den is None
+                           else Fraction(int(num), int(den)))
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"{name} hold a malformed rational {c!r}") \
                     from None
         else:
-            out.append(Fraction(_json_int(c, name + " entry")))
+            out.append(_json_int(c, name + " entry"))
     return out
 
 

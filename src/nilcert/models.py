@@ -388,7 +388,8 @@ def build_two_step() -> LieAlgebra:
 
 def validate_p(p: Sequence) -> tuple[Fraction, ...]:
     """A usable hook target: 7 rationals, nonzero, lying in L (so the p12
-    coordinate vanishes, which is what makes it central and keeps Jacobi)."""
+    coordinate vanishes: otherwise [s1, p12] would have a p12 component,
+    ad s1 would not be nilpotent, and neither would N)."""
     if len(p) != 7:
         raise ValueError("p needs 7 coordinates in the V' basis "
                          + "(" + ", ".join(VPRIME_LABELS) + ")")
@@ -397,7 +398,8 @@ def validate_p(p: Sequence) -> tuple[Fraction, ...]:
         raise ValueError("p must be nonzero")
     if vec[0] != 0:
         raise ValueError("p must lie in L: its p12 coordinate must be zero "
-                         "(otherwise p is not central and the bracket is not Lie)")
+                         "(otherwise [s1, p12] would have a p12 component "
+                         "and N would not be nilpotent)")
     return vec
 
 

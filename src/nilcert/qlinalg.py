@@ -362,9 +362,13 @@ def _rref_int(rows: Iterable[dict[int, int]],
     {c: 1}, and only the rows left, with the forced columns deleted, are
     eliminated.
 
-    Each row left is reduced against the pivot rows found so far and, if
-    anything is left, its leading column becomes a new pivot, which is then
-    cleared from the older pivot rows.  Every update is a primitive integer
+    The rows left are taken shortest first (one stable sort by length), so
+    that the early pivot rows, which every later row is reduced against,
+    carry few entries and create little fill.  The RREF of a row space is
+    unique, so the order moves only the cost, never the result.  Each row
+    is reduced against the pivot rows found so far and, if anything is
+    left, its leading column becomes a new pivot, which is then cleared
+    from the older pivot rows.  Every update is a primitive integer
     combination, so no Fraction is built and entries stay small.  An older
     row only changes at a column right of its own pivot, so the pivot rows
     stay in echelon shape.  Returns (pivot column, primitive row) pairs by
@@ -373,6 +377,7 @@ def _rref_int(rows: Iterable[dict[int, int]],
     that is passed in may be returned, but none is changed.
     """
     forced, rows = _forced_columns(list(rows))
+    rows.sort(key=len)
     room = ncols - len(forced)
     basis: dict[int, dict[int, int]] = {}
     for row in rows:

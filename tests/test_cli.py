@@ -72,7 +72,7 @@ def test_a_suite_that_reads_no_models_does_not_build_them(monkeypatch):
 #: models reports the build error as its own result, with status ``error``.
 UNBUILDABLE_P_REPORTS = {
     (1, 0, 0, 0, 0, 0, 0):
-        "5d18aadec3ed1cdb88b4dc794adc17581b24f544a75d27d0581e2fa3fb699583",
+        "565a16457464ffa3441aca1d8c7114270cf52b81890535bb38b2333790f13440",
     (0, 0, 0, 0, 0, 0, 0):
         "331594475d32a002b9a3e89fe5ff5b70ebaf0099a24a0351070c506381a509e5",
 }
@@ -82,7 +82,7 @@ UNBUILDABLE_P_REPORTS = {
 #: that read them)
 CRASH_AS_FAIL_REPORTS = {
     (1, 0, 0, 0, 0, 0, 0):
-        "9339af13af81c7a1d3f9de1ac16f827edf87b47666c6f9d6f4c01eeae8314502",
+        "67d9174ace684a6baf34f14f4d3a7c4f64806965a57d3ba63ccb7290f4fd77b6",
     (0, 0, 0, 0, 0, 0, 0):
         "17dc0588871349a5da6ef31d53edc5f3e25e0eab1a610681f56e68793ad888e6",
 }

@@ -2,6 +2,7 @@
 checked against sympy and the dense Fraction references as exact
 oracles."""
 
+import itertools
 import math
 from fractions import Fraction as Q
 
@@ -281,3 +282,52 @@ def test_forced_zeros_spare_most_of_the_leibniz_elimination(monkeypatch):
     monkeypatch.setattr(qlinalg, "_eliminate", counted)
     assert derivation_algebra(N).dim == 33
     assert len(calls) < 60
+
+
+# --------------------------------------------------------------------------
+# row order: _rref_int takes its rows shortest first, and the RREF is unique
+# --------------------------------------------------------------------------
+
+@st.composite
+def reorderable_int_rows(draw):
+    """(ncols, rows) of at most 5 primitive rows with 1 to 4 nonzero
+    entries over at most 7 columns, plus repeated and scaled copies of
+    drawn rows; rows of every length meet, so the order matters to
+    Gauss-Jordan and to the forced zeros."""
+    ncols = draw(st.integers(1, 7))
+    row = st.dictionaries(st.integers(0, ncols - 1),
+                          st.integers(-5, 5).filter(bool),
+                          min_size=1, max_size=min(4, ncols))
+    rows = draw(st.lists(row, max_size=4))
+    if rows and draw(st.booleans()):
+        src = rows[draw(st.integers(0, len(rows) - 1))]
+        c = draw(st.sampled_from([1, -1, 3]))
+        rows.append({j: c * x for j, x in src.items()})
+    return ncols, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(reorderable_int_rows())
+@example((3, []))
+@example((4, [{2: 3}, {2: 3}, {0: 1, 2: 1}, {1: 2, 3: -2}, {0: 1}]))
+@example((5, [{0: 1, 1: 2, 2: 3, 3: 4}, {3: 1, 4: 2}, {1: 1, 4: 1},
+              {0: 2, 1: 4, 2: 6, 3: 8}]))
+def test_every_row_order_gives_the_same_elimination(case):
+    ncols, rows = case
+    dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
+    reduced, pivots = ref_rref(dense, ncols)
+    null = ref_rref(ref_nullspace(dense, ncols), ncols)[0]
+    primitive = [qlinalg._primitive(dict(r)) for r in rows]
+    echelon = qlinalg._rref_int(primitive, ncols)
+    assert [c for c, _ in echelon] == pivots
+    assert [tuple(Q(row.get(j, 0), row[c]) for j in range(ncols))
+            for c, row in echelon] == reduced
+    span, kernel = Subspace.from_int_rows(ncols, rows), int_kernel(rows, ncols)
+    assert list(span.echelon) == echelon and span.basis_vectors() == tuple(reduced)
+    assert kernel.basis_vectors() == tuple(null)
+    for order in itertools.permutations(range(len(rows))):
+        assert qlinalg._rref_int([primitive[i] for i in order],
+                                 ncols) == echelon
+        assert Subspace.from_int_rows(
+            ncols, [rows[i] for i in order]) == span
+        assert int_kernel([rows[i] for i in order], ncols) == kernel

@@ -340,6 +340,36 @@ def test_json_load_rejects_malformed_values_with_a_value_error(doc, field):
         lie_algebra_from_json(json.dumps(doc))
 
 
+#: every accepted coordinate form and its value: JSON integers, and strings
+#: "n" or "n/d" over ASCII digits with an optional minus sign and d != 0
+ACCEPTED_COORDINATES = [
+    ("3", Q(3)), ("-3", Q(-3)), ("03", Q(3)), ("-1/2", Q(-1, 2)),
+    ("6/4", Q(3, 2)), ("0/5", Q(0)), (3, Q(3)), (-3, Q(-3)), (0, Q(0)),
+]
+
+
+@pytest.mark.parametrize("coord, value", ACCEPTED_COORDINATES)
+def test_json_coordinates_load_as_the_rationals_they_write(coord, value):
+    # [e0, e1] = c e2 and [e0, e2] = c e1: Jacobi holds for every c
+    L = lie_algebra_from_json({"dim": 3, "brackets": [
+        [0, 1, [0, "0", coord]], [0, 2, ["0", coord, 0]]]})
+    assert L == make_lie_algebra(3, {(0, 1): (Q(0), Q(0), value),
+                                     (0, 2): (Q(0), value, Q(0))})
+    assert L.sc[0][1][2] == value and L.sc[2][0][1] == -value
+
+
+#: strings that Fraction() reads (" 3", "+3", "1.5", "1e3", "3_0" and the
+#: Arabic-Indic digit three) but the grammar does not, then malformed ones
+REJECTED_COORDINATES = [" 3", "+3", "1.5", "1e3", "3_0", "\u0663", "3\n",
+                        "--3", "1/0", "1/-2", ""]
+
+
+@pytest.mark.parametrize("coord", REJECTED_COORDINATES)
+def test_json_coordinates_outside_the_grammar_are_rejected(coord):
+    with pytest.raises(ValueError, match=r"bracket coordinates for \(0, 1\)"):
+        lie_algebra_from_json({"dim": 3, "brackets": [[0, 1, [0, 0, coord]]]})
+
+
 def test_json_load_accepts_integer_and_string_coordinates_and_labels():
     L = lie_algebra_from_json({"dim": 3, "labels": ["x", "y", "z"],
                                "brackets": [[0, 1, [0, "0", "-1/2"]]]})

@@ -251,8 +251,11 @@ def test_three_step_model_default():
 def test_three_step_rejects_bad_p():
     with pytest.raises(ValueError, match="nonzero"):
         build_three_step((0, 0, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError, match="p12"):
+    with pytest.raises(ValueError, match="p12") as err:
         build_three_step((1, 0, 0, 0, 0, 0, 0))
+    # [s1, p12] = p12 + p13 satisfies Jacobi; what fails is nilpotency
+    assert str(err.value).endswith("(otherwise [s1, p12] would have a p12 "
+                                   "component and N would not be nilpotent)")
     with pytest.raises(ValueError, match="7 coordinates"):
         validate_p((1, 2, 3))
 
