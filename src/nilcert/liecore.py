@@ -89,16 +89,6 @@ class LieAlgebra:
         return tuple(series)
 
     @cached_property
-    def central_series(self) -> tuple[Subspace, ...]:
-        """The lower central series, from L to its first zero term (see
-        ``lower_central_series``); raises when it stops above zero."""
-        series = self.descending_series
-        if series[-1].dim:
-            raise ValueError("algebra is not nilpotent: lower central "
-                             "series did not reach zero")
-        return series
-
-    @cached_property
     def jacobi_violations(self) -> tuple[tuple[int, int, int], ...]:
         """The basis triples i<j<k violating Jacobi, found on first use.
 
@@ -221,13 +211,17 @@ def bracket_subspace(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
 
 
 def lower_central_series(L: LieAlgebra) -> list[Subspace]:
-    """Descending series, ending at the first zero term; computed once per
-    algebra, and every call returns a new list.
+    """``L.descending_series``, which ends at the first zero term when L is
+    nilpotent; computed once per algebra, and every call returns a new list.
 
     Raises on non-nilpotent input instead of looping: a series that stops
     shrinking above zero never reaches it.
     """
-    return list(L.central_series)
+    series = L.descending_series
+    if series[-1].dim:
+        raise ValueError("algebra is not nilpotent: lower central "
+                         "series did not reach zero")
+    return list(series)
 
 
 def nilpotency_class(L: LieAlgebra) -> int:
@@ -265,9 +259,9 @@ def heisenberg3() -> LieAlgebra:
 # Schema: {"dim": int, "labels": [str, ...]?, "brackets": [[i, j, coords], ...]}
 # where 0 <= dim <= MAX_JSON_DIM, labels (if given) holds dim strings, i
 # and j are basis indices, and coords is a list of dim rationals written as
-# JSON integers or strings "n" or "n/d" (``_RATIONAL``).  dim, the indices
-# and integer coordinates must be JSON integers: a float or a boolean is
-# rejected, not truncated.
+# JSON integers or strings "n" or "n/d" (``parse_rational``).  dim, the
+# indices and integer coordinates must be JSON integers: a float or a
+# boolean is rejected, not truncated.  A key given twice is rejected.
 # Omitted pairs are zero; antisymmetry is completed automatically; the
 # Jacobi identity is verified on load and violations are reported.  Every
 # malformed field raises a ValueError that names it.
@@ -291,23 +285,29 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def parse_rational(text: str) -> int | Fraction:
+    """A rational written in the one grammar ``_RATIONAL``: "n" as int(n)
+    and "n/d" as Fraction(n, d).  Raises ZeroDivisionError when d = 0 and
+    ValueError for every string outside the grammar."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"{text!r} is not a rational 'n' or 'n/d'")
+    num, den = m.groups()
+    return int(num) if den is None else Fraction(int(num), int(den))
+
+
 def _json_coords(coords, i: int, j: int) -> list[int | Fraction]:
-    """The coordinates of [b_i, b_j] as given: a JSON integer as that int,
-    a string "n" as int(n) and a string "n/d" as Fraction(n, d); every
-    other value is rejected."""
+    """The coordinates of [b_i, b_j] as given: a JSON integer as that int
+    and a string as ``parse_rational`` reads it; every other value is
+    rejected."""
     name = f"bracket coordinates for ({i}, {j})"
     if not isinstance(coords, list):
         raise ValueError(f"{name} must be a list, got {coords!r}")
     out = []
     for c in coords:
         if isinstance(c, str):
-            m = _RATIONAL.fullmatch(c)
             try:
-                if m is None:
-                    raise ValueError
-                num, den = m.groups()
-                out.append(int(num) if den is None
-                           else Fraction(int(num), int(den)))
+                out.append(parse_rational(c))
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"{name} hold a malformed rational {c!r}") \
                     from None
@@ -316,8 +316,19 @@ def _json_coords(coords, i: int, j: int) -> list[int | Fraction]:
     return out
 
 
+def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads would keep the last of two values given for one key
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"the field {key!r} is given more than once")
+        out[key] = value
+    return out
+
+
 def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
-    data = json.loads(source) if isinstance(source, str) else source
+    data = (json.loads(source, object_pairs_hook=_distinct_keys)
+            if isinstance(source, str) else source)
     if not isinstance(data, Mapping):
         raise ValueError(
             f"the algebra document must be a JSON object, got {data!r}")

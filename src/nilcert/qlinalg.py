@@ -8,14 +8,14 @@ over one positive common denominator, and its arithmetic, equality and
 every kernel below read that form; code that already holds integers builds
 a matrix with ``Matrix.from_ints`` and no ``Fraction`` is made until an
 entry is read.  One sparse fraction-free Gauss-Jordan elimination
-(``_rref_int``) serves ``rref``, ``kernel_basis``, ``eigenspace`` and
-every ``Subspace``, ``det`` is a Bareiss elimination, and ``char_poly``,
-the nilpotence tests, ``rational_roots`` and the Sturm chains work on
-integer matrices and primitive integer polynomials.  Systems that other
-modules write down in integers (the Leibniz, center, commutant and wedge
-systems) skip the dense matrix: ``sparse_rows`` sums their integer terms
-into sparse rows ``{column: int}`` for ``int_kernel`` (which
-``kernel_basis`` also calls) or ``Subspace.from_int_rows``;
+(``_rref_int``) serves every ``Subspace`` (which ``rref`` and ``rank``
+read), ``kernel_basis`` and ``eigenspace``; ``char_poly`` (whose constant
+term ``det`` reads), the nilpotence tests, ``rational_roots`` and the
+Sturm chains work on integer matrices and primitive integer polynomials.
+Systems that other modules write down in integers (the Leibniz, center,
+commutant and wedge systems) skip the dense matrix: ``sparse_rows`` sums
+their integer terms into sparse rows ``{column: int}`` for ``int_kernel``
+(which ``kernel_basis`` also calls) or ``Subspace.from_int_rows``;
 ``clear_denominators`` gives the integer form of a rational vector.
 Matrices act on column vectors, so the composite map "apply h, then g" is
 the product ``g * h``, and a linear map is built column by column from the
@@ -416,45 +416,25 @@ class RrefResult:
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form of m, with rank and pivot columns."""
-    echelon = _rref_int((_primitive(r) for r in m.int_rows() if r), m.cols)
-    rows = [_fraction_row(row, c, m.cols) for c, row in echelon]
-    rows += [[_ZERO] * m.cols for _ in range(m.rows - len(rows))]
-    return RrefResult(Matrix.from_rows(rows) if rows else m,
-                      len(echelon), tuple(c for c, _ in echelon))
+    """Unique reduced row echelon form of m, with rank and pivot columns:
+    the canonical basis of m's row space, padded with zero rows."""
+    s = Subspace.from_int_rows(m.cols, m.int_rows())
+    b = s.basis
+    pad = (0,) * ((m.rows - s.dim) * m.cols)
+    return RrefResult(Matrix.from_ints(m.rows, m.cols, b.nums + pad, b.den),
+                      s.dim, tuple(c for c, _ in s.echelon))
 
 
 def rank(m: Matrix) -> int:
-    return rref(m).rank
+    return Subspace.from_int_rows(m.cols, m.int_rows()).dim
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant by Bareiss elimination on the integer matrix A = d m,
-    d = m.den: det m = det A / d^n.  Every division in the Bareiss
-    recurrence is exact."""
+    """(-1)^n times the constant term of ``char_poly(m)`` = det(xI - m).
+    That is O(n^4); no caller in the package needs a determinant."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    d, nums = m.den, m.nums
-    a = [list(nums[i * n:(i + 1) * n]) for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return _ZERO
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        ak = a[k]
-        akk = ak[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
-        prev = akk
-    return Fraction(sign * a[n - 1][n - 1], d ** n) if n else _ONE
+    return (-1) ** m.rows * char_poly(m).coeffs[0]
 
 
 class Subspace:

@@ -49,6 +49,30 @@ def test_model_build_is_not_timed_as_a_check(monkeypatch):
     assert report.results[0].duration_ms < 50
 
 
+def test_model_build_is_not_timed_beside_a_model_free_check(monkeypatch):
+    # the build runs inside jacobi.G, the one check here that reads models
+    calls = []
+
+    def slow_model_data(p=None, build=cli.model_data):
+        calls.append(p)
+        time.sleep(0.05)
+        return build(p)
+
+    monkeypatch.setattr(cli, "model_data", slow_model_data)
+    report = run(["oracle.heisenberg-der6", "jacobi.G"], Config())
+    results = {r.id: r for r in report.results}
+    assert [r.status for r in results.values()] == ["pass", "pass"]
+    assert results["jacobi.G"].duration_ms < 50
+    assert len(calls) == 1
+
+
+#: the registry ids whose checks never read the models, in registry order
+MODEL_FREE = ("wedge.commutant-2", "p.sampled-nonfixing",
+              "bound.eigenspace-max3", "fixed.sampled-nonzero",
+              "fixed.specific-lines", "oracle.heisenberg-der6",
+              "oracle.abelian-der-n2")
+
+
 def test_a_suite_that_reads_no_models_does_not_build_them(monkeypatch):
     calls = []
 
@@ -59,12 +83,16 @@ def test_a_suite_that_reads_no_models_does_not_build_them(monkeypatch):
     monkeypatch.setattr(cli, "model_data", no_models)
     report = run(["oracle.heisenberg-der6", "oracle.abelian-der-n2"], Config())
     assert [r.status for r in report.results] == ["pass", "pass"]
-    # every check marked as not reading the models runs without them
-    free = [c.id for c in cli._REGISTRY if not c.reads_models]
-    report = run(free, Config())
-    assert [r.id for r in report.results] == free
+    # every model-free check runs without the models
+    report = run(MODEL_FREE, Config())
+    assert [r.id for r in report.results] == list(MODEL_FREE)
     assert not [r.id for r in report.results if r.actual.startswith("error")]
     assert calls == []
+    # and every other check reads them, so it meets the build error
+    others = [cid for cid, _, _ in list_checks() if cid not in MODEL_FREE]
+    report = run(others, Config())
+    assert [r.actual for r in report.results] == \
+        ["error: the models are not available"] * len(others)
 
 
 #: sha256 of the JSON report of every check at two hook targets that no
@@ -78,8 +106,9 @@ UNBUILDABLE_P_REPORTS = {
 }
 
 #: the same reports as recorded while a crashed check still read as
-#: ``fail`` (and while the models were still built inside the first check
-#: that read them)
+#: ``fail``; the models were then built inside the first check that read
+#: them, as ``Context.data`` builds them again, so the statuses are all
+#: that differ
 CRASH_AS_FAIL_REPORTS = {
     (1, 0, 0, 0, 0, 0, 0):
         "67d9174ace684a6baf34f14f4d3a7c4f64806965a57d3ba63ccb7290f4fd77b6",
@@ -93,8 +122,8 @@ def test_an_unbuildable_p_errors_each_check_that_reads_the_models(p):
     report = run(None, Config(p=tuple(Fraction(x) for x in p)))
     errors = [r.id for r in report.results if r.actual.startswith("error: p ")]
     assert errors[:2] == ["jacobi.G", "jacobi.N"] and len(errors) >= 23
-    reads = {c.id for c in cli._REGISTRY if c.reads_models}
-    assert all(r.status == "error" for r in report.results if r.id in reads)
+    assert all(r.status == "error" for r in report.results
+               if r.id not in MODEL_FREE)
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == UNBUILDABLE_P_REPORTS[p]
     # the statuses are all that moved: read each error as a failure again
@@ -144,18 +173,23 @@ def test_a_report_without_errors_has_no_error_count():
 
 def test_a_model_build_that_raises_errors_every_check_that_reads_it(
         monkeypatch, capsys):
+    calls = []
+
     def broken(p=None):
+        calls.append(p)
         raise RuntimeError("no model today")
 
     monkeypatch.setattr(cli, "model_data", broken)
     report = run(None, Config(trials=5))
-    reads = {c.id for c in cli._REGISTRY if c.reads_models}
+    reads = {cid for cid, _, _ in list_checks()} - set(MODEL_FREE)
     for r in report.results:
         if r.id in reads:
             assert (r.status, r.actual) == ("error", "error: no model today")
         else:
             assert r.status != "error"
     assert report.counts["error"] == len(reads)
+    # a failed build is not kept: each reading check tries it once
+    assert len(calls) == len(reads)
     assert main(["verify", "--suite", "jacobi.N,oracle.heisenberg-der6"]) == 3
     assert "[ERROR] jacobi.N" in capsys.readouterr().out
 
@@ -271,6 +305,18 @@ def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "thm.stabilizer-dim4" in out
+
+
+#: sha256 of ``nilcert list`` stdout: every id, in registry order, with its
+#: description and claim, recorded before the checks that compare one
+#: string with its expected value were declared through ``_expect``
+LIST_SHA256 = "8a50ec2f50ee1ce4a6f4e4c495927e85fc26cd8f4a65a0aceec3e9b9b2510732"
+
+
+def test_list_is_byte_identical_to_recorded_digest(capsys):
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LIST_SHA256
 
 
 def test_show_models(capsys):
@@ -426,6 +472,13 @@ def test_p_with_a_wrong_count_or_an_empty_part_exits_2(capsys, p, message):
     ("0,1,0,inf,0,0,1", "the p15 coordinate 'inf' is not a rational number"),
     ("0,1,0,0,1 / 2,0,1", "the p25 coordinate '1 / 2' is not a rational"),
     ("0,1,x,0,0,1/0,1", "the p14 coordinate 'x' is not a rational number"),
+    # outside the JSON loader's grammar, although Fraction() reads them
+    ("0,1_0,0,0,0,0,1", "the p13 coordinate '1_0' is not a rational number"),
+    ("0,\u0663,0,0,0,0,1",
+     "the p13 coordinate '\u0663' is not a rational number"),
+    ("0,1,0,0,0,0,1e3", "the p45 coordinate '1e3' is not a rational number"),
+    ("0,+1,0,0,0,0,1", "the p13 coordinate '+1' is not a rational number"),
+    ("0,1,0,0.5,0,0,1", "the p15 coordinate '0.5' is not a rational number"),
 ])
 def test_p_with_a_coordinate_that_is_not_rational_exits_2(capsys, p, message):
     assert_p_rejected(capsys, p, message)

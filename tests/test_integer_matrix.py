@@ -369,4 +369,4 @@ def test_memoised_results_are_fresh_lists():
     series = lower_central_series(N)
     series.clear()
     assert [s.dim for s in lower_central_series(N)] == [12, 7, 1, 0]
-    assert lower_central_series(N)[1] is N.central_series[1]
+    assert lower_central_series(N)[1] is N.descending_series[1]

@@ -279,6 +279,20 @@ def test_json_load_rejects_a_misspelled_field():
         lie_algebra_from_json('{"dim": 3, "bracket": [[0, 1, [0, 0, 1]]]}')
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"dim": 3, "dim": 2}', "dim"),
+    ('{"dim": 3, "brackets": [[0, 1, [0, 0, 1]]], "brackets": []}',
+     "brackets"),
+    ('{"dim": 2, "labels": ["a", "b"], "labels": ["x", "y"]}', "labels"),
+])
+def test_json_load_rejects_a_repeated_field(text, key):
+    # json.loads keeps the last value, so these loaded dim 2, the abelian
+    # algebra and the labels x, y
+    with pytest.raises(ValueError,
+                       match=f"the field '{key}' is given more than once"):
+        lie_algebra_from_json(text)
+
+
 def load_workloads():
     # nilbench has no package __init__, so the file is loaded by path
     path = Path(__file__).resolve().parents[1] / "nilbench" / "workloads.py"
