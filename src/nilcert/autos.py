@@ -7,8 +7,11 @@ pair in dim^2 unknowns, matrices flattened row-major.  The rows of a pair
 ``derivation_algebra`` is the one way to get der(L), and it picks its
 method from the table.  An algebra with G's brackets at every pair but the
 hook pair (s1, p12), as G and every N of ``models`` have, restricts the
-p-free kernel of G's rows over the pairs that miss s1 and p12
-(``hook_free_derivations``) by its own rows over the other 21.  Any other
+p-free kernel K of G's rows over the pairs that miss s1 and p12
+(``hook_free_derivations``) by its own rows over the other 21.  Those
+rows are linear in the table, so on K's coordinates they are a pencil
+s A0 + sum_k h_k Delta_k, built once with K: a new hook [s1, p12] = h
+only evaluates it and takes one 72-column kernel.  Any other
 is solved for the copy P^-1 L P in a basis adapted to the descending
 series, whose table is sparser, and the kernel is mapped back by P; for a
 monomial table P is the identity.  Everything else here: stabilizer
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -84,48 +87,55 @@ class DerivationSpace:
                                    for col in range(d) for eq in equations)
 
 
-def _leibniz_rows(table: Sequence[Sequence[Sequence[tuple[int, int]]]],
-                  pairs: Iterable[tuple[int, int]] | None = None
-                  ) -> Iterable[dict[int, int]]:
-    """The nonzero rows, by pair i<j (all pairs, or those in pairs) and
-    then output coordinate m, of D[bi,bj] - [D bi, bj] - [bi, D bj] = 0,
-    unknowns D[r,c] at r*dim+c, for the brackets in an integer table laid
-    out as ``LieAlgebra.table`` (dim is its length), summed from its three
-    terms.  The rows are linear in the table, so a table scaled by a
-    constant factor has the same kernel.  The rows of (i, j) read the
+def _leibniz_terms(table: Sequence[Sequence[Sequence[tuple[int, int]]]],
+                   pairs: Iterable[tuple[int, int]] | None = None
+                   ) -> Iterator[tuple[int, int, int]]:
+    """The terms (row key, column, value) of D[bi,bj] - [D bi, bj] -
+    [bi, D bj] = 0, unknowns D[r,c] at r*dim+c, by pair i<j (all pairs, or
+    those in pairs, at position pos) and output coordinate m, keyed
+    pos*dim + m, for the brackets in an integer table laid out as
+    ``LieAlgebra.table`` (dim is its length).  The rows of (i, j) read the
     brackets [bi, bj], [bk, bj] and [bi, bk] for every k, so they depend
     only on the brackets of pairs that meet {i, j}."""
     d = len(table)
     if pairs is None:
         pairs = itertools.combinations(range(d), 2)
-
-    def terms():
-        for pos, (i, j) in enumerate(pairs):
-            key = pos * d  # the row of (i, j) at coordinate m is key + m
-            for k, t in table[i][j]:
-                for m in range(d):
-                    yield key + m, m * d + k, t
-            for k in range(d):
-                for m, t in table[k][j]:
-                    yield key + m, k * d + i, -t
-                for m, t in table[i][k]:
-                    yield key + m, k * d + j, -t
-    return sparse_rows(terms()).values()
+    for pos, (i, j) in enumerate(pairs):
+        key = pos * d  # the row of (i, j) at coordinate m is key + m
+        for k, t in table[i][j]:
+            for m in range(d):
+                yield key + m, m * d + k, t
+        for k in range(d):
+            for m, t in table[k][j]:
+                yield key + m, k * d + i, -t
+            for m, t in table[i][k]:
+                yield key + m, k * d + j, -t
 
 
-def _is_g_off_the_hook(L: LieAlgebra) -> bool:
-    """Are L's brackets G's, as rationals, at every basis pair but (s1,
-    p12) and (p12, s1)?  Then L's integer entries there are G's times s."""
+def _leibniz_rows(table: Sequence[Sequence[Sequence[tuple[int, int]]]],
+                  pairs: Iterable[tuple[int, int]] | None = None
+                  ) -> Iterable[dict[int, int]]:
+    """The nonzero Leibniz rows of the table, by pair and then output
+    coordinate: ``_leibniz_terms`` summed.  The rows are linear in the
+    table, so a table scaled by a constant factor has the same kernel."""
+    return sparse_rows(_leibniz_terms(table, pairs)).values()
+
+
+def _hook_scale(L: LieAlgebra) -> int:
+    """s > 0 when L's brackets are G's, as rationals, at every basis pair
+    but (s1, p12) and (p12, s1), so that L's integer entries there are G's
+    times s = L.denom / G.denom; 0 otherwise."""
     if L.dim != 12:
-        return False
+        return 0
     G = build_two_step()
     s, r = divmod(L.denom, G.denom)
     entries = list(itertools.chain.from_iterable(L.table))
     a, b = HOOK
     entries[a * 12 + b] = entries[b * 12 + a] = ()  # G's are empty
-    return not r and entries == [
+    same = not r and entries == [
         tuple((k, s * t) for k, t in e) if e and s > 1 else e
         for e in itertools.chain.from_iterable(G.table)]
+    return s if same else 0
 
 
 def _adapted_basis(L: LieAlgebra) -> tuple[list[dict[int, int]],
@@ -162,16 +172,18 @@ def derivation_algebra(L: LieAlgebra) -> DerivationSpace:
 
     When L has G's brackets off the hook pair, as G and every N of
     ``models`` do, that is K (``hook_free_derivations``) restricted by L's
-    rows over ``HOOK_PAIRS``.  Otherwise it is taken for L' = P^-1 L P,
-    with P's columns and Q = delta P^-1's rows from ``_adapted_basis``, in
-    whose basis the brackets are sparser.  The table of L' is
-    Q [P e_i, P e_j], a constant multiple of its own, and each echelon row
-    U of der(L') gives P U Q, a positive multiple of the derivation
-    P U P^-1 of L: U's weighted sum of the images P E_ab Q.  The span of
-    those is brought to canonical form."""
-    if _is_g_off_the_hook(L):
-        return DerivationSpace(L, hook_free_derivations().restrict(
-            _leibniz_rows(L.table, HOOK_PAIRS)))
+    rows over ``HOOK_PAIRS``, which K evaluates from its hook pencil
+    (``HookFreeKernel.hook_split``).  Otherwise it is taken for
+    L' = P^-1 L P, with P's columns and Q = delta P^-1's rows from
+    ``_adapted_basis``, in whose basis the brackets are sparser.  The
+    table of L' is Q [P e_i, P e_j], a constant multiple of its own, and
+    each echelon row U of der(L') gives P U Q, a positive multiple of the
+    derivation P U P^-1 of L: U's weighted sum of the images P E_ab Q.
+    The span of those is brought to canonical form."""
+    s = _hook_scale(L)
+    if s:
+        return DerivationSpace(L, hook_free_derivations().hook_split(
+            s, L.table[HOOK[0]][HOOK[1]]))
     d = L.dim
     cols, rows = _adapted_basis(L)
     table = [[()] * d for _ in range(d)]
@@ -194,15 +206,84 @@ HOOK_PAIRS = tuple(pair for pair in itertools.combinations(range(12), 2)
                    if set(pair) & set(HOOK))
 
 
+def _hook_terms(k: int) -> Iterator[tuple[int, int, int]]:
+    """``_leibniz_terms`` over ``HOOK_PAIRS`` for the table whose only
+    entries are the hook's, T[s1][p12] = e_k and T[p12][s1] = -e_k,
+    generated from those two entries: the pair (s1, p12) reads T[s1][p12]
+    at every output coordinate m, and a pair (i, j) reads either entry as
+    [bk, bj] (j in the hook) or [bi, bk] (i in the hook) at m = k."""
+    a, b = HOOK
+    d = 12
+    for pos, (i, j) in enumerate(HOOK_PAIRS):
+        key = pos * d
+        if (i, j) == HOOK:
+            for m in range(d):
+                yield key + m, m * d + k, 1
+        if j == b:  # [b_a, b_j] = e_k
+            yield key + k, a * d + i, -1
+        if j == a:  # [b_b, b_j] = -e_k
+            yield key + k, b * d + i, 1
+        if i == a:  # [b_i, b_b] = e_k
+            yield key + k, b * d + j, -1
+        if i == b:  # [b_i, b_a] = -e_k
+            yield key + k, a * d + j, 1
+
+
+class HookFreeKernel(Subspace):
+    """K (``hook_free_derivations``), with L's Leibniz rows over
+    ``HOOK_PAIRS`` read on K's 72 coordinates as a pencil.
+
+    The rows are linear in the table, and a table with G's brackets off
+    the hook pair is s G plus the hook-only table T[s1][p12] = h,
+    T[p12][s1] = -h.  So, row by row, L's rows on K are s A0 + sum_k h_k
+    Delta_k, with A0 G's rows and Delta_k those of the hook-only table
+    with h = e_k (``_hook_terms``), each applied to K's echelon rows.  A0
+    and each Delta_k are built the first time they are read and kept with
+    K, so ``hook_free_derivations.cache_clear()`` drops them too."""
+
+    __slots__ = ("_pencil",)
+
+    def __init__(self, space: Subspace):
+        self._set(space.ambient_dim, space.echelon)
+        self._pencil: dict[int | None, dict[int, dict[int, int]]] = {}
+
+    def pencil(self, k: int | None) -> dict[int, dict[int, int]]:
+        """A0 (k None) or Delta_k: row key, as ``_leibniz_terms`` keys it,
+        to that row on K's coordinates, from one ``apply_equations``."""
+        rows = self._pencil.get(k)
+        if rows is None:
+            keyed = sparse_rows(_leibniz_terms(build_two_step().table,
+                                               HOOK_PAIRS)
+                                if k is None else _hook_terms(k))
+            rows = self._pencil[k] = {
+                key: row for key, row in zip(keyed, apply_equations(
+                    keyed.values(), [row for _, row in self.echelon]))
+                if row}
+        return rows
+
+    def hook_split(self, s: int, hook: Iterable[tuple[int, int]]
+                   ) -> Subspace:
+        """der(L) for L with s G's integer entries off the hook pair and
+        the integer hook entries (k, h_k) at (s1, p12): the vectors of K
+        on which every row s A0 + sum_k h_k Delta_k vanishes, as one kernel
+        over K's coordinates (``coordinate_kernel``)."""
+        return self.coordinate_kernel(sparse_rows(
+            (key, j, w * x) for k, w in ((None, s), *hook)
+            for key, row in self.pencil(k).items()
+            for j, x in row.items()).values())
+
+
 @lru_cache(maxsize=1)
-def hook_free_derivations() -> Subspace:
+def hook_free_derivations() -> HookFreeKernel:
     """K: the solutions in gl(12) of G's Leibniz rows over the 45 basis
     pairs outside ``HOOK_PAIRS`` (168 rows, dimension 72), built on first
-    use and kept for the process.  Those rows never read the hook, so K is
-    the same for every algebra with G's brackets off the hook."""
+    use and kept for the process with its hook pencil.  Those rows never
+    read the hook, so K is the same for every algebra with G's brackets
+    off the hook."""
     free = (pair for pair in itertools.combinations(range(12), 2)
             if pair not in HOOK_PAIRS)
-    return int_kernel(_leibniz_rows(build_two_step().table, free), 144)
+    return HookFreeKernel(
+        int_kernel(_leibniz_rows(build_two_step().table, free), 144))
 
 
 def shear_space(L: LieAlgebra, c: Subspace) -> Subspace:

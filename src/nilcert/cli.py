@@ -651,12 +651,8 @@ def _parse_p(text: str) -> tuple[Fraction, ...]:
         for i, (label, part) in enumerate(zip(VPRIME_LABELS, parts)):
             try:
                 parts[i] = parse_rational(part)
-            except ZeroDivisionError:
-                raise ValueError(f"the {label} coordinate {part!r} has a "
-                                 "zero denominator") from None
-            except ValueError:
-                raise ValueError(f"the {label} coordinate {part!r} is not a "
-                                 "rational number") from None
+            except ValueError as exc:
+                raise ValueError(f"the {label} coordinate {exc}") from None
     return validate_p(parts)
 
 

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -285,15 +286,37 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _echo(text: str) -> str:
+    """text quoted for an error message, cut to its first 16 characters
+    when it is longer than 24."""
+    if len(text) <= 24:
+        return repr(text)
+    return f"{text[:16]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> int | Fraction:
     """A rational written in the one grammar ``_RATIONAL``: "n" as int(n)
-    and "n/d" as Fraction(n, d).  Raises ZeroDivisionError when d = 0 and
-    ValueError for every string outside the grammar."""
+    and "n/d" as Fraction(n, d).  Raises a ValueError, whose message reads
+    on from the quoted text, for a string outside the grammar, a zero d,
+    or an n or d with more digits than ``int()`` converts
+    (``sys.get_int_max_str_digits()``)."""
     m = _RATIONAL.fullmatch(text)
     if m is None:
-        raise ValueError(f"{text!r} is not a rational 'n' or 'n/d'")
+        raise ValueError(f"{_echo(text)} is not a rational number")
     num, den = m.groups()
-    return int(num) if den is None else Fraction(int(num), int(den))
+    try:
+        if den is None:
+            return int(num)
+        n, d = int(num), int(den)
+    except ValueError:  # in the grammar, so past int()'s digit bound
+        digits = max(len(num.lstrip("-")), len(den or ""))
+        raise ValueError(
+            f"{_echo(text)} has a part of {digits} digits, more than the "
+            f"{sys.get_int_max_str_digits()} that "
+            "sys.get_int_max_str_digits() lets int() read") from None
+    if not d:
+        raise ValueError(f"{_echo(text)} has a zero denominator")
+    return Fraction(n, d)
 
 
 def _json_coords(coords, i: int, j: int) -> list[int | Fraction]:
@@ -308,9 +331,8 @@ def _json_coords(coords, i: int, j: int) -> list[int | Fraction]:
         if isinstance(c, str):
             try:
                 out.append(parse_rational(c))
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"{name} hold a malformed rational {c!r}") \
-                    from None
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         else:
             out.append(_json_int(c, name + " entry"))
     return out

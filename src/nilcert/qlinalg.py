@@ -558,8 +558,16 @@ class Subspace:
         return _free_column_rows(hits)
 
     def restrict(self, equations: Iterable[dict[int, int]]) -> "Subspace":
-        """{v in this subspace : the sparse integer equations vanish at v},
-        as one kernel over the coordinates on the echelon rows.
+        """{v in this subspace : the sparse integer equations vanish at v}:
+        the equations read on the echelon rows, then ``coordinate_kernel``."""
+        return self.coordinate_kernel(apply_equations(
+            equations, [row for _, row in self.echelon]))
+
+    def coordinate_kernel(self, rows: Iterable[dict[int, int]]
+                          ) -> "Subspace":
+        """{sum_i y_i u_i : y solves the sparse integer rows}, over the
+        echelon rows u_i, whose coefficients y are the rows' columns: one
+        kernel over those dim coordinates, mapped back.
 
         No second elimination: echelon row i is the only one nonzero at its
         pivot p_i, and zero left of it.  So the combination by a kernel row
@@ -568,11 +576,10 @@ class Subspace:
         row, where y is zero.  These combinations, divided by their
         content, are the canonical rows."""
         echelon = self.echelon
-        rows = [row for _, row in echelon]
-        ker = int_kernel(apply_equations(equations, rows), self.dim)
+        vectors = [row for _, row in echelon]
         return Subspace.__new__(Subspace)._set(self.ambient_dim, [
-            (echelon[t][0], _primitive(weighted_sum(y, rows)))
-            for t, y in ker.echelon])
+            (echelon[t][0], _primitive(weighted_sum(y, vectors)))
+            for t, y in int_kernel(rows, self.dim).echelon])
 
     def preimage(self, images: Iterable[Sequence[dict[int, int]]],
                  k: int) -> "Subspace":

@@ -484,6 +484,22 @@ def test_p_with_a_coordinate_that_is_not_rational_exits_2(capsys, p, message):
     assert_p_rejected(capsys, p, message)
 
 
+def test_p_with_more_digits_than_int_reads_exits_2(capsys):
+    bound = sys.get_int_max_str_digits()
+    digits = "1" * (bound + 700)
+    assert_p_rejected(capsys, f"0,{digits},0,0,0,0,1",
+                      f"the p13 coordinate '1111111111111111'... "
+                      f"({bound + 700} characters) has a part of "
+                      f"{bound + 700} digits, more than the {bound} that "
+                      f"sys.get_int_max_str_digits() lets int() read")
+    for argv in (["show", "N", "--p", f"0,1/{digits},0,0,0,0,1"],
+                 ["verify", "--suite", "jacobi.N", "--p",
+                  f"0,1,-{digits},0,0,0,1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "digits, more than the" in err and len(err) < 300
+
+
 def assert_p_rejected(capsys, p, message):
     for argv in (["verify", "--p", p, "--suite", "jacobi.N"],
                  ["show", "N", "--p", p]):

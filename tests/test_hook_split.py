@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from nilcert import autos, cli, models, qlinalg
 from nilcert.autos import (
     HOOK_PAIRS,
+    _hook_terms,
     _leibniz_rows,
+    _leibniz_terms,
     derivation_algebra,
     hook_free_derivations,
 )
@@ -39,7 +41,9 @@ from nilcert.models import (
     validate_p,
     vprime_to_algebra,
 )
-from nilcert.qlinalg import int_kernel
+from nilcert.qlinalg import int_kernel, sparse_rows
+
+from test_liecore import load_workloads
 
 #: the pinned hook targets of the restricted shear-space tests, and
 #: p14 +- 2 p25, where a rotation of order 4 fixes the line through p
@@ -217,6 +221,124 @@ def test_derivation_algebra_picks_its_method_from_the_table(
 
 
 # --------------------------------------------------------------------------
+# the hook pencil: L's rows over HOOK_PAIRS on K's coordinates, s A0 +
+# sum_k h_k Delta_k, against K restricted by the rows built from L's table
+# --------------------------------------------------------------------------
+
+#: the default p and the two other hook targets whose verify reports are
+#: pinned by sha256
+REPORT_P = ("0,1,0,0,0,0,1", "0,0,1,0,1,0,1", "0,1/2,0,-2,0,3/2,0")
+
+#: the coordinates of L's hook pencil: A0 (None) and Delta_k for every
+#: algebra coordinate k
+PENCIL = (None, *range(12))
+
+
+def rebuilt_split(L):
+    """der(L) as K restricted by the Leibniz rows that L's own table gives
+    over HOOK_PAIRS: the construction the pencil replaces."""
+    return hook_free_derivations().restrict(_leibniz_rows(L.table, HOOK_PAIRS))
+
+
+def hook_only_table(k):
+    table = [[()] * 12 for _ in range(12)]
+    a, b = models.HOOK
+    table[a][b], table[b][a] = ((k, 1),), ((k, -1),)
+    return table
+
+
+def assert_pencil_path(L):
+    """derivation_algebra took the hook split, and its answer equals the
+    rebuilt rows' restriction of K."""
+    assert autos._hook_scale(L) == L.denom // build_two_step().denom
+    assert derivation_algebra(L).space == rebuilt_split(L)
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_delta_k_terms_are_the_hook_only_tables_leibniz_terms(k):
+    table = hook_only_table(k)
+    assert (sparse_rows(_hook_terms(k))
+            == sparse_rows(_leibniz_terms(table, HOOK_PAIRS)))
+
+
+def test_the_pencil_is_g_and_the_hook_only_rows_applied_to_k():
+    K = hook_free_derivations()
+    rows = [row for _, row in K.echelon]
+
+    def on_k(keyed):
+        """Each equation's values on K's echelon rows, zeros and empty
+        rows dropped."""
+        out = {}
+        for key, eq in keyed.items():
+            row = {t: v for t in range(K.dim)
+                   if (v := sum(x * rows[t].get(j, 0) for j, x in eq.items()))}
+            if row:
+                out[key] = row
+        return out
+
+    G = build_two_step()
+    expected = {None: sparse_rows(_leibniz_terms(G.table, HOOK_PAIRS))}
+    expected.update((k, sparse_rows(_leibniz_terms(hook_only_table(k),
+                                                   HOOK_PAIRS)))
+                    for k in range(12))
+    for k in PENCIL:
+        assert K.pencil(k) == on_k(expected[k])
+    # 116 row keys, 316 nonzero entries over K's 72 coordinates
+    assert len(set().union(*(K.pencil(k) for k in PENCIL))) == 116
+    assert sum(len(row) for k in PENCIL for row in K.pencil(k).values()) == 316
+
+
+def test_the_pencil_split_equals_the_rebuilt_rows_on_g():
+    G = build_two_step()
+    assert_pencil_path(G)
+    assert derivation_algebra(G).dim == 39
+
+
+@pytest.mark.parametrize("p", dict.fromkeys(REPORT_P + PINNED_P))
+def test_the_pencil_split_equals_the_rebuilt_rows_at_pinned_p(p):
+    assert_pencil_path(build_three_step(parse(p)))
+
+
+def test_the_pencil_split_equals_the_rebuilt_rows_on_the_p_scan_pool():
+    pool = load_workloads().p_pool()
+    assert len(pool) == 64
+    for p in pool:
+        assert_pencil_path(build_three_step(validate_p(p)))
+
+
+BIG = st.integers(-10**30, 10**30)
+
+
+@st.composite
+def large_hook_targets(draw):
+    """p in L with numerators up to 10^30 and denominators up to 10^12."""
+    rest = [draw(st.one_of(st.just(Q(0)), st.builds(
+        Q, BIG, st.integers(1, 10**12)))) for _ in range(6)]
+    if not any(rest):
+        rest[0] = Q(draw(BIG.filter(bool)), draw(st.integers(1, 10**12)))
+    return (Q(0), *rest)
+
+
+@settings(max_examples=30, deadline=None)
+@given(large_hook_targets())
+@example((Q(0), Q(10**20 + 1, 7**13), Q(0), Q(0), Q(-3, 10**12 - 11), Q(0),
+          Q(0)))
+def test_the_pencil_split_equals_the_rebuilt_rows_at_large_p(p):
+    assert_pencil_path(build_three_step(p))
+
+
+def test_the_pencil_split_reads_a_hook_outside_v_prime():
+    # [s1, p12] = s2 / 3 + p12 / 2: outside V', so not one of the N_p,
+    # with G's brackets elsewhere and a denominator 6 where G's is 1
+    L = g_with(models.HOOK, [Q(1, 3) if k == 1 else Q(1, 2) if k == 5
+                             else Q(0) for k in range(12)])
+    assert L.denom == 6 * build_two_step().denom
+    assert L.table[0][5] == ((1, 2), (5, 3))
+    assert_pencil_path(L)
+    assert derivation_algebra(L).space == full_kernel(L)
+
+
+# --------------------------------------------------------------------------
 # N as G's table plus the hook
 # --------------------------------------------------------------------------
 
@@ -264,7 +386,23 @@ def test_two_p_build_k_once(monkeypatch):
         calls.append(ncols)
         return rref_int(rows, ncols)
 
+    # the pencil's builds: A0 from G's terms over HOOK_PAIRS, Delta_k from
+    # the hook's terms
+    builds = []
+    terms, hook_terms = autos._leibniz_terms, autos._hook_terms
+
+    def counted_terms(table, pairs=None):
+        if pairs is HOOK_PAIRS:
+            builds.append(None)
+        return terms(table, pairs)
+
+    def counted_hook_terms(k):
+        builds.append(k)
+        return hook_terms(k)
+
     monkeypatch.setattr(qlinalg, "_rref_int", counted)
+    monkeypatch.setattr(autos, "_leibniz_terms", counted_terms)
+    monkeypatch.setattr(autos, "_hook_terms", counted_hook_terms)
     hook_free_derivations.cache_clear()
     try:
         for p in ("0,1,0,0,0,0,1", "0,0,1,0,1,0,0"):
@@ -275,20 +413,56 @@ def test_two_p_build_k_once(monkeypatch):
         # 72-column kernel on K's coordinates
         assert calls.count(144) == 1
         assert 72 in calls
+        # A0 once, and Delta_k once for each hook coordinate k read: p13
+        # and p45, then p14 and p25 (coordinates 6, 11, 7 and 9)
+        assert builds == [None, 6, 11, 7, 9]
         hook_free_derivations.cache_clear()
+        builds.clear()
         for p in ("0,1/2,0,0,0,0,-2", "0,0,1,0,-2,0,0"):
             cli.run(list(P_DEPENDENT_SUITE), cli.Config(p=parse(p)))
         assert hook_free_derivations.cache_info().misses == 1
+        # clearing K's cache dropped its pencil, which was built again
+        assert builds == [None, 6, 11, 7, 9]
+    finally:
+        hook_free_derivations.cache_clear()
+
+
+def test_a_new_p_reads_the_pencil_and_eliminates_once(monkeypatch):
+    """After a warm-up p that reads every coordinate of L, der(N_p) at a
+    new p builds no Leibniz rows, applies nothing to K's rows and makes
+    exactly one elimination, the 72-column kernel on K's coordinates."""
+    hook_free_derivations.cache_clear()
+    try:
+        derivation_algebra(build_three_step(parse("0,1,1,1,1,1,1")))
+        work = []
+        for module, name in ((autos, "_leibniz_rows"),
+                             (autos, "_leibniz_terms"),
+                             (autos, "apply_equations"),
+                             (qlinalg, "apply_equations"),
+                             (qlinalg, "_rref_int")):
+            def counted(*args, _f=getattr(module, name), _name=name):
+                work.append((_name, args[-1] if _name == "_rref_int"
+                             else None))
+                return _f(*args)
+            monkeypatch.setattr(module, name, counted)
+        for p in REPORT_P + ("0,-7/3,0,5,0,1/11,0", "0,0,0,0,0,0,1"):
+            N = build_three_step(parse(p))
+            work.clear()
+            der = derivation_algebra(N)
+            assert work == [("_rref_int", 72)], p
+            assert der.space == full_kernel(N)
     finally:
         hook_free_derivations.cache_clear()
 
 
 def test_importing_the_cli_does_not_build_k():
     src = str(Path(__file__).resolve().parents[1] / "src")
+    # K is built on first use, and its pencil on the first hook split
     code = ("import nilcert.cli, nilcert.autos as m; "
-            "print(m.hook_free_derivations.cache_info().misses)")
+            "print(m.hook_free_derivations.cache_info().misses); "
+            "print(len(m.hook_free_derivations()._pencil))")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0"
+    assert proc.stdout.split() == ["0", "0"]

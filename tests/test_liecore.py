@@ -384,6 +384,38 @@ def test_json_coordinates_outside_the_grammar_are_rejected(coord):
         lie_algebra_from_json({"dim": 3, "brackets": [[0, 1, [0, 0, coord]]]})
 
 
+def test_a_coordinate_with_more_digits_than_int_reads_names_the_bound():
+    # in the grammar, but int() converts at most
+    # sys.get_int_max_str_digits() digits of a string
+    bound = sys.get_int_max_str_digits()
+    assert bound > 0
+    for coord in ("1" * (bound + 1), "-1/" + "2" * (bound + 1),
+                  "0" * (bound + 1) + "/3"):
+        with pytest.raises(ValueError) as info:
+            lie_algebra_from_json(
+                {"dim": 3, "brackets": [[0, 1, [0, 0, coord]]]})
+        message = str(info.value)
+        assert message.startswith("bracket coordinates for (0, 1): ")
+        assert f"{bound + 1} digits, more than the {bound}" in message
+        assert "sys.get_int_max_str_digits()" in message
+        assert f"({len(coord)} characters)" in message
+        assert "malformed" not in message and "not a rational" not in message
+        assert len(message) < 200
+    # the bound itself is read
+    L = lie_algebra_from_json({"dim": 3, "brackets": [
+        [0, 1, [0, 0, "1" * bound]], [0, 2, [0, "1" * bound, 0]]]})
+    assert L.sc[0][1][2] == int("1" * bound)
+
+
+def test_a_long_coordinate_outside_the_grammar_is_echoed_short():
+    with pytest.raises(ValueError) as info:
+        lie_algebra_from_json({"dim": 3, "brackets": [[0, 1, [0, 0,
+                                                               "x" * 5000]]]})
+    assert str(info.value) == ("bracket coordinates for (0, 1): "
+                               "'xxxxxxxxxxxxxxxx'... (5000 characters) is "
+                               "not a rational number")
+
+
 def test_json_load_accepts_integer_and_string_coordinates_and_labels():
     L = lie_algebra_from_json({"dim": 3, "labels": ["x", "y", "z"],
                                "brackets": [[0, 1, [0, "0", "-1/2"]]]})
