@@ -206,27 +206,14 @@ HOOK_PAIRS = tuple(pair for pair in itertools.combinations(range(12), 2)
                    if set(pair) & set(HOOK))
 
 
-def _hook_terms(k: int) -> Iterator[tuple[int, int, int]]:
-    """``_leibniz_terms`` over ``HOOK_PAIRS`` for the table whose only
-    entries are the hook's, T[s1][p12] = e_k and T[p12][s1] = -e_k,
-    generated from those two entries: the pair (s1, p12) reads T[s1][p12]
-    at every output coordinate m, and a pair (i, j) reads either entry as
-    [bk, bj] (j in the hook) or [bi, bk] (i in the hook) at m = k."""
+def _hook_only_table(k: int) -> list[list[tuple[tuple[int, int], ...]]]:
+    """The 12 x 12 integer table whose only entries are the hook's,
+    T[s1][p12] = e_k and T[p12][s1] = -e_k."""
     a, b = HOOK
-    d = 12
-    for pos, (i, j) in enumerate(HOOK_PAIRS):
-        key = pos * d
-        if (i, j) == HOOK:
-            for m in range(d):
-                yield key + m, m * d + k, 1
-        if j == b:  # [b_a, b_j] = e_k
-            yield key + k, a * d + i, -1
-        if j == a:  # [b_b, b_j] = -e_k
-            yield key + k, b * d + i, 1
-        if i == a:  # [b_i, b_b] = e_k
-            yield key + k, b * d + j, -1
-        if i == b:  # [b_i, b_a] = -e_k
-            yield key + k, a * d + j, 1
+    table: list[list[tuple[tuple[int, int], ...]]] = [[()] * 12
+                                                      for _ in range(12)]
+    table[a][b], table[b][a] = ((k, 1),), ((k, -1),)
+    return table
 
 
 class HookFreeKernel(Subspace):
@@ -237,9 +224,9 @@ class HookFreeKernel(Subspace):
     the hook pair is s G plus the hook-only table T[s1][p12] = h,
     T[p12][s1] = -h.  So, row by row, L's rows on K are s A0 + sum_k h_k
     Delta_k, with A0 G's rows and Delta_k those of the hook-only table
-    with h = e_k (``_hook_terms``), each applied to K's echelon rows.  A0
-    and each Delta_k are built the first time they are read and kept with
-    K, so ``hook_free_derivations.cache_clear()`` drops them too."""
+    with h = e_k (``_hook_only_table``), each applied to K's echelon rows.
+    A0 and each Delta_k are built the first time they are read and kept
+    with K, so ``hook_free_derivations.cache_clear()`` drops them too."""
 
     __slots__ = ("_pencil",)
 
@@ -252,9 +239,9 @@ class HookFreeKernel(Subspace):
         to that row on K's coordinates, from one ``apply_equations``."""
         rows = self._pencil.get(k)
         if rows is None:
-            keyed = sparse_rows(_leibniz_terms(build_two_step().table,
-                                               HOOK_PAIRS)
-                                if k is None else _hook_terms(k))
+            table = (build_two_step().table if k is None
+                     else _hook_only_table(k))
+            keyed = sparse_rows(_leibniz_terms(table, HOOK_PAIRS))
             rows = self._pencil[k] = {
                 key: row for key, row in zip(keyed, apply_equations(
                     keyed.values(), [row for _, row in self.echelon]))

@@ -484,6 +484,8 @@ def test_p_with_a_coordinate_that_is_not_rational_exits_2(capsys, p, message):
     assert_p_rejected(capsys, p, message)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() has no digit bound before Python 3.10.7")
 def test_p_with_more_digits_than_int_reads_exits_2(capsys):
     bound = sys.get_int_max_str_digits()
     digits = "1" * (bound + 700)

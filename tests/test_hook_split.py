@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from nilcert import autos, cli, models, qlinalg
 from nilcert.autos import (
     HOOK_PAIRS,
-    _hook_terms,
     _leibniz_rows,
     _leibniz_terms,
     derivation_algebra,
@@ -254,13 +253,6 @@ def assert_pencil_path(L):
     assert derivation_algebra(L).space == rebuilt_split(L)
 
 
-@pytest.mark.parametrize("k", range(12))
-def test_delta_k_terms_are_the_hook_only_tables_leibniz_terms(k):
-    table = hook_only_table(k)
-    assert (sparse_rows(_hook_terms(k))
-            == sparse_rows(_leibniz_terms(table, HOOK_PAIRS)))
-
-
 def test_the_pencil_is_g_and_the_hook_only_rows_applied_to_k():
     K = hook_free_derivations()
     rows = [row for _, row in K.echelon]
@@ -277,6 +269,9 @@ def test_the_pencil_is_g_and_the_hook_only_rows_applied_to_k():
         return out
 
     G = build_two_step()
+    # Delta_k's table holds both hook entries, e_k and its negative
+    assert all(autos._hook_only_table(k) == hook_only_table(k)
+               for k in range(12))
     expected = {None: sparse_rows(_leibniz_terms(G.table, HOOK_PAIRS))}
     expected.update((k, sparse_rows(_leibniz_terms(hook_only_table(k),
                                                    HOOK_PAIRS)))
@@ -386,23 +381,19 @@ def test_two_p_build_k_once(monkeypatch):
         calls.append(ncols)
         return rref_int(rows, ncols)
 
-    # the pencil's builds: A0 from G's terms over HOOK_PAIRS, Delta_k from
-    # the hook's terms
+    # the pencil's builds, the Leibniz terms over HOOK_PAIRS: A0 from G's
+    # table, Delta_k from the hook-only table with [s1, p12] = e_k
     builds = []
-    terms, hook_terms = autos._leibniz_terms, autos._hook_terms
+    terms = autos._leibniz_terms
 
     def counted_terms(table, pairs=None):
         if pairs is HOOK_PAIRS:
-            builds.append(None)
+            hook = table[models.HOOK[0]][models.HOOK[1]]  # G's is empty
+            builds.append(hook[0][0] if hook else None)
         return terms(table, pairs)
-
-    def counted_hook_terms(k):
-        builds.append(k)
-        return hook_terms(k)
 
     monkeypatch.setattr(qlinalg, "_rref_int", counted)
     monkeypatch.setattr(autos, "_leibniz_terms", counted_terms)
-    monkeypatch.setattr(autos, "_hook_terms", counted_hook_terms)
     hook_free_derivations.cache_clear()
     try:
         for p in ("0,1,0,0,0,0,1", "0,0,1,0,1,0,0"):

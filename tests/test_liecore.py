@@ -384,6 +384,8 @@ def test_json_coordinates_outside_the_grammar_are_rejected(coord):
         lie_algebra_from_json({"dim": 3, "brackets": [[0, 1, [0, 0, coord]]]})
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() has no digit bound before Python 3.10.7")
 def test_a_coordinate_with_more_digits_than_int_reads_names_the_bound():
     # in the grammar, but int() converts at most
     # sys.get_int_max_str_digits() digits of a string
