@@ -11,7 +11,9 @@ p-free kernel K of G's rows over the pairs that miss s1 and p12
 (``hook_free_derivations``) by its own rows over the other 21.  Those
 rows are linear in the table, so on K's coordinates they are a pencil
 s A0 + sum_k h_k Delta_k, built once with K: a new hook [s1, p12] = h
-only evaluates it and takes one 72-column kernel.  Any other
+only evaluates it and takes one 72-column kernel.  That layout, its
+pencil's A0 (G's table) and each Delta_k (the hook [s1, p12] = e_k alone)
+are all read from ``models.hook_table``, N's one writer.  Any other
 is solved for the copy P^-1 L P in a basis adapted to the descending
 series, whose table is sparser, and the kernel is mapped back by P; for a
 monomial table P is the identity.  Everything else here: stabilizer
@@ -28,7 +30,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .liecore import LieAlgebra, bracket, derived_subalgebra, int_bracket
-from .models import HOOK, SL2Element, binary_form_action, build_two_step
+from .models import (
+    HOOK,
+    SL2Element,
+    binary_form_action,
+    build_two_step,
+    hook_table,
+)
 from .qlinalg import (
     Matrix,
     Subspace,
@@ -122,20 +130,14 @@ def _leibniz_rows(table: Sequence[Sequence[Sequence[tuple[int, int]]]],
 
 
 def _hook_scale(L: LieAlgebra) -> int:
-    """s > 0 when L's brackets are G's, as rationals, at every basis pair
-    but (s1, p12) and (p12, s1), so that L's integer entries there are G's
-    times s = L.denom / G.denom; 0 otherwise."""
+    """s > 0 when L's table is ``hook_table(s, h)`` for its own entries h
+    at (s1, p12): G's brackets, as rationals, at every other basis pair,
+    with s = L.denom / G.denom; 0 otherwise."""
     if L.dim != 12:
-        return 0
-    G = build_two_step()
-    s, r = divmod(L.denom, G.denom)
-    entries = list(itertools.chain.from_iterable(L.table))
+        return 0  # without building G
+    s, r = divmod(L.denom, build_two_step().denom)
     a, b = HOOK
-    entries[a * 12 + b] = entries[b * 12 + a] = ()  # G's are empty
-    same = not r and entries == [
-        tuple((k, s * t) for k, t in e) if e and s > 1 else e
-        for e in itertools.chain.from_iterable(G.table)]
-    return s if same else 0
+    return s if not r and L.table == hook_table(s, L.table[a][b]) else 0
 
 
 def _adapted_basis(L: LieAlgebra) -> tuple[list[dict[int, int]],
@@ -206,25 +208,15 @@ HOOK_PAIRS = tuple(pair for pair in itertools.combinations(range(12), 2)
                    if set(pair) & set(HOOK))
 
 
-def _hook_only_table(k: int) -> list[list[tuple[tuple[int, int], ...]]]:
-    """The 12 x 12 integer table whose only entries are the hook's,
-    T[s1][p12] = e_k and T[p12][s1] = -e_k."""
-    a, b = HOOK
-    table: list[list[tuple[tuple[int, int], ...]]] = [[()] * 12
-                                                      for _ in range(12)]
-    table[a][b], table[b][a] = ((k, 1),), ((k, -1),)
-    return table
-
-
 class HookFreeKernel(Subspace):
     """K (``hook_free_derivations``), with L's Leibniz rows over
     ``HOOK_PAIRS`` read on K's 72 coordinates as a pencil.
 
     The rows are linear in the table, and a table with G's brackets off
-    the hook pair is s G plus the hook-only table T[s1][p12] = h,
-    T[p12][s1] = -h.  So, row by row, L's rows on K are s A0 + sum_k h_k
-    Delta_k, with A0 G's rows and Delta_k those of the hook-only table
-    with h = e_k (``_hook_only_table``), each applied to K's echelon rows.
+    the hook pair is s G plus the hook-only table ``hook_table(0, h)``.
+    So, row by row, L's rows on K are s A0 + sum_k h_k Delta_k, with A0
+    the rows of ``hook_table(1, ())`` (G's table) and Delta_k those of
+    ``hook_table(0, ((k, 1),))``, each applied to K's echelon rows.
     A0 and each Delta_k are built the first time they are read and kept
     with K, so ``hook_free_derivations.cache_clear()`` drops them too."""
 
@@ -239,8 +231,8 @@ class HookFreeKernel(Subspace):
         to that row on K's coordinates, from one ``apply_equations``."""
         rows = self._pencil.get(k)
         if rows is None:
-            table = (build_two_step().table if k is None
-                     else _hook_only_table(k))
+            table = (hook_table(1, ()) if k is None
+                     else hook_table(0, ((k, 1),)))
             keyed = sparse_rows(_leibniz_terms(table, HOOK_PAIRS))
             rows = self._pencil[k] = {
                 key: row for key, row in zip(keyed, apply_equations(

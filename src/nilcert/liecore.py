@@ -262,7 +262,8 @@ def heisenberg3() -> LieAlgebra:
 # and j are basis indices, and coords is a list of dim rationals written as
 # JSON integers or strings "n" or "n/d" (``parse_rational``).  dim, the
 # indices and integer coordinates must be JSON integers: a float or a
-# boolean is rejected, not truncated.  A key given twice is rejected.
+# boolean is rejected, not truncated, and so is an integer literal past
+# int()'s digit bound, by its field.  A key given twice is rejected.
 # Omitted pairs are zero; antisymmetry is completed automatically; the
 # Jacobi identity is verified on load and violations are reported.  Every
 # malformed field raises a ValueError that names it.
@@ -279,7 +280,38 @@ MAX_JSON_DIM = 128
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+class _LongLiteral:
+    """A JSON integer literal with more digits than ``int()`` converts,
+    kept as its text for ``_json_int`` to report in the field it is in."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return f"<integer literal {_echo(self.text)}>"
+
+
+def _json_literal(text: str) -> int | _LongLiteral:
+    """``json.loads``'s reader of integer literals, which are digits with
+    an optional minus sign: int(text) within ``int()``'s digit bound."""
+    try:
+        return int(text)
+    except ValueError:
+        return _LongLiteral(text)
+
+
+def _past_digit_bound() -> str:
+    return (f"more than the {sys.get_int_max_str_digits()} that "
+            "sys.get_int_max_str_digits() lets int() read")
+
+
 def _json_int(value, name: str) -> int:
+    if isinstance(value, _LongLiteral):
+        raise ValueError(
+            f"{name} {_echo(value.text)} has {len(value.text.lstrip('-'))} "
+            f"digits, {_past_digit_bound()}")
     # bool is a subclass of int, and int() would truncate a float
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be a JSON integer, got {value!r}")
@@ -310,10 +342,8 @@ def parse_rational(text: str) -> int | Fraction:
         n, d = int(num), int(den)
     except ValueError:  # in the grammar, so past int()'s digit bound
         digits = max(len(num.lstrip("-")), len(den or ""))
-        raise ValueError(
-            f"{_echo(text)} has a part of {digits} digits, more than the "
-            f"{sys.get_int_max_str_digits()} that "
-            "sys.get_int_max_str_digits() lets int() read") from None
+        raise ValueError(f"{_echo(text)} has a part of {digits} digits, "
+                         f"{_past_digit_bound()}") from None
     if not d:
         raise ValueError(f"{_echo(text)} has a zero denominator")
     return Fraction(n, d)
@@ -349,7 +379,8 @@ def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
-    data = (json.loads(source, object_pairs_hook=_distinct_keys)
+    data = (json.loads(source, object_pairs_hook=_distinct_keys,
+                       parse_int=_json_literal)
             if isinstance(source, str) else source)
     if not isinstance(data, Mapping):
         raise ValueError(

@@ -1,6 +1,9 @@
 """The concrete models: V inside 3x3 symmetric matrices, the sl2 triple
 acting on it, the invariant subspace W of wedge^2 V, and the two nilpotent
-algebras G (2-step) and N (3-step) built on V + wedge^2(V)/W.
+algebras G (2-step) and N (3-step) built on V + wedge^2(V)/W.  N differs
+from G only in the hook [s1, p12] = p, and its integer table has one
+writer, ``hook_table``, which ``autos`` also reads to recognise that
+layout and to build its hook pencil.
 
 As sl2-modules, V and V' are the binary quartics and the binary sextics:
 ``binary_form_action`` builds a sampled group element on either one from
@@ -19,7 +22,7 @@ Basis conventions, fixed once:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -403,26 +406,33 @@ def validate_p(p: Sequence) -> tuple[Fraction, ...]:
     return vec
 
 
+def hook_table(scale: int, hook: Iterable[tuple[int, int]]
+               ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """scale times G's integer table, with the integer entries hook at
+    (s1, p12) and their negation at (p12, s1), laid out as
+    ``LieAlgebra.table``: the one writer of N's table.  Scale 0 gives the
+    table of the hook alone."""
+    table = [[tuple((k, scale * t) for k, t in e) if e and scale != 1 else e
+              for e in row] if scale else [()] * len(row)
+             for row in build_two_step().table]
+    i, j = HOOK
+    table[i][j] = hook = tuple(hook)
+    table[j][i] = tuple((k, -t) for k, t in hook)
+    return tuple(map(tuple, table))
+
+
 def build_three_step(p: Sequence | None = None) -> LieAlgebra:
     """The 12-dim 3-step algebra N: the 2-step brackets plus [s1, p12] = p.
 
-    G's integer table is copied, scaled to the lcm of G's denominator and
-    p's, and the hook is written at (s1, p12), its negation at (p12, s1):
-    the canonical table that ``make_lie_algebra`` builds from the same
+    Its table is ``hook_table`` at the lcm of G's denominator and p's, the
+    canonical table that ``make_lie_algebra`` builds from the same
     brackets, without a ``Fraction`` per entry."""
     pvec = validate_p(DEFAULT_P if p is None else p)
     G = build_two_step()
     denom = math.lcm(G.denom, *(x.denominator for x in pvec))
-    scale = denom // G.denom
-    table = [list(row) if scale == 1 else
-             [tuple((k, t * scale) for k, t in e) for e in row]
-             for row in G.table]
-    hook = tuple((k, x.numerator * (denom // x.denominator))
-                 for k, x in enumerate(vprime_to_algebra(pvec)) if x)
-    i, j = HOOK
-    table[i][j] = hook
-    table[j][i] = tuple((k, -t) for k, t in hook)
-    L = LieAlgebra(12, denom, tuple(map(tuple, table)), G.labels)
+    L = LieAlgebra(12, denom, hook_table(denom // G.denom, (
+        (k, x.numerator * (denom // x.denominator))
+        for k, x in enumerate(vprime_to_algebra(pvec)) if x)), G.labels)
     violations = check_jacobi(L)
     if violations:
         raise CertificationError(

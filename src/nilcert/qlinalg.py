@@ -36,8 +36,6 @@ from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
-Q = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -450,14 +448,6 @@ class Subspace:
     """
 
     __slots__ = ("ambient_dim", "echelon", "_pivot_rows", "_basis")
-
-    def __init__(self, ambient_dim: int, basis: Matrix):
-        """The row space of basis, a matrix with ambient_dim columns."""
-        if basis.cols != ambient_dim:
-            raise ValueError(
-                f"basis has {basis.cols} columns, ambient dim is {ambient_dim}")
-        self._set(ambient_dim, _rref_int(
-            (_primitive(r) for r in basis.int_rows() if r), ambient_dim))
 
     def _set(self, ambient_dim: int,
              echelon: list[tuple[int, dict[int, int]]]) -> "Subspace":

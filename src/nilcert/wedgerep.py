@@ -47,12 +47,12 @@ def wedge_vector(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction
 def _unit_terms(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """For each basis pair k = (i, j) of wedge^2 Q^n, the terms (r * n + c,
     t, s) of E_rc(e_i^e_j) = sum s e_t, where the matrix unit E_rc acts as
-    a derivation: [c=i] e_r^e_j + [c=j] e_i^e_r.  The basis pair (a, b),
-    a < b, is number a(2n - a - 1)/2 + b - a - 1."""
+    a derivation: [c=i] e_r^e_j + [c=j] e_i^e_r, with t the position of
+    the pair in ``wedge_pairs``."""
+    index = {pair: k for k, pair in enumerate(wedge_pairs(n))}
+
     def term(rc: int, a: int, b: int) -> tuple[int, int, int]:
-        if a < b:
-            return rc, a * (2 * n - a - 1) // 2 + b - a - 1, 1
-        return rc, b * (2 * n - b - 1) // 2 + a - b - 1, -1
+        return (rc, index[a, b], 1) if a < b else (rc, index[b, a], -1)
     return tuple(
         tuple([term(r * n + i, r, j) for r in range(n) if r != j]
               + [term(r * n + j, i, r) for r in range(n) if r != i])

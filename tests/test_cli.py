@@ -380,6 +380,27 @@ def test_verify_json_is_byte_identical_to_recorded_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORT_SHA256
 
 
+#: sha256 of ``verify --json --suite PINNED_SUITE --seed 0 --p P`` stdout at
+#: p14 + p25 + p45 (p13 = 0) and a p with both p13 and p15 nonzero, over
+#: the whole suite (the p-independent checks too), recorded before
+#: ``models.hook_table`` became the one writer of N's table
+PINNED_SUITE_P_REPORTS = {
+    "0,0,1,0,1,0,1":
+        "f9c05329019cc823f850c4e8e31d4cad5daf4a6bb92b82afc3102f6c8e9180a9",
+    "0,1/2,0,-2,0,3/2,0":
+        "7b2f0dff9b62bae90f51e469482eee46b06545cfda12443dec81d24c5c0158e0",
+}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_SUITE_P_REPORTS))
+def test_verify_json_over_the_pinned_suite_at_non_default_p(capsys, p):
+    main(["verify", "--json", "--suite", ",".join(PINNED_SUITE), "--seed", "0",
+          "--p", p])
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == PINNED_SUITE_P_REPORTS[p])
+
+
 #: the seven deterministic checks whose answer depends on the hook target p
 P_DEPENDENT_SUITE = (
     "jacobi.N", "lcs.N-12-7-1-0", "nilclass.N-3", "n.der-dim-32",

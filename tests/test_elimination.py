@@ -130,7 +130,8 @@ def test_span_matches_sympy(case):
     assert_fractions(s.basis.entries)
     # the pivot columns kept from elimination are those of the basis rows,
     # so their complements agree
-    assert s.free_columns() == Subspace(ncols, s.basis).free_columns()
+    assert s.free_columns() == Subspace.from_int_rows(
+        ncols, s.basis.int_rows()).free_columns()
     for v in rows:
         assert s.contains(v)
 

@@ -243,7 +243,7 @@ def hook_only_table(k):
     table = [[()] * 12 for _ in range(12)]
     a, b = models.HOOK
     table[a][b], table[b][a] = ((k, 1),), ((k, -1),)
-    return table
+    return tuple(map(tuple, table))
 
 
 def assert_pencil_path(L):
@@ -269,8 +269,10 @@ def test_the_pencil_is_g_and_the_hook_only_rows_applied_to_k():
         return out
 
     G = build_two_step()
-    # Delta_k's table holds both hook entries, e_k and its negative
-    assert all(autos._hook_only_table(k) == hook_only_table(k)
+    # A0's table is G's, and Delta_k's holds both hook entries, e_k and its
+    # negative
+    assert models.hook_table(1, ()) == G.table
+    assert all(models.hook_table(0, ((k, 1),)) == hook_only_table(k)
                for k in range(12))
     expected = {None: sparse_rows(_leibniz_terms(G.table, HOOK_PAIRS))}
     expected.update((k, sparse_rows(_leibniz_terms(hook_only_table(k),
@@ -353,6 +355,35 @@ def test_spliced_n_equals_the_fraction_build(p):
     spliced, reference = build_three_step(p), fraction_three_step(p)
     assert_same_algebra(spliced, reference)
     assert show_text(spliced, p) == show_text(reference, p)
+
+
+def int_hook(p, denom):
+    """The integer hook entries (k, h_k) of [s1, p12] = p over denom."""
+    return tuple((k, int(x * denom))
+                 for k, x in enumerate(vprime_to_algebra(p)) if x)
+
+
+@pytest.mark.parametrize("p", dict.fromkeys(REPORT_P + PINNED_P))
+def test_n_is_the_hook_table_at_pinned_p(p):
+    pvec = parse(p)
+    N, G = build_three_step(pvec), build_two_step()
+    s, r = divmod(N.denom, G.denom)
+    assert not r and s >= 1
+    table = models.hook_table(s, int_hook(pvec, N.denom))
+    assert N.table == table == fraction_three_step(pvec).table
+
+
+def test_the_hook_table_scales_g_off_the_hook():
+    G = build_two_step()
+    a, b = models.HOOK
+    hook = ((6, 2), (11, -6))
+    for s in (0, 1, 3):
+        table = models.hook_table(s, hook)
+        assert table[a][b] == hook and table[b][a] == ((6, -2), (11, 6))
+        assert all(table[i][j] == tuple((k, s * t) for k, t in G.table[i][j]
+                                        if s)
+                   for i in range(12) for j in range(12)
+                   if {i, j} != {a, b})
 
 
 def test_the_splice_leaves_g_alone():
@@ -453,6 +484,25 @@ def test_importing_the_cli_does_not_build_k():
             "print(m.hook_free_derivations.cache_info().misses); "
             "print(len(m.hook_free_derivations()._pencil))")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+def test_a_table_of_another_dimension_builds_neither_g_nor_k():
+    """derivation_algebra turns a table that is not 12-dimensional away
+    from the hook split before it builds G or K."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    text = next(e["text"] for e in load_workloads().algebra_pool()
+                if not e["reject"])
+    code = ("import sys; from nilcert import autos, liecore, models; "
+            "autos.derivation_algebra(liecore.heisenberg3()); "
+            "autos.derivation_algebra("
+            "liecore.lie_algebra_from_json(sys.stdin.read())); "
+            "print(models.build_two_step.cache_info().misses); "
+            "print(autos.hook_free_derivations.cache_info().misses)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], input=text,
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr

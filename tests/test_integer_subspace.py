@@ -129,9 +129,9 @@ def test_span_equality_and_hash_match_the_dense_reference(case, data):
     assert_matches_reference(s, rows, n)
     negated = Subspace.span(n, [[-x for x in r] for r in reversed(rows)])
     assert negated == s and hash(negated) == hash(s)
-    assert Subspace(n, s.basis) == s
-    assert Subspace(n, Matrix.from_rows(rows) if rows
-                    else Matrix.zero(0, n)) == s
+    assert Subspace.from_int_rows(n, s.basis.int_rows()) == s
+    assert Subspace.from_int_rows(n, (Matrix.from_rows(rows) if rows else
+                                      Matrix.zero(0, n)).int_rows()) == s
     if data is not None and rows:
         # dropping a row changes the space exactly when the rank drops
         k = data.draw(st.integers(0, len(rows) - 1))

@@ -409,6 +409,51 @@ def test_a_coordinate_with_more_digits_than_int_reads_names_the_bound():
     assert L.sc[0][1][2] == int("1" * bound)
 
 
+def _long_literal_documents(literal: str) -> list[tuple[str, str]]:
+    """(field name, JSON text) with the integer literal in that field."""
+    return [
+        ("dim", f'{{"dim": {literal}}}'),
+        ("bracket index i", f'{{"dim": 3, "brackets": [[{literal}, 1, [0, 0, 1]]]}}'),
+        ("bracket index j", f'{{"dim": 3, "brackets": [[0, {literal}, [0, 0, 1]]]}}'),
+        ("bracket coordinates for (0, 1) entry",
+         f'{{"dim": 3, "brackets": [[0, 1, [0, 0, {literal}]]]}}'),
+    ]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() has no digit bound before Python 3.10.7")
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_a_json_integer_with_more_digits_than_int_reads_names_its_field(sign):
+    # json.loads alone raises int()'s own message, which names no field
+    bound = sys.get_int_max_str_digits()
+    literal = sign + "7" * (bound + 1)
+    for field, text in _long_literal_documents(literal):
+        with pytest.raises(ValueError) as info:
+            lie_algebra_from_json(text)
+        message = str(info.value)
+        assert message == (
+            f"{field} {literal[:16]!r}... ({len(literal)} characters) has "
+            f"{bound + 1} digits, more than the {bound} that "
+            "sys.get_int_max_str_digits() lets int() read")
+        assert "Exceeds the limit" not in message
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() has no digit bound before Python 3.10.7")
+def test_a_json_integer_at_the_digit_bound_is_read():
+    bound = sys.get_int_max_str_digits()
+    L = lie_algebra_from_json(
+        f'{{"dim": 3, "brackets": [[0, 1, [0, 0, {"1" * bound}]], '
+        f'[0, 2, [0, -{"1" * bound}, 0]]]}}')
+    assert L.sc[0][1][2] == int("1" * bound) == -L.sc[0][2][1]
+    # a long literal where no integer belongs is echoed short, not in full
+    with pytest.raises(ValueError, match=r"labels must be a list of 3 strings, "
+                       r"got \['x', 'y', <integer literal '7777777777777777'"
+                       r"\.\.\. \(\d+ characters\)>\]"):
+        lie_algebra_from_json(f'{{"dim": 3, "labels": ["x", "y", '
+                              f'{"7" * (bound + 1)}]}}')
+
+
 def test_a_long_coordinate_outside_the_grammar_is_echoed_short():
     with pytest.raises(ValueError) as info:
         lie_algebra_from_json({"dim": 3, "brackets": [[0, 1, [0, 0,
