@@ -15,10 +15,11 @@ only evaluates it and takes one 72-column kernel.  That layout, its
 pencil's A0 (G's table) and each Delta_k (the hook [s1, p12] = e_k alone)
 are all read from ``models.hook_table``, N's one writer.  Any other
 is solved for the copy P^-1 L P in a basis adapted to the descending
-series, whose table is sparser, and the kernel is mapped back by P; for a
-monomial table P is the identity.  Everything else here: stabilizer
-algebras, shear spaces, abelianization factors, exact exponentials,
-eigenline tests, and the seeded H-element sampler.
+series (``LieAlgebra.adapted``, built once per algebra), whose table is
+sparser, and the kernel is mapped back by P; for a monomial table P is
+the identity.  Everything else here: stabilizer algebras, shear spaces,
+abelianization factors, exact exponentials, eigenline tests, and the
+seeded H-element sampler.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .liecore import LieAlgebra, bracket, derived_subalgebra, int_bracket
+from .liecore import LieAlgebra, bracket, derived_subalgebra
 from .models import (
     HOOK,
     SL2Element,
@@ -42,6 +43,7 @@ from .qlinalg import (
     Subspace,
     apply_equations,
     char_poly,
+    column_index,
     count_real_roots,
     eigenspace,
     int_kernel,
@@ -140,60 +142,25 @@ def _hook_scale(L: LieAlgebra) -> int:
     return s if not r and L.table == hook_table(s, L.table[a][b]) else 0
 
 
-def _adapted_basis(L: LieAlgebra) -> tuple[list[dict[int, int]],
-                                           list[dict[int, int]]]:
-    """(P's columns, Q's rows), sparse: column c of the integer lower
-    triangular P is the echelon row with pivot c of the deepest term of
-    ``L.descending_series`` that has one (e_c if no term below L does), and
-    Q = delta P^-1 is the primitive integer multiple of P^-1.  The pivots
-    of a subspace are among those of any subspace containing it, so P's
-    columns pivoted in a term are a basis of it; P = Q = I when every term
-    is spanned by basis vectors, as for a monomial table.  Q comes from
-    forward substitution on det(P) P^-1, which is integral, so every
-    division in it is exact."""
-    d = L.dim
-    cols = [{c: 1} for c in range(d)]
-    for term in L.descending_series[1:]:
-        for c, row in term.echelon:
-            cols[c] = row
-    det = math.prod(col[c] for c, col in enumerate(cols))
-    rows = []
-    for k in range(d):
-        q = {k: det // cols[k][k]}
-        for m in reversed(range(k)):
-            t = sum(x * cols[m].get(j, 0) for j, x in q.items())
-            if t:
-                q[m] = -t // cols[m][m]
-        rows.append(q)
-    g = math.gcd(*(x for q in rows for x in q.values()))
-    return cols, [{m: x // g for m, x in q.items()} for q in rows]
-
-
 def derivation_algebra(L: LieAlgebra) -> DerivationSpace:
     """All D with D[x,y] = [Dx,y] + [x,Dy], as one exact kernel.
 
     When L has G's brackets off the hook pair, as G and every N of
     ``models`` do, that is K (``hook_free_derivations``) restricted by L's
     rows over ``HOOK_PAIRS``, which K evaluates from its hook pencil
-    (``HookFreeKernel.hook_split``).  Otherwise it is taken for
-    L' = P^-1 L P, with P's columns and Q = delta P^-1's rows from
-    ``_adapted_basis``, in whose basis the brackets are sparser.  The
-    table of L' is Q [P e_i, P e_j], a constant multiple of its own, and
-    each echelon row U of der(L') gives P U Q, a positive multiple of the
-    derivation P U P^-1 of L: U's weighted sum of the images P E_ab Q.
-    The span of those is brought to canonical form."""
+    (``HookFreeKernel.hook_split``).  Otherwise it is taken for the
+    adapted copy L' = P^-1 L P of ``LieAlgebra.adapted``, whose table is a
+    constant multiple of Q [P e_i, P e_j] for P's columns and
+    Q = delta P^-1's rows, and sparser than L's.  Each echelon row U of
+    der(L') gives P U Q, a positive multiple of the derivation P U P^-1 of
+    L: U's weighted sum of the images P E_ab Q.  The span of those is
+    brought to canonical form."""
     s = _hook_scale(L)
     if s:
         return DerivationSpace(L, hook_free_derivations().hook_split(
             s, L.table[HOOK[0]][HOOK[1]]))
     d = L.dim
-    cols, rows = _adapted_basis(L)
-    table = [[()] * d for _ in range(d)]
-    for i, j in itertools.combinations(range(d), 2):
-        v = int_bracket(L, cols[i], cols[j])
-        w = [(k, t) for k, q in enumerate(rows)
-             if (t := sum(x * v[m] for m, x in q.items()))]
-        table[i][j], table[j][i] = w, [(k, -t) for k, t in w]
+    cols, rows, table = L.adapted
     units = [{r * d + c: x * y for r, x in cols[a].items()
               for c, y in rows[b].items()} for a in range(d) for b in range(d)]
     return DerivationSpace(L, Subspace.from_int_rows(d * d, (
@@ -217,27 +184,29 @@ class HookFreeKernel(Subspace):
     So, row by row, L's rows on K are s A0 + sum_k h_k Delta_k, with A0
     the rows of ``hook_table(1, ())`` (G's table) and Delta_k those of
     ``hook_table(0, ((k, 1),))``, each applied to K's echelon rows.
-    A0 and each Delta_k are built the first time they are read and kept
-    with K, so ``hook_free_derivations.cache_clear()`` drops them too."""
+    A0 and each Delta_k are built the first time they are read, from one
+    column index of K's echelon rows built with K, and kept with K, so
+    ``hook_free_derivations.cache_clear()`` drops them too."""
 
-    __slots__ = ("_pencil",)
+    __slots__ = ("_columns", "_pencil")
 
     def __init__(self, space: Subspace):
         self._set(space.ambient_dim, space.echelon)
+        self._columns = column_index([row for _, row in self.echelon])
         self._pencil: dict[int | None, dict[int, dict[int, int]]] = {}
 
     def pencil(self, k: int | None) -> dict[int, dict[int, int]]:
         """A0 (k None) or Delta_k: row key, as ``_leibniz_terms`` keys it,
-        to that row on K's coordinates, from one ``apply_equations``."""
+        to that row on K's coordinates, each row the weighted sum of K's
+        columns (``apply_equations`` with K's index kept)."""
         rows = self._pencil.get(k)
         if rows is None:
             table = (hook_table(1, ()) if k is None
                      else hook_table(0, ((k, 1),)))
-            keyed = sparse_rows(_leibniz_terms(table, HOOK_PAIRS))
             rows = self._pencil[k] = {
-                key: row for key, row in zip(keyed, apply_equations(
-                    keyed.values(), [row for _, row in self.echelon]))
-                if row}
+                key: row for key, eq in sparse_rows(
+                    _leibniz_terms(table, HOOK_PAIRS)).items()
+                if (row := weighted_sum(eq, self._columns))}
         return rows
 
     def hook_split(self, s: int, hook: Iterable[tuple[int, int]]

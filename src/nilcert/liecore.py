@@ -3,10 +3,14 @@
 An algebra is its dimension and its structure constants c_ij^k, the
 coordinates of [b_i, b_j], stored once, sparse and in integers
 (``LieAlgebra.table``): the lcm D of all their denominators and, for each
-pair (i, j), the nonzero entries (k, D c_ij^k).  The bracket, the Jacobi
-scan, the center and the Leibniz system of ``autos`` run on it in plain
-ints and visit only nonzero entries; ``Fraction`` appears only in what they
-return.  The dense antisymmetric tensor ``sc[i][j]`` of ``Fraction``
+pair (i, j), the nonzero entries (k, D c_ij^k).  The bracket and the
+Jacobi scan run on it in plain ints and visit only nonzero entries;
+``Fraction`` appears only in what they return.  The center, the Leibniz
+system of ``autos`` and the JSON loader's Jacobi decision read the same
+integer form of the copy P^-1 L P in a basis adapted to the descending
+series (``LieAlgebra.adapted``), which is sparser and built once per
+algebra, so the loader builds the descending series before it decides
+Jacobi.  The dense antisymmetric tensor ``sc[i][j]`` of ``Fraction``
 coordinates is built only when read.
 """
 
@@ -17,7 +21,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -25,11 +29,13 @@ from .qlinalg import (
     Matrix,
     Subspace,
     clear_denominators,
+    column_index,
     int_kernel,
     is_zero_vector,
     qf,
     sparse_rows,
     unit_vector,
+    weighted_sum,
 )
 
 _ZERO = Fraction(0)
@@ -91,23 +97,31 @@ class LieAlgebra:
 
     @cached_property
     def jacobi_violations(self) -> tuple[tuple[int, int, int], ...]:
-        """The basis triples i<j<k violating Jacobi, found on first use.
+        """The basis triples i<j<k violating Jacobi, found on first use
+        (``_jacobi_triples`` of the table)."""
+        return tuple(_jacobi_triples(self.table))
 
-        [b_a, [b_b, b_c]] has coordinate n equal to the sum over m of
-        c_bc^m c_am^n; the three cyclic terms are summed in integers, scaled
-        by denom^2, which does not change which sums vanish."""
-        table = self.table
-        violations = []
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            acc: dict[int, int] = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                ta = table[a]
-                for m, x in table[b][c]:
-                    for n, y in ta[m]:
-                        acc[n] = acc.get(n, 0) + x * y
-            if any(acc.values()):
-                violations.append((i, j, k))
-        return tuple(violations)
+    @cached_property
+    def adapted(self) -> tuple[list[dict[int, int]], list[dict[int, int]],
+                               tuple[tuple[tuple[tuple[int, int], ...],
+                                           ...], ...]]:
+        """(P's columns, Q's rows, the integer table of L' = P^-1 L P),
+        built on first use: P and Q = delta P^-1 from ``_adapted_basis``,
+        and L''s table at (i, j) the nonzero entries of Q [P e_i, P e_j]
+        scaled by denom, written alternating.  It is a positive multiple
+        of the table of the bracket P^-1 [P x, P y], so L' is L in the
+        basis of P's columns, up to that constant factor; in a basis
+        adapted to the descending series its brackets are sparser."""
+        d = self.dim
+        cols, rows = _adapted_basis(self)
+        q_cols = column_index(rows)
+        table = [[()] * d for _ in range(d)]
+        for i, j in itertools.combinations(range(d), 2):
+            v = int_bracket(self, cols[i], cols[j])
+            w = tuple(sorted(weighted_sum(
+                {m: x for m, x in enumerate(v) if x}, q_cols).items()))
+            table[i][j], table[j][i] = w, tuple((k, -t) for k, t in w)
+        return cols, rows, tuple(map(tuple, table))
 
     @cached_property
     def derived(self) -> Subspace:
@@ -119,6 +133,54 @@ class LieAlgebra:
 
     def basis_vector(self, i: int) -> tuple[Fraction, ...]:
         return unit_vector(self.dim, i)
+
+
+def _jacobi_triples(table: Sequence[Sequence[Sequence[tuple[int, int]]]]
+                   ) -> Iterator[tuple[int, int, int]]:
+    """The basis triples i<j<k on which the Jacobi sum of an integer table
+    laid out as ``LieAlgebra.table`` is nonzero, in order, found lazily.
+
+    [b_a, [b_b, b_c]] has coordinate n equal to the sum over m of
+    c_bc^m c_am^n; the three cyclic terms are summed in integers, scaled
+    by denom^2, which does not change which sums vanish."""
+    for i, j, k in itertools.combinations(range(len(table)), 3):
+        acc: dict[int, int] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            ta = table[a]
+            for m, x in table[b][c]:
+                for n, y in ta[m]:
+                    acc[n] = acc.get(n, 0) + x * y
+        if any(acc.values()):
+            yield i, j, k
+
+
+def _adapted_basis(L: LieAlgebra) -> tuple[list[dict[int, int]],
+                                           list[dict[int, int]]]:
+    """(P's columns, Q's rows), sparse: column c of the integer lower
+    triangular P is the echelon row with pivot c of the deepest term of
+    ``L.descending_series`` that has one (e_c if no term below L does), and
+    Q = delta P^-1 is the primitive integer multiple of P^-1.  The pivots
+    of a subspace are among those of any subspace containing it, so P's
+    columns pivoted in a term are a basis of it; P = Q = I when every term
+    is spanned by basis vectors, as for a monomial table.  Q comes from
+    forward substitution on det(P) P^-1, which is integral, so every
+    division in it is exact."""
+    d = L.dim
+    cols = [{c: 1} for c in range(d)]
+    for term in L.descending_series[1:]:
+        for c, row in term.echelon:
+            cols[c] = row
+    det = math.prod(col[c] for c, col in enumerate(cols))
+    rows = []
+    for k in range(d):
+        q = {k: det // cols[k][k]}
+        for m in reversed(range(k)):
+            t = sum(x * cols[m].get(j, 0) for j, x in q.items())
+            if t:
+                q[m] = -t // cols[m][m]
+        rows.append(q)
+    g = math.gcd(*(x for q in rows for x in q.values()))
+    return cols, [{m: x // g for m, x in q.items()} for q in rows]
 
 
 def make_lie_algebra(dim: int,
@@ -236,12 +298,21 @@ def derived_subalgebra(L: LieAlgebra) -> Subspace:
 
 
 def center(L: LieAlgebra) -> Subspace:
-    """{x : [x, L] = 0}, the kernel of the stacked adjoint maps: one row
-    per (j, k), sum_i x_i c_ij^k = 0."""
-    d, table = L.dim, L.table
-    return int_kernel(sparse_rows(
+    """{x : [x, L] = 0}, taken for L' = P^-1 L P (``LieAlgebra.adapted``),
+    whose table is sparser, and mapped back by P.
+
+    The kernel has one row per (j, k) of L''s table, sum_i x_i c'_ij^k = 0.
+    This is exact: L''s bracket is a positive multiple of P^-1 [P x, P y]
+    and P is invertible, so x is central in L' exactly when P x is central
+    in L.  Each kernel row z gives P z, the weighted sum of P's columns,
+    and the span of those d-column rows is brought to canonical form."""
+    d = L.dim
+    cols, _, table = L.adapted
+    kernel = int_kernel(sparse_rows(
         (j * d + k, i, t) for j in range(d) for i in range(d)
         for k, t in table[i][j]).values(), d)
+    return Subspace.from_int_rows(
+        d, (weighted_sum(z, cols) for _, z in kernel.echelon))
 
 
 def abelian_lie_algebra(n: int) -> LieAlgebra:
@@ -265,11 +336,14 @@ def heisenberg3() -> LieAlgebra:
 # boolean is rejected, not truncated, and so is an integer literal past
 # int()'s digit bound, by its field.  A key given twice is rejected.
 # Omitted pairs are zero; antisymmetry is completed automatically; the
-# Jacobi identity is verified on load and violations are reported.  Every
-# malformed field raises a ValueError that names it.
+# Jacobi identity is verified on load, on the adapted copy, and violations
+# are reported in the given basis.  Every malformed field raises a
+# ValueError that names it.
 
 #: the largest dim a JSON document may declare; a dim-d algebra's table has
-#: d^2 slots at load, its dense tensor ``sc`` d^3 entries when read, and the
+#: d^2 slots at load, its dense tensor ``sc`` d^3 entries when read, and
+#: the loader builds the descending series (a span of C(d, 2) brackets and
+#: more per term) and the adapted table (C(d, 2) brackets) before its
 #: Jacobi check scans C(d, 3) basis triples, so an unbounded dim would let
 #: one small document exhaust memory or time
 MAX_JSON_DIM = 128
@@ -379,9 +453,29 @@ def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
-    data = (json.loads(source, object_pairs_hook=_distinct_keys,
-                       parse_int=_json_literal)
-            if isinstance(source, str) else source)
+    """The algebra of a JSON document (or of its parsed object), in the
+    schema above; raises a ValueError that names what is wrong.
+
+    Jacobi is decided on the adapted copy L' = P^-1 L P
+    (``LieAlgebra.adapted``), whose table is sparser than the given one,
+    and only a table that fails there is scanned again in the given basis
+    (``check_jacobi``), so that the error names L's own basis triples.
+    This is a proof, not a filter: with J and J' the Jacobi maps of L and
+    L', J'(x, y, z) = c P^-1 J(P x, P y, P z) for a constant c > 0, and P
+    is invertible, so J' vanishes exactly when J does.  Both tables are
+    alternating (``make_lie_algebra`` completes antisymmetry and rejects a
+    nonzero [b_i, b_i], and L''s table is written alternating), so J and
+    J' are alternating trilinear maps, and each vanishes exactly when it
+    vanishes on the basis triples i < j < k.
+    """
+    data = source
+    if isinstance(source, str):
+        try:
+            data = json.loads(source, object_pairs_hook=_distinct_keys,
+                              parse_int=_json_literal)
+        except RecursionError:
+            raise ValueError("the algebra document nests too deeply for "
+                             "the JSON reader") from None
     if not isinstance(data, Mapping):
         raise ValueError(
             f"the algebra document must be a JSON object, got {data!r}")
@@ -421,10 +515,9 @@ def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
         if brackets.setdefault((i, j), coords) != coords:
             raise ValueError(f"conflicting values given for bracket ({i}, {j})")
     L = make_lie_algebra(dim, brackets, labels)
-    violations = check_jacobi(L)
-    if violations:
+    if next(_jacobi_triples(L.adapted[2]), None):
         raise ValueError(
-            f"Jacobi identity fails on basis triples {violations}")
+            f"Jacobi identity fails on basis triples {check_jacobi(L)}")
     return L
 
 

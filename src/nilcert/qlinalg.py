@@ -718,16 +718,24 @@ def weighted_sum(weights: dict[int, int],
     return out
 
 
+def column_index(vectors: Sequence[dict[int, int]]
+                 ) -> defaultdict[int, dict[int, int]]:
+    """The sparse integer vectors read as rows, by column: t to
+    {j: vectors[j][t]}, with an empty column for every other t."""
+    by_col: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for j, v in enumerate(vectors):
+        for t, x in v.items():
+            by_col[t][j] = x
+    return by_col
+
+
 def apply_equations(equations: Iterable[dict[int, int]],
                     vectors: Sequence[dict[int, int]]
                     ) -> list[dict[int, int]]:
     """For each sparse integer equation e, the sparse row {j: e . vectors[j]}
     over the sparse integer vectors, zeros dropped: the weighted sum, with
     e's weights, of the columns of the vectors read as rows."""
-    by_col: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for j, v in enumerate(vectors):
-        for t, x in v.items():
-            by_col[t][j] = x
+    by_col = column_index(vectors)
     return [weighted_sum(eq, by_col) for eq in equations]
 
 

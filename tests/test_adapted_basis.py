@@ -4,23 +4,26 @@ rows, on nilpotent algebras in scrambled bases, on the benchmark pool, and
 on tables where the lower central series does not reach zero."""
 
 import itertools
+import json
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcert import autos
-from nilcert.autos import _adapted_basis, _leibniz_rows, \
-    derivation_algebra
+from nilcert import autos, liecore
+from nilcert.autos import _leibniz_rows, derivation_algebra
 from nilcert.liecore import (
+    _adapted_basis,
     ad_matrix,
+    center,
     check_jacobi,
     lie_algebra_from_json,
     lower_central_series,
     make_lie_algebra,
+    parse_rational,
 )
-from nilcert.qlinalg import Subspace, int_kernel, unit_vector
+from nilcert.qlinalg import Subspace, int_kernel, sparse_rows, unit_vector
 
 from test_liecore import load_workloads
 from test_sparse_lie import REDUCTIVE, assert_kernel, change_basis, \
@@ -196,3 +199,94 @@ def test_fallback_matches_the_dense_leibniz_kernel(name, changed):
         assert der.dim == 3
     else:
         assert check_jacobi(L)
+
+
+# --------------------------------------------------------------------------
+# the loader's Jacobi decision and the center, read from the adapted copy,
+# against the given table
+# --------------------------------------------------------------------------
+
+def given_basis_center(L):
+    """The kernel of the given table's own center rows, one per (j, k):
+    sum_i x_i c_ij^k = 0."""
+    d, table = L.dim, L.table
+    return int_kernel(sparse_rows(
+        (j * d + k, i, t) for j in range(d) for i in range(d)
+        for k, t in table[i][j]).values(), d)
+
+
+def given_table(text):
+    """The algebra of a document as written, built without the loader."""
+    doc = json.loads(text)
+    return make_lie_algebra(doc["dim"], {
+        (i, j): [parse_rational(c) for c in coords]
+        for i, j, coords in doc["brackets"]}, doc.get("labels"))
+
+
+@st.composite
+def documents(draw):
+    """The JSON text of a scrambled nilpotent algebra
+    (``nilpotent_algebras``), and half the time of the same table with
+    one unit added to a drawn structure constant, which mostly breaks
+    Jacobi."""
+    L = draw(nilpotent_algebras())
+    d = L.dim
+    brackets = {(i, j): list(L.sc[i][j])
+                for i, j in itertools.combinations(range(d), 2)
+                if L.table[i][j]}
+    if draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(0, d - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        coords = brackets.setdefault((i, j), [Q(0)] * d)
+        coords[draw(st.integers(0, d - 1))] += 1
+    return json.dumps({"dim": d, "brackets": [
+        [i, j, [str(c) for c in coords]]
+        for (i, j), coords in sorted(brackets.items())]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(documents())
+def test_the_loader_and_the_center_agree_with_the_given_table(text):
+    given_L = given_table(text)
+    violations = check_jacobi(given_L)
+    if violations:
+        with pytest.raises(ValueError) as exc:
+            lie_algebra_from_json(text)
+        assert str(exc.value) == (
+            f"Jacobi identity fails on basis triples {violations}")
+        L = given_L
+    else:
+        L = lie_algebra_from_json(text)
+        assert L == given_L
+    # the adapted table is alternating, as the loader's proof needs
+    table = L.adapted[2]
+    assert all(not table[i][i] for i in range(L.dim))
+    assert all(table[j][i] == tuple((k, -t) for k, t in table[i][j])
+               for i, j in itertools.combinations(range(L.dim), 2))
+    assert center(L) == given_basis_center(L)
+
+
+def test_only_rejected_pool_documents_scan_the_given_table(monkeypatch):
+    scan = liecore.check_jacobi
+    calls = []
+
+    def recording(L):
+        calls.append(L)
+        return scan(L)
+
+    monkeypatch.setattr(liecore, "check_jacobi", recording)
+    rejected = 0
+    for entry in load_workloads().algebra_pool():
+        before = len(calls)
+        try:
+            L = lie_algebra_from_json(entry["text"])
+        except ValueError as exc:
+            rejected += 1
+            assert entry["reject"] and len(calls) == before + 1
+            violations = scan(given_table(entry["text"]))
+            assert violations and str(exc) == (
+                f"Jacobi identity fails on basis triples {violations}")
+        else:
+            assert not entry["reject"] and len(calls) == before
+            assert center(L) == given_basis_center(L)
+    assert rejected == len(calls) == 9

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilcert import autos, cli, models, qlinalg
+from nilcert import autos, cli, liecore, models, qlinalg
 from nilcert.autos import (
     HOOK_PAIRS,
     _leibniz_rows,
@@ -198,13 +198,13 @@ def test_derivation_algebra_picks_its_method_from_the_table(
     make, split = SELECTION[name]
     L = make()
     adapted = []
-    basis = autos._adapted_basis
+    basis = liecore._adapted_basis
 
     def recording(L):
         adapted.append(L)
         return basis(L)
 
-    monkeypatch.setattr(autos, "_adapted_basis", recording)
+    monkeypatch.setattr(liecore, "_adapted_basis", recording)
     der = derivation_algebra(L)
     assert der.space == full_kernel(L)
     assert len(adapted) == (not split)
@@ -283,6 +283,24 @@ def test_the_pencil_is_g_and_the_hook_only_rows_applied_to_k():
     # 116 row keys, 316 nonzero entries over K's 72 coordinates
     assert len(set().union(*(K.pencil(k) for k in PENCIL))) == 116
     assert sum(len(row) for k in PENCIL for row in K.pencil(k).values()) == 316
+
+
+def test_the_pencil_indexes_k_once(monkeypatch):
+    K = hook_free_derivations()
+    index = autos.column_index
+    calls = []
+
+    def recording(vectors):
+        calls.append(len(vectors))
+        return index(vectors)
+
+    monkeypatch.setattr(autos, "column_index", recording)
+    fresh = autos.HookFreeKernel(K)
+    assert calls == [72]
+    for k in PENCIL:
+        assert fresh.pencil(k) == K.pencil(k)
+    # A0 and every Delta_k read the index built with K
+    assert calls == [72]
 
 
 def test_the_pencil_split_equals_the_rebuilt_rows_on_g():

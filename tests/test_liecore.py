@@ -246,6 +246,15 @@ def test_json_load_rejects_malformed_fields(doc, field):
         lie_algebra_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    '{"dim": 2, "brackets": ' + "[" * 100000 + "]" * 100000 + "}",
+], ids=("top-level", "inside-brackets"))
+def test_json_load_rejects_a_document_that_nests_too_deeply(text):
+    with pytest.raises(ValueError, match="nests too deeply"):
+        lie_algebra_from_json(text)
+
+
 def test_json_load_accepts_dimension_zero():
     assert lie_algebra_from_json('{"dim": 0}').dim == 0
 
