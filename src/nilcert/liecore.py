@@ -30,6 +30,7 @@ from .qlinalg import (
     Subspace,
     clear_denominators,
     column_index,
+    fraction_vector,
     int_kernel,
     is_zero_vector,
     qf,
@@ -37,8 +38,6 @@ from .qlinalg import (
     unit_vector,
     weighted_sum,
 )
-
-_ZERO = Fraction(0)
 
 
 class LieAlgebra:
@@ -71,12 +70,8 @@ class LieAlgebra:
     def sc(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         """The full antisymmetric tensor: sc[i][j] holds the coordinates
         of [b_i, b_j]; built on first read."""
-        def dense(entries):
-            v = [_ZERO] * self.dim
-            for k, t in entries:
-                v[k] = Fraction(t, self.denom)
-            return tuple(v)
-        return tuple(tuple(dense(e) for e in row) for row in self.table)
+        return tuple(tuple(fraction_vector(self.dim, e, self.denom)
+                           for e in row) for row in self.table)
 
     @cached_property
     def descending_series(self) -> tuple[Subspace, ...]:
@@ -200,11 +195,13 @@ def make_lie_algebra(dim: int,
         raise ValueError("need one label per basis element")
     if len(set(labels)) < dim:
         repeated = next(x for k, x in enumerate(labels) if x in labels[:k])
-        raise ValueError(f"labels must be distinct: {repeated!r} is repeated")
+        raise ValueError(
+            f"labels must be distinct: {_echo(repeated)} is repeated")
     given: dict[tuple[int, int], tuple[int | Fraction, ...]] = {}
     for (i, j), coords in brackets.items():
         if not (0 <= i < dim and 0 <= j < dim):
-            raise ValueError(f"basis index out of range in pair ({i}, {j})")
+            raise ValueError("basis index out of range in pair "
+                             f"({_echo(i)}, {_echo(j)})")
         v = tuple(x if type(x) is int else qf(x) for x in coords)
         if len(v) != dim:
             raise ValueError(f"bracket coordinates for ({i}, {j}) have wrong length")
@@ -247,9 +244,21 @@ def bracket(L: LieAlgebra,
         raise ValueError("element length does not match algebra dimension")
     dx, xi = clear_denominators(enumerate(x))
     dy, yi = clear_denominators(enumerate(y))
-    den = L.denom * dx * dy
-    return tuple(Fraction(a, den) if a else _ZERO
-                 for a in int_bracket(L, xi, yi))
+    return fraction_vector(L.dim, enumerate(int_bracket(L, xi, yi)),
+                           L.denom * dx * dy)
+
+
+def non_alternating_pair(L: LieAlgebra) -> tuple[int, int] | None:
+    """The first basis pair (i, j) with i <= j, in order, at which the
+    table is not alternating: [b_i, b_i] != 0 or [b_j, b_i] != -[b_i, b_j];
+    None when there is none.  ``make_lie_algebra`` always builds an
+    alternating table, but ``LieAlgebra`` takes any, and ``check_jacobi``
+    scans only the triples i < j < k, which never compare the two orders."""
+    table = L.table
+    for i, j in itertools.combinations_with_replacement(range(L.dim), 2):
+        if table[j][i] != tuple((k, -t) for k, t in table[i][j]):
+            return i, j
+    return None
 
 
 def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
@@ -338,7 +347,7 @@ def heisenberg3() -> LieAlgebra:
 # Omitted pairs are zero; antisymmetry is completed automatically; the
 # Jacobi identity is verified on load, on the adapted copy, and violations
 # are reported in the given basis.  Every malformed field raises a
-# ValueError that names it.
+# ValueError that names it and quotes the value short (``_echo``).
 
 #: the largest dim a JSON document may declare; a dim-d algebra's table has
 #: d^2 slots at load, its dense tensor ``sc`` d^3 entries when read, and
@@ -388,16 +397,21 @@ def _json_int(value, name: str) -> int:
             f"digits, {_past_digit_bound()}")
     # bool is a subclass of int, and int() would truncate a float
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+        raise ValueError(f"{name} must be a JSON integer, got {_echo(value)}")
     return value
 
 
-def _echo(text: str) -> str:
-    """text quoted for an error message, cut to its first 16 characters
-    when it is longer than 24."""
-    if len(text) <= 24:
-        return repr(text)
-    return f"{text[:16]!r}... ({len(text)} characters)"
+def _echo(value) -> str:
+    """value quoted for an error message: its repr when that is at most 80
+    characters, else a prefix and the length, so that a large document does
+    not copy itself into the message.  The prefix of a string is its first
+    16 characters, and that of any other value the first 48 of its repr."""
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    if isinstance(value, str):
+        return f"{value[:16]!r}... ({len(value)} characters)"
+    return f"{text[:48]}... ({len(text)} characters)"
 
 
 def parse_rational(text: str) -> int | Fraction:
@@ -429,7 +443,7 @@ def _json_coords(coords, i: int, j: int) -> list[int | Fraction]:
     rejected."""
     name = f"bracket coordinates for ({i}, {j})"
     if not isinstance(coords, list):
-        raise ValueError(f"{name} must be a list, got {coords!r}")
+        raise ValueError(f"{name} must be a list, got {_echo(coords)}")
     out = []
     for c in coords:
         if isinstance(c, str):
@@ -447,7 +461,8 @@ def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ValueError(f"the field {key!r} is given more than once")
+            raise ValueError(
+                f"the field {_echo(key)} is given more than once")
         out[key] = value
     return out
 
@@ -478,20 +493,20 @@ def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
                              "the JSON reader") from None
     if not isinstance(data, Mapping):
         raise ValueError(
-            f"the algebra document must be a JSON object, got {data!r}")
+            f"the algebra document must be a JSON object, got {_echo(data)}")
     # a misspelled "brackets" would otherwise load as the abelian algebra
     unknown = [k for k in data if k not in ("dim", "labels", "brackets")]
     if unknown:
-        raise ValueError(f"unknown fields {unknown}: an algebra document has "
-                         "only dim, labels and brackets")
+        raise ValueError(f"unknown fields {_echo(unknown)}: an algebra document "
+                         "has only dim, labels and brackets")
     if "dim" not in data:
         raise ValueError("missing field: dim")
     dim = _json_int(data["dim"], "dim")
     if dim < 0:
-        raise ValueError(f"dim must be nonnegative, got {dim}")
+        raise ValueError(f"dim must be nonnegative, got {_echo(dim)}")
     if dim > MAX_JSON_DIM:
         raise ValueError(
-            f"dim must be at most {MAX_JSON_DIM}, got {dim}: the bracket "
+            f"dim must be at most {MAX_JSON_DIM}, got {_echo(dim)}: the bracket "
             "table has dim^2 slots and the Jacobi check scans C(dim, 3) "
             "basis triples")
     labels = data.get("labels")
@@ -499,21 +514,22 @@ def lie_algebra_from_json(source: str | Mapping) -> LieAlgebra:
             not isinstance(labels, list) or len(labels) != dim
             or not all(isinstance(x, str) for x in labels)):
         raise ValueError(
-            f"labels must be a list of {dim} strings, got {labels!r}")
+            f"labels must be a list of {dim} strings, got {_echo(labels)}")
     entries = data.get("brackets", [])
     if not isinstance(entries, list):
         raise ValueError("brackets must be a list of [i, j, coords] entries, "
-                         f"got {entries!r}")
+                         f"got {_echo(entries)}")
     brackets = {}
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ValueError("each brackets entry must be a list [i, j, coords], "
-                             f"got {entry!r}")
+                             f"got {_echo(entry)}")
         i = _json_int(entry[0], "bracket index i")
         j = _json_int(entry[1], "bracket index j")
         coords = _json_coords(entry[2], i, j)
         if brackets.setdefault((i, j), coords) != coords:
-            raise ValueError(f"conflicting values given for bracket ({i}, {j})")
+            raise ValueError("conflicting values given for bracket "
+                             f"({_echo(i)}, {_echo(j)})")
     L = make_lie_algebra(dim, brackets, labels)
     if next(_jacobi_triples(L.adapted[2]), None):
         raise ValueError(

@@ -27,7 +27,12 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .liecore import LieAlgebra, check_jacobi, make_lie_algebra
+from .liecore import (
+    LieAlgebra,
+    check_jacobi,
+    make_lie_algebra,
+    non_alternating_pair,
+)
 from .qlinalg import Matrix, Subspace, qf, unit_vector, vector
 from .wedgerep import (
     NotInvariantError,
@@ -52,9 +57,10 @@ DEFAULT_P = (_ZERO, _ONE, _ZERO, _ZERO, _ZERO, _ZERO, _ONE)
 class CertificationError(AssertionError):
     """An exact cross-check inside nilcert refuted an identification that
     the checks build on: the binary-form matrices against the
-    exterior-square action, or the Jacobi identity of a model.  That
-    refutes the check that meets it, so ``cli.run`` reports it as a
-    failure, where any other exception is an error."""
+    exterior-square action, or a model's table being alternating and
+    satisfying Jacobi.  That refutes the check that meets it, so
+    ``cli.run`` reports it as a failure, where any other exception is an
+    error."""
 
 
 CARTAN = Matrix.from_rows([(2, 0, 0), (0, 0, 0), (0, 0, -2)])
@@ -380,13 +386,25 @@ def _two_step_brackets() -> Mapping[tuple[int, int], tuple[Fraction, ...]]:
     return MappingProxyType(brackets)
 
 
+def _certified(L: LieAlgebra, model: str) -> LieAlgebra:
+    """L, once its table is alternating (``non_alternating_pair``) and it
+    satisfies Jacobi; raises CertificationError naming the first failure."""
+    pair = non_alternating_pair(L)
+    if pair is not None:
+        raise CertificationError(
+            f"{model} model's table is not alternating at basis pair {pair}")
+    violations = check_jacobi(L)
+    if violations:
+        raise CertificationError(
+            f"{model} model failed the Jacobi identity on {violations}")
+    return L
+
+
 @lru_cache(maxsize=1)
 def build_two_step() -> LieAlgebra:
     """The 12-dim 2-step algebra G: [u, v] = u^v mod W, V' central."""
-    L = make_lie_algebra(12, _two_step_brackets(), ALGEBRA_LABELS)
-    if check_jacobi(L):
-        raise CertificationError("2-step model failed the Jacobi identity")
-    return L
+    return _certified(
+        make_lie_algebra(12, _two_step_brackets(), ALGEBRA_LABELS), "2-step")
 
 
 def validate_p(p: Sequence) -> tuple[Fraction, ...]:
@@ -430,14 +448,10 @@ def build_three_step(p: Sequence | None = None) -> LieAlgebra:
     pvec = validate_p(DEFAULT_P if p is None else p)
     G = build_two_step()
     denom = math.lcm(G.denom, *(x.denominator for x in pvec))
-    L = LieAlgebra(12, denom, hook_table(denom // G.denom, (
+    return _certified(LieAlgebra(12, denom, hook_table(denom // G.denom, (
         (k, x.numerator * (denom // x.denominator))
-        for k, x in enumerate(vprime_to_algebra(pvec)) if x)), G.labels)
-    violations = check_jacobi(L)
-    if violations:
-        raise CertificationError(
-            f"3-step model failed the Jacobi identity on {violations}")
-    return L
+        for k, x in enumerate(vprime_to_algebra(pvec)) if x)), G.labels),
+        "3-step")
 
 
 class ModelData:

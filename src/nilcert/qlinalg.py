@@ -16,7 +16,8 @@ Systems that other modules write down in integers (the Leibniz, center,
 commutant and wedge systems) skip the dense matrix: ``sparse_rows`` sums
 their integer terms into sparse rows ``{column: int}`` for ``int_kernel``
 (which ``kernel_basis`` also calls) or ``Subspace.from_int_rows``;
-``clear_denominators`` gives the integer form of a rational vector.
+``clear_denominators`` gives the integer form of a rational vector, and
+``fraction_vector`` is the one reader back.
 Matrices act on column vectors, so the composite map "apply h, then g" is
 the product ``g * h``, and a linear map is built column by column from the
 images of the basis vectors with ``Matrix.from_columns``.  A ``Subspace``
@@ -24,8 +25,8 @@ keeps the integer rows that elimination produces (the primitive multiples,
 with positive pivot entries, of its reduced row-echelon basis), so subspace
 equality is a plain data comparison, and sums, intersections, membership,
 ``equations``, ``restrict`` and ``combination`` (coefficients on the basis
-back to a vector) all run on those rows; the ``Fraction`` basis is built
-only when it is read.
+back to a vector) all run on those rows; the ``Fraction`` basis is read
+off them and not cached.
 """
 
 from __future__ import annotations
@@ -143,9 +144,8 @@ class Matrix:
     def entries(self) -> tuple[Fraction, ...]:
         """The row-major ``Fraction`` entries."""
         if self._entries is None:
-            d = self.den
-            self._entries = tuple(Fraction(x, d) if x else _ZERO
-                                  for x in self.nums)
+            self._entries = fraction_vector(len(self.nums),
+                                            enumerate(self.nums), self.den)
         return self._entries
 
     def int_rows(self) -> list[dict[int, int]]:
@@ -217,11 +217,8 @@ class Matrix:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
         dv, vint = clear_denominators(enumerate(v))
-        d = self.den * dv
-        out = [_ZERO] * self.rows
-        for i, x in self.int_apply(vint).items():
-            out[i] = Fraction(x, d)
-        return tuple(out)
+        return fraction_vector(self.rows, self.int_apply(vint).items(),
+                               self.den * dv)
 
     def int_apply(self, v: dict[int, int]) -> dict[int, int]:
         """``nums`` applied to the sparse integer vector v {column: entry},
@@ -278,6 +275,18 @@ def clear_denominators(
     nz = [(j, x) for j, x in entries if x]
     d = math.lcm(*(x.denominator for _, x in nz))
     return d, {j: x.numerator * (d // x.denominator) for j, x in nz}
+
+
+def fraction_vector(n: int, entries: Iterable[tuple[int, int]],
+                    den: int) -> tuple[Fraction, ...]:
+    """The length-n vector with x / den at each integer (j, x) of entries
+    and zero elsewhere, the reverse of ``clear_denominators``; zero entries
+    are skipped, so a dense integer vector makes no Fraction(0, den)."""
+    out = [_ZERO] * n
+    for j, x in entries:
+        if x:
+            out[j] = Fraction(x, den)
+    return tuple(out)
 
 
 def _eliminate(row: dict[int, int], pivot_rows: list[tuple[int, dict[int, int]]]
@@ -397,15 +406,6 @@ def _rref_int(rows: Iterable[dict[int, int]],
     return sorted(basis.items())
 
 
-def _fraction_row(row: dict[int, int], c: int, ncols: int) -> list[Fraction]:
-    """Dense rational row of a pivot row scaled to a leading 1."""
-    a = row[c]
-    out = [_ZERO] * ncols
-    for j, x in row.items():
-        out[j] = Fraction(x, a)
-    return out
-
-
 class RrefResult:
     __slots__ = ("matrix", "rank", "pivots")
 
@@ -444,17 +444,16 @@ class Subspace:
     pivot entry, of a row of the reduced row-echelon basis.  That form is
     unique, so two Subspace values describe the same subspace exactly when
     their rows are equal.  Every operation works on these rows; the
-    ``Fraction`` RREF matrix ``basis`` is built only when it is read, once.
+    ``Fraction`` RREF matrix ``basis`` is built from them on each read.
     """
 
-    __slots__ = ("ambient_dim", "echelon", "_pivot_rows", "_basis")
+    __slots__ = ("ambient_dim", "echelon", "_pivot_rows")
 
     def _set(self, ambient_dim: int,
              echelon: list[tuple[int, dict[int, int]]]) -> "Subspace":
         self.ambient_dim = ambient_dim
         self.echelon = tuple(echelon)
         self._pivot_rows = dict(echelon)
-        self._basis = None
         return self
 
     @classmethod
@@ -503,16 +502,14 @@ class Subspace:
     @property
     def basis(self) -> Matrix:
         """The reduced row-echelon basis as a Fraction matrix (dim rows)."""
-        if self._basis is None:
-            n = self.ambient_dim
-            self._basis = (Matrix.from_rows([_fraction_row(row, c, n)
-                                             for c, row in self.echelon])
-                           if self.echelon else Matrix.zero(0, n))
-        return self._basis
+        return (Matrix.from_rows(self.basis_vectors()) if self.echelon
+                else Matrix.zero(0, self.ambient_dim))
 
     def basis_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
-        basis = self.basis
-        return tuple(basis.row(i) for i in range(basis.rows))
+        """Each echelon row over its pivot entry: the RREF basis vectors."""
+        n = self.ambient_dim
+        return tuple(fraction_vector(n, row.items(), row[c])
+                     for c, row in self.echelon)
 
     def basis_matrices(self) -> tuple[Matrix, ...]:
         """The basis vectors of a subspace of Q^(n^2) as n-by-n matrices,
@@ -614,11 +611,7 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         d, row = clear_denominators(enumerate(v))
         scale, rest = self.int_reduce(row)
-        out = [_ZERO] * self.ambient_dim
-        den = d * scale
-        for j, x in rest.items():
-            out[j] = Fraction(x, den)
-        return tuple(out)
+        return fraction_vector(self.ambient_dim, rest.items(), d * scale)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         if len(v) != self.ambient_dim:
@@ -643,10 +636,7 @@ class Subspace:
     def combination(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """sum_i coeffs[i] * basis[i] (see ``int_combination``)."""
         d, row = self.int_combination(coeffs)
-        out = [_ZERO] * self.ambient_dim
-        for j, x in row.items():
-            out[j] = Fraction(x, d)
-        return tuple(out)
+        return fraction_vector(self.ambient_dim, row.items(), d)
 
     def int_combination(self, coeffs: Sequence[Fraction]
                         ) -> tuple[int, dict[int, int]]:

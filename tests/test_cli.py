@@ -206,6 +206,37 @@ def test_a_refuting_cross_check_is_a_failure_not_an_error(monkeypatch):
     assert "error" not in report.counts
 
 
+def test_a_model_table_that_is_not_alternating_fails_the_model_checks(
+        monkeypatch):
+    # +h at (p12, s1) passes N's Jacobi scan; the alternation guard in the
+    # build refutes it, and every check that reads the models fails
+    hook_table = models.hook_table
+
+    def plus_h(scale, hook):
+        table = [list(row) for row in hook_table(scale, hook)]
+        i, j = models.HOOK
+        table[j][i] = table[i][j]
+        return tuple(map(tuple, table))
+
+    monkeypatch.setattr(models, "hook_table", plus_h)
+    models._model_data_cached.cache_clear()
+    try:
+        with pytest.raises(models.CertificationError,
+                           match=r"3-step model's table is not alternating "
+                                 r"at basis pair \(0, 5\)"):
+            models.build_three_step()
+        report = run(None, Config(trials=5))
+    finally:
+        models._model_data_cached.cache_clear()
+    reads = {cid for cid, _, _ in list_checks()} - set(MODEL_FREE)
+    for r in report.results:
+        if r.id in reads:
+            assert r.status == "fail" and "not alternating" in r.actual
+        else:
+            assert r.status != "error"
+    assert "error" not in report.counts
+
+
 def test_run_unknown_id_raises():
     with pytest.raises(KeyError):
         run(["no.such.check"], Config())

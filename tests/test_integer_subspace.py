@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilcert import autos, cli
+from nilcert import autos, cli, liecore, qlinalg
 from nilcert.autos import (
     DerivationSpace,
     _leibniz_rows,
@@ -34,6 +34,7 @@ from nilcert.qlinalg import (
     Matrix,
     Subspace,
     clear_denominators,
+    fraction_vector,
     int_kernel,
     unit_vector,
 )
@@ -199,13 +200,37 @@ def test_zero_and_full_spaces(n):
     assert zero.free_columns() == tuple(range(n)) and full.free_columns() == ()
 
 
-def test_basis_is_built_once_and_only_when_read():
+def record_reader(monkeypatch) -> list[int]:
+    """The length n of every ``fraction_vector`` call from here on, in
+    qlinalg and in liecore, which holds its own binding of the reader."""
+    calls = []
+    reader = qlinalg.fraction_vector
+
+    def recording(n, entries, den):
+        calls.append(n)
+        return reader(n, entries, den)
+
+    monkeypatch.setattr(qlinalg, "fraction_vector", recording)
+    monkeypatch.setattr(liecore, "fraction_vector", recording)
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(SPARSE, HUGE), max_size=8))
+def test_fraction_vector_reads_back_the_cleared_form(v):
+    d, row = clear_denominators(enumerate(v))
+    assert fraction_vector(len(v), row.items(), d) == tuple(v)
+
+
+def test_basis_is_built_once_and_only_when_read(monkeypatch):
     s = Subspace.span(3, [(2, 4, 6), (0, 3, 1)])
-    assert s._basis is None
+    calls = record_reader(monkeypatch)
     s.sum(s).intersect(s).contains((1, 2, 3))
+    assert calls == []
     s.combination((1, 1))
-    assert s._basis is None
-    assert s.basis is s.basis
+    assert calls == [3]  # the combination's own result
+    # one read builds the basis once: one reader call per basis vector
+    assert s.basis.rows == 2 and calls == [3, 3, 3]
 
 
 def test_equations_cut_out_the_subspace():
@@ -518,20 +543,13 @@ P_DEPENDENT_SUITE = (
 @pytest.mark.parametrize("p", PINNED_P)
 def test_p_dependent_checks_build_no_basis_of_der_N_or_the_shear_space(
         monkeypatch, p):
-    built = []
-    basis = Subspace.basis
-
-    def recording(self):
-        if self._basis is None:
-            built.append((self.ambient_dim, self.dim))
-        return basis.fget(self)
-
-    monkeypatch.setattr(Subspace, "basis", property(recording))
+    # every Fraction basis vector of a subspace of Q^144 passes the reader
+    calls = record_reader(monkeypatch)
     report = cli.run(list(P_DEPENDENT_SUITE),
                      cli.Config(p=validate_p(p.split(","))))
     assert len(report.results) == 7
     assert "error" not in "".join(r.actual for r in report.results)
-    assert not [b for b in built if b[0] == 144]
+    assert 144 not in calls
 
 
 # --------------------------------------------------------------------------
@@ -547,11 +565,12 @@ MATRIX_SPACES = {
 
 
 @pytest.mark.parametrize("name", MATRIX_SPACES)
-def test_basis_matrices_match_the_flat_basis_vectors(name):
+def test_basis_matrices_match_the_flat_basis_vectors(monkeypatch, name):
     space = MATRIX_SPACES[name](model_data(validate_p(PINNED_P[2].split(","))))
+    calls = record_reader(monkeypatch)
     mats = space.basis_matrices()
     # read off the integer echelon rows, without the Fraction basis
-    assert space._basis is None
+    assert calls == []
     n = math.isqrt(space.ambient_dim)
     assert mats == tuple(Matrix.from_flat(n, v)
                          for v in space.basis_vectors())

@@ -30,6 +30,7 @@ from nilcert.liecore import (
     lower_central_series,
     make_lie_algebra,
     nilpotency_class,
+    non_alternating_pair,
 )
 from nilcert.autos import derivation_algebra
 from nilcert.models import build_three_step, build_two_step, vprime_to_algebra
@@ -472,6 +473,50 @@ def test_a_long_coordinate_outside_the_grammar_is_echoed_short():
                                "not a rational number")
 
 
+LONG_INT = int("7" * 4000)
+
+#: (field the message must name, document) for each site that echoes a
+#: value it was given, each with a value whose repr is far past 80 characters
+LONG_ECHOES = [
+    ("each brackets entry", {"dim": 3, "brackets": [[0, 1, [0, 0, 1],
+                                                     [7] * 100000]]}),
+    ("labels", {"dim": 3, "labels": ["x"] * 50000}),
+    ("the algebra document", [7] * 100000),
+    ("brackets must be a list", {"dim": 3, "brackets": {"k": [7] * 100000}}),
+    ("bracket coordinates for (0, 1)",
+     {"dim": 3, "brackets": [[0, 1, {"k": [7] * 100000}]]}),
+    ("unknown fields", {"dim": 3, "x" * 100000: 1}),
+    ("dim must be a JSON integer", {"dim": [7] * 100000}),
+    ("dim must be nonnegative", {"dim": -LONG_INT}),
+    ("dim must be at most", {"dim": LONG_INT}),
+    ("bracket index i", {"dim": 3, "brackets": [[[7] * 100000, 1, [0]]]}),
+    ("bracket coordinates for (0, 1) entry",
+     {"dim": 3, "brackets": [[0, 1, [0, 0, [7] * 100000]]]}),
+    ("conflicting values given for bracket",
+     {"dim": 3, "brackets": [[LONG_INT, 1, [0]], [LONG_INT, 1, [1]]]}),
+    ("basis index out of range", {"dim": 3, "brackets": [[LONG_INT, 1, []]]}),
+    ("labels must be distinct", {"dim": 2, "labels": ["x" * 100000] * 2}),
+    ("the field", '{"%s": 1, "%s": 2}' % ("k" * 100000, "k" * 100000)),
+]
+
+
+@pytest.mark.parametrize("field, document", LONG_ECHOES,
+                         ids=[f for f, _ in LONG_ECHOES])
+def test_a_long_value_is_echoed_short_in_its_field(field, document):
+    with pytest.raises(ValueError) as info:
+        lie_algebra_from_json(document)
+    message = str(info.value)
+    assert message.startswith(field) and "characters)" in message
+    assert len(message) < 200
+
+
+def test_the_echo_quotes_a_repr_of_80_characters_whole():
+    assert liecore._echo([77] * 20) == repr([77] * 20)  # 80 characters
+    assert liecore._echo([77] * 21) == f"{repr([77] * 20)[:48]}... (84 characters)"
+    assert liecore._echo("x" * 78) == repr("x" * 78)
+    assert liecore._echo("x" * 79) == "'xxxxxxxxxxxxxxxx'... (79 characters)"
+
+
 def test_json_load_accepts_integer_and_string_coordinates_and_labels():
     L = lie_algebra_from_json({"dim": 3, "labels": ["x", "y", "z"],
                                "brackets": [[0, 1, [0, "0", "-1/2"]]]})
@@ -613,3 +658,35 @@ def test_model_json_is_byte_identical_to_recorded_digest():
     for name, L in (("G", G), ("N", N)):
         digest = hashlib.sha256(lie_algebra_to_json(L).encode()).hexdigest()
         assert digest == MODEL_JSON_SHA256[name]
+
+
+def _with_entry(L, i, j, entries):
+    table = [list(row) for row in L.table]
+    table[i][j] = entries
+    return liecore.LieAlgebra(L.dim, L.denom, tuple(map(tuple, table)),
+                              L.labels)
+
+
+def test_a_table_that_is_not_alternating_is_found_where_jacobi_is_blind():
+    assert non_alternating_pair(G) is None and non_alternating_pair(N) is None
+    # [p12, s1] = +[s1, p12], and [s1, s1] = p45: the Jacobi scan of the
+    # triples i < j < k reads neither
+    s1, p12 = 0, 5
+    plus_h = _with_entry(N, p12, s1, N.table[s1][p12])
+    square = _with_entry(N, s1, s1, ((11, 1),))
+    assert check_jacobi(plus_h) == [] and check_jacobi(square) == []
+    assert non_alternating_pair(plus_h) == (s1, p12)
+    assert non_alternating_pair(square) == (s1, s1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+    st.tuples(st.integers(0, d - 1), st.integers(0, d - 1),
+              st.lists(st.fractions(-5, 5, max_denominator=4),
+                       min_size=d, max_size=d)),
+    max_size=8) if d else st.just([]))))
+def test_every_algebra_make_lie_algebra_builds_is_alternating(drawn):
+    dim, entries = drawn
+    brackets = {(i, j): v for i, j, v in entries if i < j}
+    brackets.update(((i, i), [0] * dim) for i, _, _ in entries)
+    assert non_alternating_pair(make_lie_algebra(dim, brackets)) is None
