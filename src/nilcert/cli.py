@@ -186,10 +186,6 @@ class Context:
     def stab_W(self):
         return stabilizer_algebra(self.data.W)
 
-    @cached_property
-    def stab_Wprime(self):
-        return stabilizer_algebra(self.data.Wprime)
-
     def element(self, index: int) -> tuple[str, SL2Element]:
         """The index-th seeded H-element as a 2x2 matrix, with its kind."""
         if index not in self._elements:
@@ -304,7 +300,7 @@ def _weights_v(ctx):
         "the quotient Cartan action on V' is diagonal with weights "
         "6, 4, 2, 0, -2, -4, -6")
 def _weights_vprime(ctx):
-    m = quotient_action(induced_sl2_on_wedge()[0], ctx.data.W)
+    m = ctx.data.vprime_actions[0]
     expected = Matrix.diagonal((6, 4, 2, 0, -2, -4, -6))
     wd = weight_decomposition(m, (6, 4, 2, 0, -2, -4, -6))
     ok = m == expected and wd.complete
@@ -391,7 +387,7 @@ def _no_open_orbit(ctx):
         "the stabilizer algebra of W' also has dimension 4 and coincides "
         "with the stabilizer algebra of W")
 def _stab_wprime(ctx):
-    sp = ctx.stab_Wprime
+    sp = stabilizer_algebra(ctx.data.Wprime)
     inside = ctx.stab_W.contains_subspace(sp)
     return (_status(sp.dim == 4 and inside), "dim 4, contained in stab(W)",
             f"dim {sp.dim}, contained: {inside}")

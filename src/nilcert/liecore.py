@@ -405,8 +405,13 @@ def _echo(value) -> str:
     """value quoted for an error message: its repr when that is at most 80
     characters, else a prefix and the length, so that a large document does
     not copy itself into the message.  The prefix of a string is its first
-    16 characters, and that of any other value the first 48 of its repr."""
-    text = repr(value)
+    16 characters, and that of any other value the first 48 of its repr.
+    A parsed document can nest deeper than repr reaches; such a value is
+    named by its type alone."""
+    try:
+        text = repr(value)
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deeply to quote"
     if len(text) <= 80:
         return text
     if isinstance(value, str):

@@ -22,10 +22,9 @@ Basis conventions, fixed once:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 from .liecore import (
     LieAlgebra,
@@ -360,6 +359,7 @@ def subspace_in_algebra(s: Subspace) -> Subspace:
     return s.embed(12, 5)
 
 
+@lru_cache(maxsize=1)
 def L_subspace() -> Subspace:
     """L = span(p13, p14, p15, p25, p35, p45) inside V'."""
     return Subspace.span(7, [unit_vector(7, k) for k in range(1, 7)])
@@ -370,11 +370,10 @@ def L_subspace() -> Subspace:
 HOOK = (0, 5)
 
 
-@lru_cache(maxsize=1)
-def _two_step_brackets() -> Mapping[tuple[int, int], tuple[Fraction, ...]]:
+def _two_step_brackets() -> dict[tuple[int, int], tuple[Fraction, ...]]:
     """[s_i, s_j] = s_i^s_j mod W in the p-class coordinates: the
-    reduction modulo W, read at W's ``free_columns``.  Computed once per
-    process, so it is read-only."""
+    reduction modulo W, read at W's ``free_columns``.  Its one reader,
+    ``build_two_step``, is cached, so each call builds a fresh dict."""
     w = build_W()
     reps = w.free_columns()
     e = [unit_vector(5, i) for i in range(5)]
@@ -383,7 +382,7 @@ def _two_step_brackets() -> Mapping[tuple[int, int], tuple[Fraction, ...]]:
         for j in range(i + 1, 5):
             cls = w.reduce(wedge_vector(e[i], e[j]))
             brackets[(i, j)] = vprime_to_algebra([cls[c] for c in reps])
-    return MappingProxyType(brackets)
+    return brackets
 
 
 def _certified(L: LieAlgebra, model: str) -> LieAlgebra:
@@ -455,11 +454,11 @@ def build_three_step(p: Sequence | None = None) -> LieAlgebra:
 
 
 class ModelData:
-    """Everything the verification suite consumes, built once and shared.
+    """Everything the verification suite consumes, for one hook target p.
 
-    The parts that do not depend on the hook target p (G, W, W', the sl2
-    actions) are cached per process, so a new p builds only N.  The sl2
-    actions on V and on V' are (h, e, f) tuples."""
+    The parts that do not depend on p (G, W, W', L, the sl2 actions) are
+    cached per process, so a record for a new p builds only N; records
+    are not cached.  The sl2 actions on V and on V' are (h, e, f) tuples."""
 
     __slots__ = ("actions_on_V", "W", "Wprime", "vprime_actions", "L", "p",
                  "G", "N")
@@ -473,8 +472,9 @@ class ModelData:
         self.p, self.G, self.N = p, G, N
 
 
-@lru_cache(maxsize=4)
-def _model_data_cached(p: tuple[Fraction, ...]) -> ModelData:
+def model_data(p: Sequence | None = None) -> ModelData:
+    """A new record for the validated hook target p (default DEFAULT_P)."""
+    p = validate_p(DEFAULT_P if p is None else p)
     return ModelData(
         actions_on_V=sl2_actions_on_V(),
         W=build_W(),
@@ -485,8 +485,3 @@ def _model_data_cached(p: tuple[Fraction, ...]) -> ModelData:
         G=build_two_step(),
         N=build_three_step(p),
     )
-
-
-def model_data(p: Sequence | None = None) -> ModelData:
-    pvec = validate_p(DEFAULT_P if p is None else p)
-    return _model_data_cached(pvec)

@@ -55,7 +55,14 @@ def vector(values: Iterable) -> tuple[Fraction, ...]:
 
 
 def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
+    _check_index(i, n, "unit vector")
     return tuple(_ONE if k == i else _ZERO for k in range(n))
+
+
+def _check_index(i: int, n: int, what: str) -> None:
+    """Raise IndexError unless 0 <= i < n: no index wraps around."""
+    if not 0 <= i < n:
+        raise IndexError(f"{what} index {i} out of range for size {n}")
 
 
 def is_zero_vector(v: Sequence[Fraction]) -> bool:
@@ -68,12 +75,12 @@ class Matrix:
     A matrix is its exact integer form: a positive common denominator
     ``den`` and the row-major integer numerators ``nums``, with
     gcd(den, *nums) = 1, so entry (i, j) is nums[i * cols + j] / den.
-    Equality, hashing and arithmetic work on that form.  The ``Fraction``
-    ``entries`` are kept when the matrix is built from them, and made on
-    first read when it is built by ``from_ints``.
+    Equality, hashing and arithmetic work on that form, and no ``Fraction``
+    is kept: an indexed entry is made on its own, and ``entries`` is made
+    on each read.
     """
 
-    __slots__ = ("rows", "cols", "nums", "den", "_entries")
+    __slots__ = ("rows", "cols", "nums", "den")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         es = tuple(qf(e) for e in entries)
@@ -81,7 +88,7 @@ class Matrix:
             raise ValueError(f"expected {rows * cols} entries, got {len(es)}")
         # the entries are in lowest terms, so this form is canonical
         d = math.lcm(*(e.denominator for e in es))
-        self.rows, self.cols, self.den, self._entries = rows, cols, d, es
+        self.rows, self.cols, self.den = rows, cols, d
         self.nums = tuple(e.numerator * (d // e.denominator) for e in es)
 
     @classmethod
@@ -101,7 +108,7 @@ class Matrix:
                 den //= g
         m = cls.__new__(cls)
         m.rows, m.cols = rows, cols
-        m.nums, m.den, m._entries = nums, den, None
+        m.nums, m.den = nums, den
         return m
 
     @classmethod
@@ -142,11 +149,8 @@ class Matrix:
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
-        """The row-major ``Fraction`` entries."""
-        if self._entries is None:
-            self._entries = fraction_vector(len(self.nums),
-                                            enumerate(self.nums), self.den)
-        return self._entries
+        """The row-major ``Fraction`` entries, made on each read."""
+        return fraction_vector(len(self.nums), enumerate(self.nums), self.den)
 
     def int_rows(self) -> list[dict[int, int]]:
         """The rows of ``nums`` as sparse {column: entry} maps, which list
@@ -157,12 +161,16 @@ class Matrix:
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.entries[i * self.cols + j]
+        _check_index(i, self.rows, "row")
+        _check_index(j, self.cols, "column")
+        return Fraction(self.nums[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
+        _check_index(i, self.rows, "row")
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[Fraction, ...]:
+        _check_index(j, self.cols, "column")
         return self.entries[j::self.cols]
 
     @property
@@ -443,17 +451,17 @@ class Subspace:
     pivot, where each row is the primitive integer multiple, with a positive
     pivot entry, of a row of the reduced row-echelon basis.  That form is
     unique, so two Subspace values describe the same subspace exactly when
-    their rows are equal.  Every operation works on these rows; the
-    ``Fraction`` RREF matrix ``basis`` is built from them on each read.
+    their rows are equal.  Every operation works on these rows, and none
+    keeps an index beside them; the ``Fraction`` RREF matrix ``basis`` is
+    built from them on each read.
     """
 
-    __slots__ = ("ambient_dim", "echelon", "_pivot_rows")
+    __slots__ = ("ambient_dim", "echelon")
 
     def _set(self, ambient_dim: int,
              echelon: list[tuple[int, dict[int, int]]]) -> "Subspace":
         self.ambient_dim = ambient_dim
         self.echelon = tuple(echelon)
-        self._pivot_rows = dict(echelon)
         return self
 
     @classmethod
@@ -600,9 +608,7 @@ class Subspace:
         """(s, r) for the integer vector row {column: entry}: s > 0, and r is
         s * row minus the combination of the echelon rows that clears every
         pivot column, so r / s is the canonical representative of row."""
-        pivot_rows = self._pivot_rows
-        return _eliminate(row, [(c, pivot_rows[c]) for c in row
-                                if c in pivot_rows])
+        return _eliminate(row, [(c, r) for c, r in self.echelon if c in row])
 
     def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Canonical representative of v modulo this subspace: v minus the

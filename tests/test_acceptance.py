@@ -11,6 +11,8 @@ down and verified, with the true values, in tests/test_autos.py.
 
 from fractions import Fraction as Q
 
+import pytest
+
 from nilcert.autos import (
     derivation_algebra,
     eigen_relation_kernel,
@@ -59,23 +61,38 @@ from nilcert.wedgerep import (
     quotient_action,
 )
 
-DATA = model_data()
-G, N = DATA.G, DATA.N
+# the models are built by fixtures, so that a model build that raises
+# fails the tests that read the models and no other
 
 
-def test_c01_jacobi():
+@pytest.fixture(scope="module")
+def DATA():
+    return model_data()
+
+
+@pytest.fixture(scope="module")
+def G(DATA):
+    return DATA.G
+
+
+@pytest.fixture(scope="module")
+def N(DATA):
+    return DATA.N
+
+
+def test_c01_jacobi(G, N):
     assert check_jacobi(G) == []
     assert check_jacobi(N) == []
 
 
-def test_c02_central_series():
+def test_c02_central_series(G, N):
     assert [s.dim for s in lower_central_series(G)] == [12, 7, 0]
     assert [s.dim for s in lower_central_series(N)] == [12, 7, 1, 0]
     assert nilpotency_class(G) == 2
     assert nilpotency_class(N) == 3
 
 
-def test_c03_weights():
+def test_c03_weights(DATA):
     spectrum = (4, 2, 0, -2, -4)
     expected = Polynomial([1])
     for w in spectrum:
@@ -88,14 +105,14 @@ def test_c03_weights():
     assert quot == Matrix.diagonal((6, 4, 2, 0, -2, -4, -6))
 
 
-def test_c04_identifications():
+def test_c04_identifications(G):
     e = [G.basis_vector(i) for i in range(5)]
     assert bracket(G, e[0], e[3]) == bracket(G, e[1], e[2])
     assert bracket(G, e[0], e[4]) == bracket(G, e[1], e[3])
     assert bracket(G, e[1], e[4]) == bracket(G, e[2], e[3])
 
 
-def test_c05_invariance_and_irreducibility():
+def test_c05_invariance_and_irreducibility(DATA):
     assert DATA.W.dim == 3
     for m in DATA.actions_on_V:
         act = induced_algebra_action(m)
@@ -109,7 +126,7 @@ def test_c05_invariance_and_irreducibility():
     assert DATA.W.sum(DATA.Wprime) == Subspace.full(10)
 
 
-def test_c06_stabilizer_certificate():
+def test_c06_stabilizer_certificate(DATA):
     stab = stabilizer_algebra(DATA.W)
     expected_span = Subspace.span(25, [
         m.flatten() for m in (Matrix.identity(5), *DATA.actions_on_V)])
@@ -125,7 +142,7 @@ def test_c07_eigenvalue_relations():
     assert eigen_relation_kernel().dim == 0
 
 
-def test_c08_derivation_decompositions():
+def test_c08_derivation_decompositions(DATA, G, N):
     der_g = derivation_algebra(G)
     assert der_g.dim == 39
     stab = stabilizer_algebra(DATA.W)
@@ -160,7 +177,7 @@ def test_c08_derivation_decompositions():
     assert shear.sum(ads) == der_n.space
 
 
-def test_c09_unipotence_certificate():
+def test_c09_unipotence_certificate(N):
     der_n = derivation_algebra(N)
     for idx, dm in enumerate(der_n.basis_matrices()):
         factor = factor_on_abelianization(N, dm)
@@ -175,7 +192,7 @@ def test_c09_unipotence_certificate():
         assert is_unipotent(t)
 
 
-def test_c10_genericity_of_default_p():
+def test_c10_genericity_of_default_p(DATA):
     assert infinitesimal_line_stabilizer(DATA.p, DATA.vprime_actions).dim == 0
     for i in range(100):
         _, g5 = sample_action_on_V(0, i)
@@ -189,7 +206,7 @@ def test_c10_genericity_of_default_p():
     assert report.results[0].status == "warn"
 
 
-def test_c11_eigenspace_bounds():
+def test_c11_eigenspace_bounds(DATA):
     kinds_seen = set()
     for i in range(9):
         kind, g5 = sample_action_on_V(0, i)
@@ -199,7 +216,7 @@ def test_c11_eigenspace_bounds():
     assert kinds_seen == {"hyperbolic", "unipotent", "elliptic"}
 
 
-def test_c12_fixed_point_certificate():
+def test_c12_fixed_point_certificate(DATA):
     for i in range(25):
         _, g5 = sample_action_on_V(0, i)
         assert det(g5) == 1

@@ -61,10 +61,33 @@ from nilcert.wedgerep import (
 
 from dense_reference import mat_pow, wedge_derivation
 
-DATA = model_data()
-G, N = DATA.G, DATA.N
-DER_G = derivation_algebra(G)
-DER_N = derivation_algebra(N)
+# the models are built by fixtures, so that a model build that raises
+# fails the tests that read the models and no other
+
+
+@pytest.fixture(scope="module")
+def DATA():
+    return model_data()
+
+
+@pytest.fixture(scope="module")
+def G(DATA):
+    return DATA.G
+
+
+@pytest.fixture(scope="module")
+def N(DATA):
+    return DATA.N
+
+
+@pytest.fixture(scope="module")
+def DER_G(G):
+    return derivation_algebra(G)
+
+
+@pytest.fixture(scope="module")
+def DER_N(N):
+    return derivation_algebra(N)
 
 
 # --------------------------------------------------------------- derivations
@@ -74,7 +97,7 @@ def test_derivation_dims_oracles():
     assert derivation_algebra(heisenberg3()).dim == 6
 
 
-def test_derivation_dims_models():
+def test_derivation_dims_models(DER_G, DER_N):
     assert DER_G.dim == 39
     # the exact Leibniz kernel for N is 33-dimensional: the 30 shears and
     # ad s1, ad s2, plus one Euler-type derivation that a p13-supported hook
@@ -82,7 +105,7 @@ def test_derivation_dims_models():
     assert DER_N.dim == 33
 
 
-def test_basis_derivations_satisfy_leibniz():
+def test_basis_derivations_satisfy_leibniz(G, N, DER_G, DER_N):
     for space, L in ((DER_G, G), (DER_N, N)):
         for dm in space.basis_matrices()[:6]:
             for i, j in itertools.combinations(range(L.dim), 2):
@@ -92,14 +115,14 @@ def test_basis_derivations_satisfy_leibniz():
                 assert lhs == tuple(a + b for a, b in zip(rhs_1, rhs_2))
 
 
-def test_ad_matrices_are_derivations():
+def test_ad_matrices_are_derivations(G, N):
     for L in (G, N, heisenberg3()):
         der = derivation_algebra(L)
         for i in range(L.dim):
             assert der.contains(ad_matrix(L, L.basis_vector(i)))
 
 
-def test_derivations_closed_under_commutator_sampled():
+def test_derivations_closed_under_commutator_sampled(DER_G, DER_N):
     rng = random.Random(47)
     for space in (DER_G, DER_N):
         mats = space.basis_matrices()
@@ -109,7 +132,7 @@ def test_derivations_closed_under_commutator_sampled():
             assert space.contains(a * b - b * a)
 
 
-def test_euler_derivation():
+def test_euler_derivation(N, DER_N):
     """The hook [s1, p12] = p13 + p45 admits a non-nilpotent derivation:
     identity on V (with s3 -> s3 + p12), twice identity on V' (with
     p13 -> 2 p13 + p).  Its abelianization factor is the identity."""
@@ -128,7 +151,7 @@ def test_euler_derivation():
     assert factor_on_abelianization(N, dm) == Matrix.identity(5)
 
 
-def test_non_unipotent_automorphism_of_N():
+def test_non_unipotent_automorphism_of_N(N):
     """Exponentiating the Euler derivation at log 2 gives, in closed form,
     an automorphism acting by 2 on V (and s3 also picks up 2 p12), by 4 on
     V' except p13 -> 8 p13 + 4 p45.  Its abelianization factor 2I is not
@@ -148,7 +171,7 @@ def test_non_unipotent_automorphism_of_N():
     assert factor_on_abelianization(N, tm) == Matrix.identity(5).scale(2)
 
 
-def test_derivation_space_of_N_splits_off_the_euler_line():
+def test_derivation_space_of_N_splits_off_the_euler_line(DATA, N, DER_N):
     shear = shear_space(N, subspace_in_algebra(DATA.L))
     ads = Subspace.span(144, [
         ad_matrix(N, N.basis_vector(0)).flatten(),
@@ -163,11 +186,11 @@ def test_derivation_space_of_N_splits_off_the_euler_line():
 
 # -------------------------------------------------------------------- shears
 
-def test_shear_space_zero_target():
+def test_shear_space_zero_target(G):
     assert shear_space(G, Subspace.zero(12)).dim == 0
 
 
-def test_shear_space_G():
+def test_shear_space_G(G):
     vprime = Subspace.span(12, [unit_vector(12, k) for k in range(5, 12)])
     sh = shear_space(G, vprime)
     assert sh.dim == 35
@@ -179,7 +202,7 @@ def test_shear_space_G():
     assert sh == hom
 
 
-def test_der_G_decomposition_exact():
+def test_der_G_decomposition_exact(DATA, G, DER_G):
     lift_rows = []
     from nilcert.wedgerep import induced_algebra_action
     stab = stabilizer_algebra(DATA.W)
@@ -221,7 +244,7 @@ def test_wedge_square_base_is_an_exact_solve():
             wedge_square_base(amb)
 
 
-def test_stabilizer_W_is_the_four_dimensional_span():
+def test_stabilizer_W_is_the_four_dimensional_span(DATA):
     stab = stabilizer_algebra(DATA.W)
     expected = Subspace.span(25, [
         Matrix.identity(5).flatten(),
@@ -237,7 +260,7 @@ def test_stabilizer_Wprime_coincides():
     assert stab_w.contains_subspace(stab_wp)
 
 
-def test_stabilizer_closed_under_commutator_and_has_identity():
+def test_stabilizer_closed_under_commutator_and_has_identity(DATA):
     stab = stabilizer_algebra(DATA.W)
     assert stab.contains(Matrix.identity(5).flatten())
     mats = stab.basis_matrices()
@@ -248,26 +271,26 @@ def test_stabilizer_closed_under_commutator_and_has_identity():
 
 # ------------------------------------------------------------ abelianization
 
-def test_factor_on_abelianization_zero_for_images_in_derived():
+def test_factor_on_abelianization_zero_for_images_in_derived(G):
     dm = Matrix.zero(12, 12)
     assert factor_on_abelianization(G, dm).is_zero()
 
 
-def test_factor_euler_derivation_of_G():
+def test_factor_euler_derivation_of_G(G, DER_G):
     # identity on V, twice identity on V' is a derivation of the 2-step model
     euler = Matrix.diagonal([1] * 5 + [2] * 7)
     assert DER_G.contains(euler)
     assert factor_on_abelianization(G, euler) == Matrix.identity(5)
 
 
-def test_factor_requires_preserved_derived_subalgebra():
+def test_factor_requires_preserved_derived_subalgebra(G):
     rows = [[Q(0)] * 12 for _ in range(12)]
     rows[0][5] = Q(1)  # sends p12 to s1
     with pytest.raises(ValueError, match="preserved"):
         factor_on_abelianization(G, Matrix.from_rows(rows))
 
 
-def test_factor_witness_is_a_moved_vector_of_the_derived_subalgebra():
+def test_factor_witness_is_a_moved_vector_of_the_derived_subalgebra(G):
     rows = [[Q(0)] * 12 for _ in range(12)]
     rows[0][5] = Q(1)  # sends p12 to s1
     bad = Matrix.from_rows(rows)
@@ -280,7 +303,7 @@ def test_factor_witness_is_a_moved_vector_of_the_derived_subalgebra():
 
 # -------------------------------------------------------------- automorphisms
 
-def test_is_automorphism_basics():
+def test_is_automorphism_basics(G):
     assert is_automorphism(G, Matrix.identity(12))
     z3 = Matrix.diagonal([3] * 5 + [9] * 7)
     assert is_automorphism(G, z3)
@@ -372,7 +395,7 @@ def test_exp_nilpotent_matches_the_fraction_series(m):
         assert all(type(x) is Q for x in out.entries)
 
 
-def test_exp_nilpotent_matches_the_fraction_series_on_der_N_samples():
+def test_exp_nilpotent_matches_the_fraction_series_on_der_N_samples(DER_N):
     for i in range(20):
         m = Matrix.from_flat(12, sample_in_subspace(DER_N.space, 0, 10_000 + i))
         assert _exp_outcome(exp_nilpotent, m) == _exp_outcome(
@@ -390,7 +413,7 @@ def test_exp_nilpotent_is_the_truncated_series(m):
     assert exp_nilpotent(m) == series
 
 
-def test_exp_of_nilpotent_derivations_are_unipotent_automorphisms():
+def test_exp_of_nilpotent_derivations_are_unipotent_automorphisms(DATA, N):
     # the shear + inner part of der(N) consists of cube-zero derivations;
     # exponentials and their products are unipotent automorphisms
     shear = shear_space(N, subspace_in_algebra(DATA.L))
@@ -432,7 +455,7 @@ def test_relation_pairs_are_w_support():
 
 # ----------------------------------------------------------------- eigenlines
 
-def test_fixed_spaces():
+def test_fixed_spaces(DATA):
     hyper = group_action_on_V(sym2_embed(SL2Element.hyperbolic(2)))
     assert fixed_space(hyper) == Subspace.span(5, [unit_vector(5, 2)])
     uni = exp_nilpotent(DATA.actions_on_V[1])
@@ -447,7 +470,7 @@ def test_sampled_det_one_elements_have_fixed_vectors():
         assert fixed_space(g5).dim >= 1
 
 
-def test_line_fixed_by():
+def test_line_fixed_by(DATA):
     p = (Q(0), Q(1), Q(0), Q(0), Q(0), Q(0), Q(1))
     assert line_fixed_by(p, Matrix.identity(7))
     # the highest class p12 is fixed by the unipotent upper action on V'
@@ -458,7 +481,7 @@ def test_line_fixed_by():
         line_fixed_by((0,) * 7, Matrix.identity(7))
 
 
-def test_infinitesimal_line_stabilizers():
+def test_infinitesimal_line_stabilizers(DATA):
     gens = DATA.vprime_actions
     assert infinitesimal_line_stabilizer(unit_vector(7, 0), gens).dim == 2
     assert infinitesimal_line_stabilizer(DATA.p, gens).dim == 0
@@ -467,7 +490,7 @@ def test_infinitesimal_line_stabilizers():
     assert stab_p15.contains((1, 0, 0))  # the Cartan element kills weight zero
 
 
-def test_sampled_elements_move_the_default_line():
+def test_sampled_elements_move_the_default_line(DATA):
     for i in range(30):
         _, g5 = sample_action_on_V(0, i)
         if g5 == Matrix.identity(5):
@@ -483,7 +506,7 @@ def test_max_eigenspace_dim_basics():
     assert max_eigenspace_dim(Matrix.zero(3, 3)) == 3
 
 
-def test_max_eigenspace_dim_on_Vprime_samples():
+def test_max_eigenspace_dim_on_Vprime_samples(DATA):
     hyper = group_action_on_V(sym2_embed(SL2Element.hyperbolic(2)))
     h7 = quotient_action(induced_group_action(hyper), DATA.W)
     assert max_eigenspace_dim(h7) == 1  # seven distinct rational eigenvalues
@@ -570,7 +593,7 @@ def test_sample_h_element_equals_the_composed_products(seed):
         assert all(type(x) is Q for x in (g.a, g.b, g.c, g.d))
 
 
-def test_sample_in_subspace_stays_inside():
+def test_sample_in_subspace_stays_inside(DER_N):
     space = DER_N.space
     for i in range(10):
         v = sample_in_subspace(space, 0, i)
@@ -592,7 +615,7 @@ def _dense_sample_in_subspace(space, seed, index, bound=2):
     return tuple(out)
 
 
-def test_sample_in_subspace_matches_the_dense_reference():
+def test_sample_in_subspace_matches_the_dense_reference(DER_N):
     line = Subspace.span(3, [(1, Q(1, 2), 0)])
     for space, bound in ((DER_N.space, 2), (line, 1), (Subspace.zero(4), 2)):
         for i in range(30):

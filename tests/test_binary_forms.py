@@ -23,6 +23,8 @@ from nilcert.models import (
 from nilcert.qlinalg import Matrix
 from nilcert.wedgerep import induced_group_action, quotient_action
 
+from test_integer_matrix import record_fraction_matrices
+
 SAMPLED_CHECKS = ["p.sampled-nonfixing", "bound.eigenspace-max3",
                   "fixed.sampled-nonzero"]
 
@@ -58,13 +60,17 @@ def fraction_binary_form_matrix(g, n):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
-def test_integer_binary_forms_equal_the_fraction_construction(seed):
+def test_integer_binary_forms_equal_the_fraction_construction(seed,
+                                                              monkeypatch):
+    binary_form_action(SL2Element.identity(), 4)  # the one-time guard
     for i in range(100):
         _, g = sample_h_element(seed, i)
         for degree in (4, 6):
             ref = fraction_binary_form_matrix(g, degree)
-            m = binary_form_action(g, degree)
-            assert m._entries is None  # built from integers
+            with monkeypatch.context() as mp:
+                calls = record_fraction_matrices(mp)
+                m = binary_form_action(g, degree)
+            assert calls == []  # built from integers
             assert m == ref and m.entries == ref.entries
 
 

@@ -1,0 +1,54 @@
+"""A cache in nilcert earns its place by traffic: over one run of each
+benchmark workload (nilbench/workloads.py), every ``functools`` cache in the
+package must be read a second time.  A cache that no workload reads twice
+is a guess, and fails here by name."""
+
+import importlib
+import pkgutil
+
+import nilcert
+from nilcert import autos, cli, liecore, models
+
+from test_liecore import load_workloads
+
+
+def nilcert_caches() -> dict:
+    """Every ``functools`` cache defined in a nilcert module, by
+    module-qualified name."""
+    caches = {}
+    for info in pkgutil.iter_modules(nilcert.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"nilcert.{info.name}")
+        for name, value in vars(module).items():
+            if (hasattr(value, "cache_info")
+                    and value.__module__ == module.__name__):
+                caches[f"{info.name}.{name}"] = value
+    return caches
+
+
+def test_every_cache_is_read_twice_by_the_workloads(capsys):
+    caches = nilcert_caches()
+    assert {"models.build_W", "autos.hook_free_derivations"} <= set(caches)
+    for cache in caches.values():
+        cache.cache_clear()
+    workloads = load_workloads()
+    # verify_default: one verify of the pinned suite at one pool seed
+    cli.main(workloads.verify_argv(workloads.verify_pool()[0]))
+    capsys.readouterr()
+    # p_scan: one pass over the hook targets
+    for p in workloads.p_pool():
+        cli.run(list(workloads.P_SCAN_SUITE),
+                cli.Config(p=models.validate_p(p)))
+    # user_algebras: one pass over the documents, as the benchmark runs them
+    for entry in workloads.algebra_pool():
+        try:
+            L = liecore.lie_algebra_from_json(entry["text"])
+        except ValueError:
+            continue
+        liecore.lower_central_series(L)
+        liecore.center(L)
+        autos.derivation_algebra(L).space.basis_vectors()
+    unread = {name: cache.cache_info() for name, cache in caches.items()
+              if not cache.cache_info().hits}
+    assert unread == {}

@@ -219,15 +219,11 @@ def test_a_model_table_that_is_not_alternating_fails_the_model_checks(
         return tuple(map(tuple, table))
 
     monkeypatch.setattr(models, "hook_table", plus_h)
-    models._model_data_cached.cache_clear()
-    try:
-        with pytest.raises(models.CertificationError,
-                           match=r"3-step model's table is not alternating "
-                                 r"at basis pair \(0, 5\)"):
-            models.build_three_step()
-        report = run(None, Config(trials=5))
-    finally:
-        models._model_data_cached.cache_clear()
+    with pytest.raises(models.CertificationError,
+                       match=r"3-step model's table is not alternating "
+                             r"at basis pair \(0, 5\)"):
+        models.build_three_step()
+    report = run(None, Config(trials=5))
     reads = {cid for cid, _, _ in list_checks()} - set(MODEL_FREE)
     for r in report.results:
         if r.id in reads:

@@ -273,41 +273,45 @@ def test_cofactor_is_p_over_its_rational_linear_factors(p):
 # -------------------------------------------- the sampled checks in integers
 
 
+def record_fraction_matrices(monkeypatch) -> list[str]:
+    """The name of every ``Matrix.__init__`` call (a matrix built from
+    Fraction entries) and of every read of Fraction entries (``entries``,
+    an indexed entry, a row, a column) from here on."""
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(self, *args):
+            calls.append(name)
+            return fn(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "entries", property(
+        recording("entries", Matrix.entries.fget)))
+    for name in ("__init__", "__getitem__", "row", "col"):
+        monkeypatch.setattr(Matrix, name, recording(name, getattr(Matrix, name)))
+    return calls
+
+
 def test_sampled_checks_build_no_fraction_entries(monkeypatch):
     model_data()
     binary_form_action(SL2Element.identity(), 4)  # the one-time guard
-    built = []
-    entries, init = Matrix.entries, Matrix.__init__
-
-    def recording(self):
-        if self._entries is None:
-            built.append((self.rows, self.cols))
-        return entries.fget(self)
-
-    def recording_init(self, rows, cols, values):
-        built.append((rows, cols))
-        init(self, rows, cols, values)
-
-    # Fraction entries come from __init__ or from reading a matrix that
-    # from_ints built; neither may happen for a sampled matrix
-    monkeypatch.setattr(Matrix, "entries", property(recording))
-    monkeypatch.setattr(Matrix, "__init__", recording_init)
+    # no Fraction matrix may be built or read, the samples included
+    calls = record_fraction_matrices(monkeypatch)
     config = Config(seed=11, trials=40)
     ctx = Context(config)
     fns = {c.id: c.fn for c in _REGISTRY}
     fns["p.sampled-nonfixing"](ctx)
     fns["n.exp-unipotent"](ctx)
-    assert built == []
-    for i in range(config.trials):
-        assert ctx.sample(i)[1]._entries is None
-        assert ctx.sample_on_Vprime(i)._entries is None
+    assert calls == []
 
 
-def test_sample_derivation_is_the_flattened_subspace_sample():
+def test_sample_derivation_is_the_flattened_subspace_sample(monkeypatch):
     der = Context(Config()).der_N
     for i in range(20):
-        m = sample_derivation(der, 3, 10_000 + i)
-        assert m._entries is None
+        with monkeypatch.context() as mp:
+            calls = record_fraction_matrices(mp)
+            m = sample_derivation(der, 3, 10_000 + i)
+        assert calls == []
         assert m == Matrix.from_flat(12, sample_in_subspace(der.space, 3,
                                                             10_000 + i))
 

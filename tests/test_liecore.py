@@ -36,8 +36,19 @@ from nilcert.autos import derivation_algebra
 from nilcert.models import build_three_step, build_two_step, vprime_to_algebra
 from nilcert.qlinalg import Subspace, is_nilpotent, unit_vector
 
-G = build_two_step()
-N = build_three_step()
+# the models are built by fixtures, so that a model build that raises
+# fails the tests that read the models and no other, and the modules that
+# import ``load_workloads`` from here still load
+
+
+@pytest.fixture(scope="module")
+def G():
+    return build_two_step()
+
+
+@pytest.fixture(scope="module")
+def N():
+    return build_three_step()
 
 
 def lcs_dims(L):
@@ -46,7 +57,7 @@ def lcs_dims(L):
 
 # ------------------------------------------------------------------- bracket
 
-def test_bracket_basis_pairs():
+def test_bracket_basis_pairs(G):
     e = [G.basis_vector(i) for i in range(12)]
     # [s1, s2] = p12 (index 5)
     assert bracket(G, e[0], e[1]) == unit_vector(12, 5)
@@ -55,7 +66,7 @@ def test_bracket_basis_pairs():
     assert bracket(G, e[0], e[4]) == bracket(G, e[1], e[3])
 
 
-def test_bracket_antisymmetric_bilinear_randomized():
+def test_bracket_antisymmetric_bilinear_randomized(N):
     rng = random.Random(5)
     for _ in range(20):
         x = tuple(Q(rng.randint(-3, 3)) for _ in range(12))
@@ -70,12 +81,12 @@ def test_bracket_antisymmetric_bilinear_randomized():
         assert lhs == rhs
 
 
-def test_bracket_dimension_mismatch():
+def test_bracket_dimension_mismatch(G):
     with pytest.raises(ValueError):
         bracket(G, (Q(1),) * 11, (Q(0),) * 12)
 
 
-def test_element_wrapper():
+def test_element_wrapper(N):
     # elements are coordinate tuples: [s1, p12] = p13 + p45 in N
     x, y = N.basis_vector(0), N.basis_vector(5)
     assert bracket(N, x, y) == vprime_to_algebra((0, 1, 0, 0, 0, 0, 1))
@@ -83,12 +94,12 @@ def test_element_wrapper():
 
 # -------------------------------------------------------------------- jacobi
 
-def test_jacobi_shipped_models():
+def test_jacobi_shipped_models(G, N):
     assert check_jacobi(G) == []
     assert check_jacobi(N) == []
 
 
-def test_jacobi_violating_mutation():
+def test_jacobi_violating_mutation(N):
     # adding [s3, p12] = p13 on top of N's brackets breaks Jacobi at
     # (s1, s2, s3): the cyclic sum picks up the new hook through [s1, s2] = p12
     brackets = {}
@@ -102,7 +113,7 @@ def test_jacobi_violating_mutation():
     assert (0, 1, 2) in check_jacobi(mutated)
 
 
-def test_jacobi_second_hook_still_lie():
+def test_jacobi_second_hook_still_lie(N):
     # [s2, p12] = p13 leaves every cyclic sum zero: each summand needs a
     # bracket with p12-component, which only [s1, s2] has, and the third
     # element of such a triple never carries the new hook
@@ -124,7 +135,7 @@ def test_lcs_abelian():
     assert nilpotency_class(abelian_lie_algebra(3)) == 1
 
 
-def test_lcs_shipped_models():
+def test_lcs_shipped_models(G, N):
     assert lcs_dims(G) == [12, 7, 0]
     assert lcs_dims(N) == [12, 7, 1, 0]
     assert nilpotency_class(G) == 2
@@ -138,7 +149,7 @@ def test_lcs_non_nilpotent_rejected():
         lower_central_series(L)
 
 
-def test_lcs_terms_are_ideals_and_last_is_central():
+def test_lcs_terms_are_ideals_and_last_is_central(G, N):
     for L in (G, N, heisenberg3()):
         series = lower_central_series(L)
         full = Subspace.full(L.dim)
@@ -151,7 +162,7 @@ def test_lcs_terms_are_ideals_and_last_is_central():
 
 # -------------------------------------------------------------------- center
 
-def test_center_dims():
+def test_center_dims(G, N):
     assert center(abelian_lie_algebra(4)) == Subspace.full(4)
     # G: all of V'; N: p12 is no longer central because [s1, p12] = p
     assert center(G) == Subspace.span(12, [unit_vector(12, k) for k in range(5, 12)])
@@ -160,14 +171,14 @@ def test_center_dims():
 
 # ------------------------------------------------------------------ ad_matrix
 
-def test_ad_matrix_hook():
+def test_ad_matrix_hook(N):
     ad_s1 = ad_matrix(N, N.basis_vector(0))
     assert ad_s1.apply(N.basis_vector(5)) == vprime_to_algebra((0, 1, 0, 0, 0, 0, 1))
     # p13 (index 6) sits inside L, hence is central
     assert ad_matrix(N, N.basis_vector(6)).is_zero()
 
 
-def test_ad_matrices_nilpotent():
+def test_ad_matrices_nilpotent(G, N):
     for L in (G, N):
         for i in range(L.dim):
             assert is_nilpotent(ad_matrix(L, L.basis_vector(i)))
@@ -175,7 +186,7 @@ def test_ad_matrices_nilpotent():
 
 # ----------------------------------------------------------- bracket_subspace
 
-def test_bracket_subspace():
+def test_bracket_subspace(G, N):
     full = Subspace.full(12)
     assert bracket_subspace(G, full, center(G)).dim == 0
     vprime = Subspace.span(12, [unit_vector(12, k) for k in range(5, 12)])
@@ -195,7 +206,7 @@ def test_json_round_trip():
     assert L.labels == ("x", "y", "z")
 
 
-def test_equal_algebras_compare_and_hash_equal():
+def test_equal_algebras_compare_and_hash_equal(G, N):
     for L in (heisenberg3(), G, N):
         twin = lie_algebra_from_json(lie_algebra_to_json(L))
         assert twin is not L and twin == L and hash(twin) == hash(L)
@@ -218,7 +229,7 @@ def test_json_load_with_rational_strings():
     assert bracket(L, L.basis_vector(1), L.basis_vector(0)) == (Q(0), Q(0), Q(-1, 2))
 
 
-def test_json_load_rejects_jacobi_violation():
+def test_json_load_rejects_jacobi_violation(N):
     entries = []
     for i in range(12):
         for j in range(i + 1, 12):
@@ -254,6 +265,82 @@ def test_json_load_rejects_malformed_fields(doc, field):
 def test_json_load_rejects_a_document_that_nests_too_deeply(text):
     with pytest.raises(ValueError, match="nests too deeply"):
         lie_algebra_from_json(text)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=5)
+RETYPED = st.sampled_from(["3", 3.0, True, None, {"dim": 3}])
+COORDS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4).map(str)
+NESTED = "nested"  # where a deeply nested value is spliced into JSON text
+
+
+@st.composite
+def algebra_documents(draw):
+    """An algebra document with dim <= 5, as JSON text or as the object it
+    parses to: a valid one (2-step, so that Jacobi holds, or with brackets
+    anywhere, which may break it), or one in which the document, a field or
+    one brackets entry is mutated, retyped, repeated or deeply nested."""
+    dim, two_step = draw(st.integers(0, 5)), draw(st.booleans())
+    lo = draw(st.integers(0, dim)) if two_step else 0
+    doc = {"dim": dim, "brackets": [
+        [i, j, [0] * lo + draw(st.lists(COORDS, min_size=dim - lo,
+                                        max_size=dim - lo))]
+        for i, j in itertools.combinations(range(lo if two_step else dim), 2)
+        if draw(st.booleans())]}
+    if draw(st.booleans()):
+        doc["labels"] = [f"x{k}" for k in range(dim)]
+    box = [doc]  # a holder for the document, so that it can be changed too
+    field = draw(st.sampled_from(["document", "dim", "labels", "brackets"]
+                                 + ["entry"] * bool(doc["brackets"])))
+    if field == "document":
+        holder, key = box, 0
+    elif field == "entry":
+        holder = draw(st.sampled_from(doc["brackets"]))
+        key = draw(st.integers(0, 2))
+    else:
+        holder, key = doc, field
+    value = holder.get(key) if holder is doc else holder[key]
+    change = draw(st.sampled_from(["none", "mutate", "retype", "repeat",
+                                   "nest"]))
+    depth = draw(st.sampled_from([1, 3, 20_000])) if change == "nest" else 0
+    if change == "mutate":
+        holder[key] = draw(JSON_VALUES)
+    elif change == "retype":
+        holder[key] = draw(RETYPED)
+    elif change == "repeat" and field == "entry":
+        doc["brackets"].append(list(holder))
+    elif change == "repeat" and holder is doc:
+        # only JSON text can give a field twice
+        return '{"%s": %s, %s' % (field, json.dumps(value),
+                                  json.dumps(doc)[1:])
+    elif depth:
+        holder[key] = NESTED
+    if draw(st.booleans()):
+        # json.dumps would recurse through the nesting, so it is spliced in
+        return json.dumps(box[0]).replace(
+            json.dumps(NESTED), "[" * depth + json.dumps(value) + "]" * depth)
+    if depth:
+        for _ in range(depth):
+            value = [value]
+        holder[key] = value
+    return box[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebra_documents())
+def test_the_loader_returns_a_round_tripping_algebra_or_raises_value_error(
+        doc):
+    try:
+        L = lie_algebra_from_json(doc)
+    except ValueError:
+        return
+    text = lie_algebra_to_json(L)
+    assert lie_algebra_from_json(text) == L
+    assert lie_algebra_to_json(lie_algebra_from_json(text)) == text
 
 
 def test_json_load_accepts_dimension_zero():
@@ -629,7 +716,7 @@ def test_the_integer_table_is_the_algebra(data):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def test_verify_never_builds_the_dense_tensor():
+def test_verify_never_builds_the_dense_tensor(N):
     # a fresh process, since G and N are shared within one
     code = ("from nilcert.cli import Config, model_data, run; "
             "run(None, Config()); d = model_data(); "
@@ -654,7 +741,7 @@ MODEL_JSON_SHA256 = {
 }
 
 
-def test_model_json_is_byte_identical_to_recorded_digest():
+def test_model_json_is_byte_identical_to_recorded_digest(G, N):
     for name, L in (("G", G), ("N", N)):
         digest = hashlib.sha256(lie_algebra_to_json(L).encode()).hexdigest()
         assert digest == MODEL_JSON_SHA256[name]
@@ -667,7 +754,7 @@ def _with_entry(L, i, j, entries):
                               L.labels)
 
 
-def test_a_table_that_is_not_alternating_is_found_where_jacobi_is_blind():
+def test_a_table_that_is_not_alternating_is_found_where_jacobi_is_blind(G, N):
     assert non_alternating_pair(G) is None and non_alternating_pair(N) is None
     # [p12, s1] = +[s1, p12], and [s1, s1] = p45: the Jacobi scan of the
     # triples i < j < k reads neither

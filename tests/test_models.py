@@ -278,17 +278,13 @@ def test_n_at_other_p_leaves_the_shared_two_step_brackets_alone():
     p1, p2 = (0, 0, 1, 0, 1, 0, 0), (0, Q(1, 2), 0, 0, 0, 0, -2)
     for p in (p1, p2):
         assert build_three_step(p).sc[0][5] == vprime_to_algebra(p)
-    fresh = models._two_step_brackets.__wrapped__()
+    fresh = models._two_step_brackets()
     assert build_two_step() == make_lie_algebra(12, fresh, ALGEBRA_LABELS)
     hooked = dict(fresh)
     hooked[(0, 5)] = vprime_to_algebra(DEFAULT_P)
     assert build_three_step() == make_lie_algebra(12, hooked, ALGEBRA_LABELS)
-    shared = models._two_step_brackets()
-    assert shared is models._two_step_brackets()
-    assert (0, 5) not in shared and dict(shared) == fresh
+    assert (0, 5) not in fresh
     assert not any(build_two_step().sc[0][5])
-    with pytest.raises(TypeError):
-        shared[(0, 5)] = vprime_to_algebra(p1)
 
 
 def test_model_data_bundle():
@@ -304,5 +300,3 @@ def test_model_data_bundle():
     assert not lprime.contains(data.p)
     assert data.p[1] != 0
     assert data.L.contains_subspace(lprime)
-    # cached: same configuration returns the same object
-    assert model_data() is data

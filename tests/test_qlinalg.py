@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nilcert.liecore import heisenberg3
 from nilcert.qlinalg import (
     Matrix,
     Polynomial,
@@ -233,6 +234,43 @@ def test_from_columns_is_the_transpose_of_from_rows(cols):
 def test_from_columns_rejects_ragged_columns():
     with pytest.raises(ValueError):
         Matrix.from_columns([(1, 2), (3,)])
+
+
+# an index must satisfy 0 <= index < size: none wraps around, and none reads
+# into the next row or past the end
+
+M3 = Matrix.from_rows([(1, 2, 3), (4, 5, 6), (7, 8, 9)])
+
+
+def test_an_entry_index_outside_the_matrix_raises():
+    assert (M3[0, 2], M3[2, 0], M3[2, 2]) == (3, 7, 9)
+    for key in ((0, 3), (0, -1), (3, 0), (-1, 0), (1, 5)):
+        with pytest.raises(IndexError):
+            M3[key]
+
+
+def test_a_row_index_outside_the_matrix_raises():
+    assert M3.row(2) == (7, 8, 9)
+    for i in (3, 5, -1):
+        with pytest.raises(IndexError):
+            M3.row(i)
+
+
+def test_a_column_index_outside_the_matrix_raises():
+    assert M3.col(2) == (3, 6, 9)
+    for j in (3, 4, -1):
+        with pytest.raises(IndexError):
+            M3.col(j)
+
+
+def test_a_unit_vector_index_outside_its_length_raises():
+    assert unit_vector(3, 2) == (0, 0, 1)
+    assert heisenberg3().basis_vector(2) == (0, 0, 1)
+    for i in (3, 5, -1):
+        with pytest.raises(IndexError):
+            unit_vector(3, i)
+    with pytest.raises(IndexError):
+        heisenberg3().basis_vector(3)
 
 
 @settings(max_examples=50, deadline=None)
