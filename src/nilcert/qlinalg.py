@@ -76,8 +76,8 @@ class Matrix:
     ``den`` and the row-major integer numerators ``nums``, with
     gcd(den, *nums) = 1, so entry (i, j) is nums[i * cols + j] / den.
     Equality, hashing and arithmetic work on that form, and no ``Fraction``
-    is kept: an indexed entry is made on its own, and ``entries`` is made
-    on each read.
+    is kept: an indexed entry, a row or a column is made on its own from
+    the slice of ``nums`` it needs, and ``entries`` is made on each read.
     """
 
     __slots__ = ("rows", "cols", "nums", "den")
@@ -167,11 +167,14 @@ class Matrix:
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         _check_index(i, self.rows, "row")
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        c = self.cols
+        return fraction_vector(c, enumerate(self.nums[i * c:(i + 1) * c]),
+                               self.den)
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         _check_index(j, self.cols, "column")
-        return self.entries[j::self.cols]
+        return fraction_vector(self.rows, enumerate(self.nums[j::self.cols]),
+                               self.den)
 
     @property
     def is_square(self) -> bool:
@@ -451,9 +454,8 @@ class Subspace:
     pivot, where each row is the primitive integer multiple, with a positive
     pivot entry, of a row of the reduced row-echelon basis.  That form is
     unique, so two Subspace values describe the same subspace exactly when
-    their rows are equal.  Every operation works on these rows, and none
-    keeps an index beside them; the ``Fraction`` RREF matrix ``basis`` is
-    built from them on each read.
+    their rows are equal.  Every operation works on these rows alone; the
+    ``Fraction`` RREF matrix ``basis`` is built from them on each read.
     """
 
     __slots__ = ("ambient_dim", "echelon")

@@ -1,0 +1,27 @@
+"""Fixtures shared by the test modules: the models at the default p.
+
+They are built by fixtures rather than at import, so that a model build
+that raises fails the tests that read the models and no other, and the
+modules that import helpers from other test modules still load.
+"""
+
+import pytest
+
+from nilcert.models import build_two_step, model_data
+
+
+@pytest.fixture(scope="module")
+def DATA():
+    return model_data()
+
+
+@pytest.fixture(scope="module")
+def G():
+    # DATA.G itself (build_two_step is cached), built without N so that a
+    # fault in N's build leaves the tests of G alone
+    return build_two_step()
+
+
+@pytest.fixture(scope="module")
+def N(DATA):
+    return DATA.N

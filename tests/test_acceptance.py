@@ -40,7 +40,6 @@ from nilcert.liecore import (
 from nilcert.models import (
     SL2Element,
     group_action_on_V,
-    model_data,
     subspace_in_algebra,
     sym2_embed,
 )
@@ -60,24 +59,6 @@ from nilcert.wedgerep import (
     induced_group_action,
     quotient_action,
 )
-
-# the models are built by fixtures, so that a model build that raises
-# fails the tests that read the models and no other
-
-
-@pytest.fixture(scope="module")
-def DATA():
-    return model_data()
-
-
-@pytest.fixture(scope="module")
-def G(DATA):
-    return DATA.G
-
-
-@pytest.fixture(scope="module")
-def N(DATA):
-    return DATA.N
 
 
 def test_c01_jacobi(G, N):

@@ -39,7 +39,6 @@ from nilcert.models import (
     build_W,
     build_Wprime,
     group_action_on_V,
-    model_data,
     subspace_in_algebra,
     sym2_embed,
 )
@@ -60,24 +59,6 @@ from nilcert.wedgerep import (
 )
 
 from dense_reference import mat_pow, wedge_derivation
-
-# the models are built by fixtures, so that a model build that raises
-# fails the tests that read the models and no other
-
-
-@pytest.fixture(scope="module")
-def DATA():
-    return model_data()
-
-
-@pytest.fixture(scope="module")
-def G(DATA):
-    return DATA.G
-
-
-@pytest.fixture(scope="module")
-def N(DATA):
-    return DATA.N
 
 
 @pytest.fixture(scope="module")

@@ -33,22 +33,8 @@ from nilcert.liecore import (
     non_alternating_pair,
 )
 from nilcert.autos import derivation_algebra
-from nilcert.models import build_three_step, build_two_step, vprime_to_algebra
+from nilcert.models import build_three_step, vprime_to_algebra
 from nilcert.qlinalg import Subspace, is_nilpotent, unit_vector
-
-# the models are built by fixtures, so that a model build that raises
-# fails the tests that read the models and no other, and the modules that
-# import ``load_workloads`` from here still load
-
-
-@pytest.fixture(scope="module")
-def G():
-    return build_two_step()
-
-
-@pytest.fixture(scope="module")
-def N():
-    return build_three_step()
 
 
 def lcs_dims(L):
@@ -717,9 +703,11 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_verify_never_builds_the_dense_tensor(N):
-    # a fresh process, since G and N are shared within one
-    code = ("from nilcert.cli import Config, model_data, run; "
-            "run(None, Config()); d = model_data(); "
+    # a fresh process, since G and N are shared within one; the record
+    # inspected is the one the run built, kept by wrapping model_data
+    code = ("import nilcert.cli as c; kept = []; f = c.model_data; "
+            "c.model_data = lambda p=None: kept.append(f(p)) or kept[-1]; "
+            "c.run(None, c.Config()); [d] = kept; "
             "print([name for name in ('G', 'N') "
             "if 'sc' in vars(getattr(d, name))])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
