@@ -32,7 +32,6 @@ from .liecore import (
     heisenberg3,
     lower_central_series,
     nilpotency_class,
-    parse_rational,
 )
 from .models import (
     DEFAULT_P,
@@ -345,17 +344,16 @@ _expect("wedge.commutant-2",
         "2", lambda ctx: str(commutant(induced_sl2_on_wedge()).dim))
 
 
-@_check("wedge.W-Wprime-decomp",
+def _w_wprime_dims(ctx) -> str:
+    w, wp = ctx.data.W, ctx.data.Wprime
+    return "dims " + _dims((w, wp, w.intersect(wp), w.sum(wp)))
+
+
+_expect("wedge.W-Wprime-decomp",
         "decomposition wedge^2 V = W + W'",
         "W' (the closure of s1^s2, dimension 7) meets W trivially and "
-        "together they fill the 10-dimensional exterior square")
-def _w_wprime(ctx):
-    w, wp = ctx.data.W, ctx.data.Wprime
-    inter = w.intersect(wp)
-    total = w.sum(wp)
-    ok = (w.dim, wp.dim, inter.dim, total.dim) == (3, 7, 0, 10)
-    return (_status(ok), "dims (3, 7, 0, 10)",
-            f"dims ({w.dim}, {wp.dim}, {inter.dim}, {total.dim})")
+        "together they fill the 10-dimensional exterior square",
+        "dims (3, 7, 0, 10)", _w_wprime_dims)
 
 
 @_check("thm.stabilizer-dim4",
@@ -470,16 +468,19 @@ def _der_n_decomp(ctx):
             f"{ctx.der_N.dim}; equality: {total == ctx.der_N.space}")
 
 
-@_check("n.derivations-nilpotent",
+def _der_n_defects(ctx) -> str:
+    bad_factor, bad_cube = derivation_defects(ctx.der_N)
+    if not bad_factor and not bad_cube:
+        return "all factors zero, all cubes zero"
+    return (f"nonzero factors at basis {bad_factor}, "
+            f"nonzero cubes at {bad_cube}")
+
+
+_expect("n.derivations-nilpotent",
         "universal nilpotence of der(N)",
         "claimed: every derivation of N kills the abelianization and cubes "
-        "to zero, so the identity component of Aut(N) is unipotent")
-def _der_n_nilpotent(ctx):
-    bad_factor, bad_cube = derivation_defects(ctx.der_N)
-    ok = not bad_factor and not bad_cube
-    actual = ("all factors zero, all cubes zero" if ok else
-              f"nonzero factors at basis {bad_factor}, nonzero cubes at {bad_cube}")
-    return _status(ok), "all factors zero, all cubes zero", actual
+        "to zero, so the identity component of Aut(N) is unipotent",
+        "all factors zero, all cubes zero", _der_n_defects)
 
 
 @_check("n.exp-unipotent",
@@ -634,24 +635,6 @@ def run(suite: Sequence[str] | None, config: Config) -> Report:
     return Report(__version__, config, tuple(results))
 
 
-def _parse_p(text: str) -> tuple[Fraction, ...]:
-    """The coordinates of --p; a wrong count or an empty coordinate is
-    reported as such, before any part is read as a rational in the JSON
-    loader's grammar (``parse_rational``), and a part outside it by its
-    coordinate's label."""
-    parts: list = [s.strip() for s in text.split(",")]
-    if len(parts) == len(VPRIME_LABELS):
-        if "" in parts:
-            raise ValueError(
-                f"the {VPRIME_LABELS[parts.index('')]} coordinate is empty")
-        for i, (label, part) in enumerate(zip(VPRIME_LABELS, parts)):
-            try:
-                parts[i] = parse_rational(part)
-            except ValueError as exc:
-                raise ValueError(f"the {label} coordinate {exc}") from None
-    return validate_p(parts)
-
-
 def _show_model(name: str, config: Config) -> str:
     data = model_data(config.p)
     L = {"G": data.G, "N": data.N}[name]
@@ -715,7 +698,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     try:
-        p = DEFAULT_P if args.p is None else _parse_p(args.p)
+        p = DEFAULT_P if args.p is None else validate_p(args.p.split(","))
     except ValueError as exc:
         print(f"invalid --p: {exc}", file=sys.stderr)
         return 2

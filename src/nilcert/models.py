@@ -31,8 +31,9 @@ from .liecore import (
     check_jacobi,
     make_lie_algebra,
     non_alternating_pair,
+    parse_rational,
 )
-from .qlinalg import Matrix, Subspace, qf, unit_vector, vector
+from .qlinalg import Matrix, Subspace, qf, unit_vector
 from .wedgerep import (
     NotInvariantError,
     induced_algebra_action,
@@ -409,18 +410,31 @@ def build_two_step() -> LieAlgebra:
 def validate_p(p: Sequence) -> tuple[Fraction, ...]:
     """A usable hook target: 7 rationals, nonzero, lying in L (so the p12
     coordinate vanishes: otherwise [s1, p12] would have a p12 component,
-    ad s1 would not be nilpotent, and neither would N)."""
+    ad s1 would not be nilpotent, and neither would N).  The one reader of
+    a hook target, ``--p``'s too: text, stripped, is read by the JSON
+    loader's ``parse_rational``, and a bad coordinate is named by label."""
     if len(p) != 7:
         raise ValueError("p needs 7 coordinates in the V' basis "
                          + "(" + ", ".join(VPRIME_LABELS) + ")")
-    vec = vector(p)
-    if all(x == 0 for x in vec):
+    p = [x.strip() if isinstance(x, str) else x for x in p]
+    if "" in p:
+        label = VPRIME_LABELS[p.index("")]
+        raise ValueError(f"the {label} coordinate is empty")
+    vec = []
+    for label, x in zip(VPRIME_LABELS, p):
+        if isinstance(x, str):
+            try:
+                x = parse_rational(x)
+            except ValueError as exc:
+                raise ValueError(f"the {label} coordinate {exc}") from None
+        vec.append(qf(x))
+    if not any(vec):
         raise ValueError("p must be nonzero")
     if vec[0] != 0:
         raise ValueError("p must lie in L: its p12 coordinate must be zero "
                          "(otherwise [s1, p12] would have a p12 component "
                          "and N would not be nilpotent)")
-    return vec
+    return tuple(vec)
 
 
 def hook_table(scale: int, hook: Iterable[tuple[int, int]]

@@ -42,16 +42,13 @@ _ONE = Fraction(1)
 
 
 def qf(value) -> Fraction:
-    """Coerce ints, strings like ``"3/5"``, and Fractions to Fraction."""
+    """Coerce ints, strings like ``"3/5"``, and Fractions to Fraction: a
+    string in ``Fraction()``'s grammar, for values written in code."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed; use Fraction or a string")
     return Fraction(value)
-
-
-def vector(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(qf(v) for v in values)
 
 
 def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:

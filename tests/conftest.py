@@ -1,8 +1,9 @@
 """Fixtures shared by the test modules: the models at the default p.
 
 They are built by fixtures rather than at import, so that a model build
-that raises fails the tests that read the models and no other, and the
-modules that import helpers from other test modules still load.
+that raises fails the tests that read the models and no other, and every
+test module still loads.  Shared constants and helpers live in shared.py
+and dense_reference.py; no test module imports another.
 """
 
 import pytest

@@ -1,11 +1,15 @@
 """Dense ``Fraction`` references shared by the tests: Gauss-Jordan
-elimination and nullspaces, polynomial long division, matrix powers and the
-derivation action on the exterior square, written out plainly so that the
-integer routines of ``nilcert`` can be checked against them."""
+elimination and nullspaces, polynomial long division, matrix powers, the
+derivation action on the exterior square, the bracket, a change of basis
+and the Leibniz rows from the dense structure constants ``sc``, written out
+plainly so that the integer routines of ``nilcert`` can be checked against
+them."""
 
+import itertools
 from fractions import Fraction as Q
 
-from nilcert.qlinalg import Matrix, Polynomial, unit_vector
+from nilcert.liecore import make_lie_algebra
+from nilcert.qlinalg import Matrix, Polynomial, Subspace, unit_vector
 from nilcert.wedgerep import wedge_pairs, wedge_vector
 
 
@@ -73,3 +77,61 @@ def wedge_derivation(x):
         tuple(a + b for a, b in zip(wedge_vector(x.apply(e[i]), e[j]),
                                     wedge_vector(e[i], x.apply(e[j]))))
         for i, j in wedge_pairs(n)])
+
+
+def assert_kernel(space, rows, ncols):
+    """space is the kernel of the dense rows: same dimension, same span."""
+    ref = ref_nullspace(rows, ncols)
+    assert space.ambient_dim == ncols
+    assert space.dim == len(ref)
+    assert space == Subspace.span(ncols, ref)
+    for v in space.basis_vectors():
+        assert all(isinstance(x, Q) for x in v)
+        assert not any(sum(a * b for a, b in zip(row, v)) for row in rows)
+
+
+def dense_bracket(L, x, y):
+    out = [Q(0)] * L.dim
+    for i in range(L.dim):
+        for j in range(L.dim):
+            for k in range(L.dim):
+                out[k] += x[i] * y[j] * L.sc[i][j][k]
+    return tuple(out)
+
+
+#: sl2, so3 and gl2 over pairs i < j; Jacobi holds with nonzero terms
+REDUCTIVE = (
+    (3, {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)}),
+    (3, {(0, 1): (0, 0, 1), (0, 2): (0, -1, 0), (1, 2): (1, 0, 0)}),
+    (4, {(0, 1): (0, 2, 0, 0), (0, 2): (0, 0, -2, 0), (1, 2): (1, 0, 0, 0)}),
+)
+
+
+def change_basis(dim, brackets, u):
+    """Structure constants in the basis f_i = sum_a u[a][i] e_a, for an
+    upper triangular u with nonzero diagonal."""
+    L = make_lie_algebra(dim, brackets)
+    cols = [[u[a][i] for a in range(dim)] for i in range(dim)]
+    out = {}
+    for i, j in itertools.combinations(range(dim), 2):
+        w = dense_bracket(L, cols[i], cols[j])
+        c = [Q(0)] * dim
+        for r in reversed(range(dim)):
+            c[r] = (w[r] - sum(u[r][k] * c[k] for k in range(r + 1, dim))
+                    ) / u[r][r]
+        out[(i, j)] = c
+    return out
+
+
+def dense_leibniz_rows(L):
+    d = L.dim
+    rows = []
+    for i, j in itertools.combinations(range(d), 2):
+        for m in range(d):
+            row = [Q(0)] * (d * d)
+            for k in range(d):
+                row[m * d + k] += L.sc[i][j][k]
+                row[k * d + i] -= L.sc[k][j][m]
+                row[k * d + j] -= L.sc[i][k][m]
+            rows.append(row)
+    return rows

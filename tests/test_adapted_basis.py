@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcert import autos, liecore
-from nilcert.autos import _leibniz_rows, derivation_algebra
+from nilcert.autos import derivation_algebra
 from nilcert.liecore import (
     _adapted_basis,
     ad_matrix,
@@ -25,14 +25,13 @@ from nilcert.liecore import (
 )
 from nilcert.qlinalg import Subspace, int_kernel, sparse_rows, unit_vector
 
-from test_liecore import load_workloads
-from test_sparse_lie import REDUCTIVE, assert_kernel, change_basis, \
-    dense_leibniz_rows
-
-
-def leibniz_kernel(L):
-    """The kernel of L's own Leibniz rows, in the given basis."""
-    return int_kernel(_leibniz_rows(L.table), L.dim * L.dim)
+from dense_reference import (
+    REDUCTIVE,
+    assert_kernel,
+    change_basis,
+    dense_leibniz_rows,
+)
+from shared import full_kernel, load_workloads
 
 
 def nonzero_entries(table):
@@ -106,7 +105,7 @@ def nilpotent_algebras(draw):
 @given(nilpotent_algebras())
 def test_adapted_kernel_equals_the_given_basis_kernel(L):
     assert check_jacobi(L) == []
-    assert derivation_algebra(L).space == leibniz_kernel(L)
+    assert derivation_algebra(L).space == full_kernel(L)
 
 
 @st.composite
@@ -129,7 +128,7 @@ def test_a_monomial_table_is_its_own_adapted_copy(L):
     assert is_monomial(L)
     units = [{c: 1} for c in range(L.dim)]
     assert _adapted_basis(L) == (units, units)
-    assert derivation_algebra(L).space == leibniz_kernel(L)
+    assert derivation_algebra(L).space == full_kernel(L)
 
 
 def test_every_accepted_pool_document_keeps_its_derivation_algebra():
@@ -141,7 +140,7 @@ def test_every_accepted_pool_document_keeps_its_derivation_algebra():
             continue
         accepted += 1
         assert not is_monomial(L)
-        assert derivation_algebra(L).space == leibniz_kernel(L)
+        assert derivation_algebra(L).space == full_kernel(L)
     assert accepted == 39
 
 

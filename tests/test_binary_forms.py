@@ -23,10 +23,7 @@ from nilcert.models import (
 from nilcert.qlinalg import Matrix
 from nilcert.wedgerep import induced_group_action, quotient_action
 
-from test_integer_matrix import record_fraction_matrices
-
-SAMPLED_CHECKS = ["p.sampled-nonfixing", "bound.eigenspace-max3",
-                  "fixed.sampled-nonzero"]
+from shared import SAMPLED_CHECKS, record_fraction_matrices
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])

@@ -9,7 +9,7 @@ import pkgutil
 import nilcert
 from nilcert import autos, cli, liecore, models
 
-from test_liecore import load_workloads
+from shared import load_workloads
 
 
 def nilcert_caches() -> dict:

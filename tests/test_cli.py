@@ -10,7 +10,11 @@ from pathlib import Path
 import pytest
 
 from nilcert import cli, models
+from nilcert.autos import sample_h_element
 from nilcert.cli import Config, list_checks, main, run
+from nilcert.qlinalg import Matrix
+
+from shared import P_DEPENDENT_SUITE, SAMPLED_CHECKS
 
 FAST_SUITE = ["jacobi.G", "lcs.G-12-7-0", "weights.V", "thm.eigen-relations",
               "oracle.heisenberg-der6"]
@@ -204,6 +208,57 @@ def test_a_refuting_cross_check_is_a_failure_not_an_error(monkeypatch):
     report = run(["jacobi.N", "n.der-dim-32"], Config())
     assert [r.status for r in report.results] == ["fail", "fail"]
     assert "error" not in report.counts
+
+
+def test_an_irrational_spectrum_fails_the_eigenspace_bound(monkeypatch):
+    # (2 1; 1 1) has trace 3 and determinant 1: its eigenvalues
+    # (3 +- sqrt 5)/2 are irrational, and so are their powers on V'
+    element = cli.Context.element
+
+    def irrational_at_4(self, index):
+        if index == 4:
+            return "hyperbolic", models.SL2Element(2, 1, 1, 1)
+        return element(self, index)
+
+    monkeypatch.setattr(cli.Context, "element", irrational_at_4)
+    result, = run(["bound.eigenspace-max3"], Config()).results
+    assert (result.status, result.expected, result.actual) == (
+        "fail", "rational spectra for shipped samples",
+        "sample 4 (hyperbolic) has an irrational real eigenvalue")
+
+
+def test_an_exponential_that_is_not_unipotent_fails_its_check(monkeypatch):
+    # der(N) holds derivations that are not nilpotent, so the real
+    # exponential raises first; this one is I for the first three samples
+    # and 2I, with eigenvalue 2, from the fourth on
+    calls = []
+
+    def doubled_from_the_fourth(dm):
+        calls.append(dm)
+        return Matrix.identity(dm.rows).scale(2 if len(calls) > 3 else 1)
+
+    monkeypatch.setattr(cli, "exp_nilpotent", doubled_from_the_fourth)
+    result, = run(["n.exp-unipotent"], Config()).results
+    assert len(calls) == 50
+    assert (result.status, result.actual) == (
+        "fail", "47 failures; first: sample 3: exponential not unipotent")
+
+
+def test_a_sample_without_a_fixed_vector_fails_its_check(monkeypatch):
+    # twice an element of SL2 on V has no eigenvalue 1: a rational
+    # hyperbolic element's are the powers a^4, a^2, 1, a^-2, a^-4 of a
+    # rational a, and the others' lie on the unit circle
+    sample = cli.Context.sample
+
+    def doubled_at_6_and_11(self, index):
+        kind, g5 = sample(self, index)
+        return kind, g5.scale(2) if index in (6, 11) else g5
+
+    monkeypatch.setattr(cli.Context, "sample", doubled_at_6_and_11)
+    bad = [(i, sample_h_element(0, i)[0]) for i in (6, 11)]
+    result, = run(["fixed.sampled-nonzero"], Config()).results
+    assert (result.status, result.actual) == (
+        "fail", f"no fixed vector for {bad}")
 
 
 def test_a_model_table_that_is_not_alternating_fails_the_model_checks(
@@ -428,12 +483,6 @@ def test_verify_json_over_the_pinned_suite_at_non_default_p(capsys, p):
             == PINNED_SUITE_P_REPORTS[p])
 
 
-#: the seven deterministic checks whose answer depends on the hook target p
-P_DEPENDENT_SUITE = (
-    "jacobi.N", "lcs.N-12-7-1-0", "nilclass.N-3", "n.der-dim-32",
-    "n.der-decomposition", "n.derivations-nilpotent", "p.line-stabilizer-zero",
-)
-
 #: sha256 of ``verify --json --suite P_DEPENDENT_SUITE --p P`` stdout at a
 #: sparse p (p13/2 - 2 p45), a dense p and a p with p13 = 0 (p14 + p25,
 #: where every abelianization factor vanishes), recorded before the
@@ -454,10 +503,6 @@ def test_verify_json_at_non_default_p_is_byte_identical(capsys, p):
           "--p", p])
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_P_REPORTS[p]
-
-
-SAMPLED_CHECKS = ["p.sampled-nonfixing", "bound.eigenspace-max3",
-                  "fixed.sampled-nonzero"]
 
 
 def test_sampled_checks_agree_alone_together_and_out_of_order():
@@ -502,6 +547,11 @@ def test_verify_json_at_non_default_seed_is_byte_identical(capsys, seed):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SEED_REPORTS[seed]
 
 
+#: each rejected --p is also given to ``models.validate_p`` as text
+P_READERS = pytest.mark.parametrize("reader", ["cli", "validate_p"])
+
+
+@P_READERS
 @pytest.mark.parametrize("p, message", [
     ("0,1,0,0,0,0,1,", "p needs 7 coordinates"),
     ("0,1,0,0,0,0", "p needs 7 coordinates"),
@@ -509,10 +559,12 @@ def test_verify_json_at_non_default_seed_is_byte_identical(capsys, seed):
     ("0,1,,0,0,0,1", "the p14 coordinate is empty"),
     ("0,1,0,0,0,0, ", "the p45 coordinate is empty"),
 ])
-def test_p_with_a_wrong_count_or_an_empty_part_exits_2(capsys, p, message):
-    assert_p_rejected(capsys, p, message)
+def test_p_with_a_wrong_count_or_an_empty_part_exits_2(capsys, p, message,
+                                                       reader):
+    assert_p_rejected(capsys, p, message, reader)
 
 
+@P_READERS
 @pytest.mark.parametrize("p, message", [
     ("0,1/0,0,0,0,0,0", "the p13 coordinate '1/0' has a zero denominator"),
     ("0,1,0,0,0,0,-3/0", "the p45 coordinate '-3/0' has a zero denominator"),
@@ -528,8 +580,9 @@ def test_p_with_a_wrong_count_or_an_empty_part_exits_2(capsys, p, message):
     ("0,+1,0,0,0,0,1", "the p13 coordinate '+1' is not a rational number"),
     ("0,1,0,0.5,0,0,1", "the p15 coordinate '0.5' is not a rational number"),
 ])
-def test_p_with_a_coordinate_that_is_not_rational_exits_2(capsys, p, message):
-    assert_p_rejected(capsys, p, message)
+def test_p_with_a_coordinate_that_is_not_rational_exits_2(capsys, p, message,
+                                                          reader):
+    assert_p_rejected(capsys, p, message, reader)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -537,11 +590,13 @@ def test_p_with_a_coordinate_that_is_not_rational_exits_2(capsys, p, message):
 def test_p_with_more_digits_than_int_reads_exits_2(capsys):
     bound = sys.get_int_max_str_digits()
     digits = "1" * (bound + 700)
-    assert_p_rejected(capsys, f"0,{digits},0,0,0,0,1",
-                      f"the p13 coordinate '1111111111111111'... "
-                      f"({bound + 700} characters) has a part of "
-                      f"{bound + 700} digits, more than the {bound} that "
-                      f"sys.get_int_max_str_digits() lets int() read")
+    for reader in ("cli", "validate_p"):
+        assert_p_rejected(capsys, f"0,{digits},0,0,0,0,1",
+                          f"the p13 coordinate '1111111111111111'... "
+                          f"({bound + 700} characters) has a part of "
+                          f"{bound + 700} digits, more than the {bound} that "
+                          f"sys.get_int_max_str_digits() lets int() read",
+                          reader)
     for argv in (["show", "N", "--p", f"0,1/{digits},0,0,0,0,1"],
                  ["verify", "--suite", "jacobi.N", "--p",
                   f"0,1,-{digits},0,0,0,1"]):
@@ -550,7 +605,15 @@ def test_p_with_more_digits_than_int_reads_exits_2(capsys):
         assert "digits, more than the" in err and len(err) < 300
 
 
-def assert_p_rejected(capsys, p, message):
+def assert_p_rejected(capsys, p, message, reader):
+    if reader == "validate_p":
+        # the library reads the split text as --p does: the same message,
+        # and only through a ValueError
+        with pytest.raises(ValueError) as caught:
+            models.validate_p(p.split(","))
+        assert message in str(caught.value)
+        assert "Fraction" not in str(caught.value)
+        return
     for argv in (["verify", "--p", p, "--suite", "jacobi.N"],
                  ["show", "N", "--p", p]):
         assert main(argv) == 2

@@ -42,12 +42,7 @@ from nilcert.models import (
 )
 from nilcert.qlinalg import int_kernel, sparse_rows
 
-from test_liecore import load_workloads
-
-#: the pinned hook targets of the restricted shear-space tests, and
-#: p14 +- 2 p25, where a rotation of order 4 fixes the line through p
-PINNED_P = ("0,1,0,0,0,0,1", "0,1/2,0,0,0,0,-2", "0,1,-1/2,2,-3/2,1,1/2",
-            "0,0,1,0,1,0,0", "0,0,1,0,2,0,0", "0,0,1,0,-2,0,0")
+from shared import P_DEPENDENT_SUITE, PINNED_P, full_kernel, load_workloads
 
 ALL_PAIRS = tuple(itertools.combinations(range(12), 2))
 FREE_PAIRS = tuple(pair for pair in ALL_PAIRS if pair not in HOOK_PAIRS)
@@ -77,10 +72,6 @@ def fraction_three_step(p):
     brackets = dict(models._two_step_brackets())
     brackets[models.HOOK] = vprime_to_algebra(p)
     return make_lie_algebra(12, brackets, ALGEBRA_LABELS)
-
-
-def full_kernel(L):
-    return int_kernel(_leibniz_rows(L.table), L.dim * L.dim)
 
 
 def full_kernel_over(L, pairs):
@@ -415,12 +406,6 @@ def test_the_splice_leaves_g_alone():
 # --------------------------------------------------------------------------
 # K is built once per process, and not at import
 # --------------------------------------------------------------------------
-
-P_DEPENDENT_SUITE = (
-    "jacobi.N", "lcs.N-12-7-1-0", "nilclass.N-3", "n.der-dim-32",
-    "n.der-decomposition", "n.derivations-nilpotent", "p.line-stabilizer-zero",
-)
-
 
 def test_two_p_build_k_once(monkeypatch):
     calls = []

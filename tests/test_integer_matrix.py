@@ -47,6 +47,7 @@ from nilcert.qlinalg import (
 from nilcert.wedgerep import wedge_vector
 
 from dense_reference import poly_divmod, ref_nullspace
+from shared import record_fraction_matrices
 
 # ------------------------------------------------------------ the reference
 
@@ -271,25 +272,6 @@ def test_cofactor_is_p_over_its_rational_linear_factors(p):
 
 
 # -------------------------------------------- the sampled checks in integers
-
-
-def record_fraction_matrices(monkeypatch) -> list[str]:
-    """The name of every ``Matrix.__init__`` call (a matrix built from
-    Fraction entries) and of every read of Fraction entries (``entries``,
-    an indexed entry, a row, a column) from here on."""
-    calls = []
-
-    def recording(name, fn):
-        def wrapper(self, *args):
-            calls.append(name)
-            return fn(self, *args)
-        return wrapper
-
-    monkeypatch.setattr(Matrix, "entries", property(
-        recording("entries", Matrix.entries.fget)))
-    for name in ("__init__", "__getitem__", "row", "col"):
-        monkeypatch.setattr(Matrix, name, recording(name, getattr(Matrix, name)))
-    return calls
 
 
 def test_sampled_checks_build_no_fraction_entries(monkeypatch):

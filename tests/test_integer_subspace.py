@@ -41,6 +41,7 @@ from nilcert.qlinalg import (
 from nilcert.wedgerep import NotInvariantError, commutant
 
 from dense_reference import ref_nullspace, ref_rref
+from shared import P_DEPENDENT_SUITE, PINNED_P
 
 BIG = 2 ** 64
 
@@ -333,11 +334,10 @@ def full_shear_space(L, c):
 LPRIME = Subspace.span(7, [unit_vector(7, k) for k in range(2, 7)])
 
 #: the default p and the three non-default p pinned by the CLI tests
-PINNED_P = ("0,1,0,0,0,0,1", "0,1/2,0,0,0,0,-2", "0,1,-1/2,2,-3/2,1,1/2",
-            "0,0,1,0,1,0,0")
+CLI_PINNED_P = PINNED_P[:4]
 
 
-@pytest.mark.parametrize("p", PINNED_P)
+@pytest.mark.parametrize("p", CLI_PINNED_P)
 def test_restricted_shear_space_of_N_equals_the_full_elimination(p):
     data = model_data(validate_p(p.split(",")))
     for c in (subspace_in_algebra(data.L), subspace_in_algebra(LPRIME),
@@ -534,13 +534,7 @@ def test_derivation_defects_runs_no_membership_test(monkeypatch):
 # the p-scan checks never build a Fraction basis of a 144-dim space
 # --------------------------------------------------------------------------
 
-P_DEPENDENT_SUITE = (
-    "jacobi.N", "lcs.N-12-7-1-0", "nilclass.N-3", "n.der-dim-32",
-    "n.der-decomposition", "n.derivations-nilpotent", "p.line-stabilizer-zero",
-)
-
-
-@pytest.mark.parametrize("p", PINNED_P)
+@pytest.mark.parametrize("p", CLI_PINNED_P)
 def test_p_dependent_checks_build_no_basis_of_der_N_or_the_shear_space(
         monkeypatch, p):
     # every Fraction basis vector of a subspace of Q^144 passes the reader

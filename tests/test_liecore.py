@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import itertools
 import json
 import os
@@ -35,6 +34,8 @@ from nilcert.liecore import (
 from nilcert.autos import derivation_algebra
 from nilcert.models import build_three_step, vprime_to_algebra
 from nilcert.qlinalg import Subspace, is_nilpotent, unit_vector
+
+from shared import load_workloads
 
 
 def lcs_dims(L):
@@ -374,15 +375,6 @@ def test_json_load_rejects_a_repeated_field(text, key):
     with pytest.raises(ValueError,
                        match=f"the field '{key}' is given more than once"):
         lie_algebra_from_json(text)
-
-
-def load_workloads():
-    # nilbench has no package __init__, so the file is loaded by path
-    path = Path(__file__).resolve().parents[1] / "nilbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("nilbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_json_load_rejects_a_benchmark_pool_entry_in_place_of_its_text():

@@ -31,6 +31,7 @@ from nilcert.liecore import (
     check_jacobi,
     make_lie_algebra,
     nilpotency_class,
+    non_alternating_pair,
 )
 from nilcert.qlinalg import Matrix, Subspace, rank, unit_vector
 from nilcert.wedgerep import NotInvariantError, induced_group_action
@@ -258,6 +259,17 @@ def test_three_step_rejects_bad_p():
                                    "component and N would not be nilpotent)")
     with pytest.raises(ValueError, match="7 coordinates"):
         validate_p((1, 2, 3))
+
+
+def test_an_alternating_table_that_fails_jacobi_is_refuted():
+    # [e0, e1] = e2 and [e0, e2] = e0: the Jacobi sum on (e0, e1, e2) is
+    # [e1, [e2, e0]] + [e2, [e0, e1]] = [e1, -e0] + 0 = e2
+    L = make_lie_algebra(3, {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)})
+    assert non_alternating_pair(L) is None
+    with pytest.raises(models.CertificationError,
+                       match=r"^toy model failed the Jacobi identity on "
+                             r"\[\(0, 1, 2\)\]$"):
+        models._certified(L, "toy")
 
 
 def test_three_step_any_nonzero_p_in_L_works():

@@ -21,7 +21,14 @@ from nilcert.models import model_data, subspace_in_algebra
 from nilcert.qlinalg import Matrix, Subspace
 from nilcert.wedgerep import commutant
 
-from dense_reference import ref_nullspace
+from dense_reference import (
+    REDUCTIVE,
+    assert_kernel,
+    change_basis,
+    dense_bracket,
+    dense_leibniz_rows,
+    ref_nullspace,
+)
 
 BIG = 2 ** 64
 ZERO = Q(0)
@@ -32,30 +39,6 @@ HUGE = st.builds(Q, st.integers(-BIG ** 2, BIG ** 2).filter(bool),
 SPARSE = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ZERO), SMALL)
 ENTRIES = st.one_of(st.just(SMALL), st.just(SPARSE),
                     st.just(st.one_of(SPARSE, HUGE)))
-
-
-#: sl2, so3 and gl2 over pairs i < j; Jacobi holds with nonzero terms
-REDUCTIVE = (
-    (3, {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)}),
-    (3, {(0, 1): (0, 0, 1), (0, 2): (0, -1, 0), (1, 2): (1, 0, 0)}),
-    (4, {(0, 1): (0, 2, 0, 0), (0, 2): (0, 0, -2, 0), (1, 2): (1, 0, 0, 0)}),
-)
-
-
-def change_basis(dim, brackets, u):
-    """Structure constants in the basis f_i = sum_a u[a][i] e_a, for an
-    upper triangular u with nonzero diagonal."""
-    L = make_lie_algebra(dim, brackets)
-    cols = [[u[a][i] for a in range(dim)] for i in range(dim)]
-    out = {}
-    for i, j in itertools.combinations(range(dim), 2):
-        w = dense_bracket(L, cols[i], cols[j])
-        c = [ZERO] * dim
-        for r in reversed(range(dim)):
-            c[r] = (w[r] - sum(u[r][k] * c[k] for k in range(r + 1, dim))
-                    ) / u[r][r]
-        out[(i, j)] = c
-    return out
 
 
 @st.composite
@@ -95,15 +78,6 @@ def vectors(dim, entries=SPARSE):
 # dense references
 # --------------------------------------------------------------------------
 
-def dense_bracket(L, x, y):
-    out = [ZERO] * L.dim
-    for i in range(L.dim):
-        for j in range(L.dim):
-            for k in range(L.dim):
-                out[k] += x[i] * y[j] * L.sc[i][j][k]
-    return tuple(out)
-
-
 def dense_jacobi(L):
     e = [tuple(Q(int(k == i)) for k in range(L.dim)) for i in range(L.dim)]
     bad = []
@@ -116,20 +90,6 @@ def dense_jacobi(L):
     return bad
 
 
-def dense_leibniz_rows(L):
-    d = L.dim
-    rows = []
-    for i, j in itertools.combinations(range(d), 2):
-        for m in range(d):
-            row = [ZERO] * (d * d)
-            for k in range(d):
-                row[m * d + k] += L.sc[i][j][k]
-                row[k * d + i] -= L.sc[k][j][m]
-                row[k * d + j] -= L.sc[i][k][m]
-            rows.append(row)
-    return rows
-
-
 def dense_membership_rows(d, c):
     """Every column of D lies in c: it is orthogonal to c's annihilator."""
     rows = []
@@ -140,17 +100,6 @@ def dense_membership_rows(d, c):
                 row[r * d + col] = a[r]
             rows.append(row)
     return rows
-
-
-def assert_kernel(space, rows, ncols):
-    """space is the kernel of the dense rows: same dimension, same span."""
-    ref = ref_nullspace(rows, ncols)
-    assert space.ambient_dim == ncols
-    assert space.dim == len(ref)
-    assert space == Subspace.span(ncols, ref)
-    for v in space.basis_vectors():
-        assert all(isinstance(x, Q) for x in v)
-        assert not any(sum(a * b for a, b in zip(row, v)) for row in rows)
 
 
 # --------------------------------------------------------------------------

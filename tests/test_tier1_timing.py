@@ -1,4 +1,4 @@
-"""The parser of tools/tier1_timing.py on a canned pytest output."""
+"""The parser of tools/tier1_timing.py on a canned pytest JUnit XML report."""
 
 import importlib.util
 from pathlib import Path
@@ -11,41 +11,58 @@ tier1_timing = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tier1_timing)
 
 CANNED = """\
-........................................................................ [ 14%]
-.....F..F............................................................... [ 29%]
-=================================== FAILURES ===================================
-E   AssertionError: 1.50s call     tests/test_fake.py::not_a_duration
-============================== slowest durations ===============================
-3.91s call     tests/test_acceptance.py::test_c14_determinism
-0.40s setup    tests/test_acceptance.py::test_c14_determinism
-0.45s call     tests/test_cli.py::test_json_round_trip
-0.30s call     tests/test_cli.py::test_main[a b]
-0.06s teardown tests/test_cli.py::test_main[a b]
-0.01s call     tests/test_liecore.py::test_bracket_basis_pairs
-
-(412 durations < 0.005s hidden.  Use -vv to show these durations.)
-=========================== short test summary info ============================
-FAILED tests/test_acceptance.py::test_c08_derivation_decompositions - Asserti...
-FAILED tests/test_acceptance.py::test_c09_unipotence_certificate - AssertionE...
-2 failed, 494 passed, 1 warning in 24.42s
+<?xml version="1.0" encoding="utf-8"?><testsuites name="pytest tests">\
+<testsuite name="pytest" errors="1" failures="2" skipped="1" tests="9" \
+time="24.421" timestamp="2026-01-01T00:00:00.000000+00:00" hostname="vm">
+<testcase classname="tests.test_acceptance" name="test_c14_determinism" \
+file="tests/test_acceptance.py" line="10" time="4.310" />
+<testcase classname="tests.test_acceptance" \
+name="test_c08_derivation_decompositions" file="tests/test_acceptance.py" \
+line="20" time="0.120"><failure message="AssertionError" /></testcase>
+<testcase classname="tests.test_acceptance" \
+name="test_c09_unipotence_certificate" file="tests/test_acceptance.py" \
+line="30" time="0.004"><failure message="AssertionError" /></testcase>
+<testcase classname="tests.test_cli" name="test_json_round_trip" \
+file="tests/test_cli.py" line="40" time="0.450" />
+<testcase classname="tests.test_cli" name="test_main[a b]" \
+file="tests/test_cli.py" line="50" time="0.510" />
+<testcase classname="tests.test_cli.TestGroup" name="test_in_a_class" \
+file="tests/test_cli.py" line="60" time="0.600" />
+<testcase classname="tests.test_cli" name="test_broken_fixture" \
+file="tests/test_cli.py" line="70" time="0.001"><error message="setup" />\
+</testcase>
+<testcase classname="tests.test_cli" name="test_skipped" \
+file="tests/test_cli.py" line="80" time="0.000"><skipped message="no" />\
+</testcase>
+<testcase classname="tests.test_readme" name="test_readme_library_example" \
+file="tests/test_readme.py" line="12" time="0.002" />
+</testsuite></testsuites>
 """
 
 
 def test_the_parser_reads_counts_times_and_slow_tests():
-    record = tier1_timing.parse_pytest_output(CANNED)
-    assert (record["passed"], record["failed"]) == (494, 2)
+    record = tier1_timing.parse_junit_xml(CANNED)
+    # an error or a skip is neither a pass nor a failure
+    assert (record["passed"], record["failed"]) == (5, 2)
     assert record["pytest_s"] == 24.42
-    assert record["per_file_s"] == {"tests/test_acceptance.py": 4.31,
-                                    "tests/test_cli.py": 0.81,
-                                    "tests/test_liecore.py": 0.01}
-    # setup, call and teardown are summed per test before the 0.5 s cut
+    # every file is summed, one whose tests all take under 5 ms too
+    assert record["per_file_s"] == {"tests/test_acceptance.py": 4.43,
+                                    "tests/test_cli.py": 1.56,
+                                    "tests/test_readme.py": 0.0}
+    # a case's time is its setup, call and teardown, cut at 0.5 s
     assert record["slow_tests_s"] == {
-        "tests/test_acceptance.py::test_c14_determinism": 4.31}
+        "tests/test_acceptance.py::test_c14_determinism": 4.31,
+        "tests/test_cli.py::TestGroup::test_in_a_class": 0.6,
+        "tests/test_cli.py::test_main[a b]": 0.51}
 
 
 def test_the_parser_reads_a_long_run_and_needs_a_summary():
-    record = tier1_timing.parse_pytest_output("476 passed in 65.10s (0:01:05)\n")
+    record = tier1_timing.parse_junit_xml(
+        '<testsuites><testsuite name="pytest" tests="1" time="65.104">'
+        '<testcase classname="tests.test_x" name="test_y" '
+        'file="tests/test_x.py" time="65.0" /></testsuite></testsuites>')
     assert (record["passed"], record["failed"], record["pytest_s"]) == (
-        476, 0, 65.1)
-    with pytest.raises(ValueError, match="no pytest summary line"):
-        tier1_timing.parse_pytest_output(CANNED.rsplit("\n", 2)[0])
+        1, 0, 65.1)
+    assert record["slow_tests_s"] == {"tests/test_x.py::test_y": 65.0}
+    with pytest.raises(ValueError, match="no testsuite element"):
+        tier1_timing.parse_junit_xml('<testsuites name="pytest tests" />')
