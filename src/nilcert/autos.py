@@ -416,14 +416,16 @@ def max_eigenspace_dim(m: Matrix) -> int:
     Precondition (checked): every real eigenvalue is rational.  The rational
     roots of the characteristic polynomial are found exactly; a Sturm count
     on the cofactor then certifies that no irrational real eigenvalue was
-    missed, and IrrationalEigenvalueError is raised if one was.
+    missed, and IrrationalEigenvalueError is raised if one was.  A root of
+    multiplicity 1 has an eigenspace of dimension exactly 1 (at least 1,
+    at most its multiplicity), so only repeated roots take a kernel.
     """
-    cp = char_poly(m)
-    roots, cofactor = strip_rational_roots(cp)
+    roots, cofactor = strip_rational_roots(char_poly(m))
     if cofactor.degree >= 1 and count_real_roots(cofactor) > 0:
         raise IrrationalEigenvalueError(
             "matrix has an irrational real eigenvalue; pick a different sample")
-    return max((eigenspace(m, lam).dim for lam in roots), default=0)
+    return max((eigenspace(m, lam).dim if mult > 1 else 1
+                for lam, mult in roots.items()), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .models import (
     SL2Element,
     VPRIME_LABELS,
     binary_form_action,
+    binary_form_image,
     group_action_on_V,
     induced_sl2_on_wedge,
     model_data,
@@ -161,7 +162,6 @@ class Context:
         self.config = config
         self.build_s = 0.0  # time spent building the models, failures too
         self._elements: dict[int, tuple[str, SL2Element]] = {}
-        self._samples_on_Vprime: dict[int, Matrix] = {}
 
     @cached_property
     def data(self) -> ModelData:
@@ -198,10 +198,7 @@ class Context:
 
     def sample_on_Vprime(self, index: int) -> Matrix:
         """The index-th seeded H-element acting on V'."""
-        if index not in self._samples_on_Vprime:
-            self._samples_on_Vprime[index] = binary_form_action(
-                self.element(index)[1], 6)
-        return self._samples_on_Vprime[index]
+        return binary_form_action(self.element(index)[1], 6)
 
 
 class Check:
@@ -523,7 +520,7 @@ def _sampled_nonfixing(ctx):
         kind, g = ctx.element(i)
         if g.b == g.c == 0 and g.a == g.d:  # g = +-I acts trivially on V
             continue
-        if line.moved_by(ctx.sample_on_Vprime(i)) is None:
+        if line.contains_int_row(binary_form_image(g, 6, line.echelon[0][1])):
             fixing.append((i, kind))
     if fixing:
         return FAIL, "no sampled element fixes the line", f"fixed by {fixing}"
@@ -541,9 +538,8 @@ def _eigenspace_bound(ctx):
     details = []
     for i in range(9):
         kind = ctx.element(i)[0]
-        g7 = ctx.sample_on_Vprime(i)
         try:
-            d = max_eigenspace_dim(g7)
+            d = max_eigenspace_dim(ctx.sample_on_Vprime(i))
         except IrrationalEigenvalueError:
             return FAIL, "rational spectra for shipped samples", \
                 f"sample {i} ({kind}) has an irrational real eigenvalue"

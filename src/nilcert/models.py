@@ -6,9 +6,9 @@ writer, ``hook_table``, which ``autos`` also reads to recognise that
 layout and to build its hook pencil.
 
 As sl2-modules, V and V' are the binary quartics and the binary sextics:
-``binary_form_action`` builds a sampled group element on either one from
-its 2x2 matrix in integers, and is checked once per process against the
-exterior-square path it replaces.
+``binary_form_action`` (or ``binary_form_image``, for one vector's image)
+builds a sampled group element on either one from its 2x2 matrix in
+integers, checked once per process against the exterior-square path.
 
 Basis conventions, fixed once:
   * V has basis s1..s5 (3x3 symmetric matrices with m22 = 2*m13);
@@ -33,7 +33,7 @@ from .liecore import (
     non_alternating_pair,
     parse_rational,
 )
-from .qlinalg import Matrix, Subspace, qf, unit_vector
+from .qlinalg import Matrix, Subspace, qf, unit_vector, weighted_sum
 from .wedgerep import (
     NotInvariantError,
     induced_algebra_action,
@@ -226,7 +226,8 @@ BINARY_FORM_SCALES = {
 
 def binary_form_action(g: SL2Element, degree: int) -> Matrix:
     """The matrix of g on V (degree 4, s-basis) or V' (degree 6, p-basis),
-    read as binary forms of that degree through Phi.
+    read as binary forms of that degree through Phi, built by the column
+    code of ``binary_form_image``.
 
     g = [[a, b], [c, d]] acts on forms by the substitution
     (x, y) -> (ax + cy, bx + dy), a left action.  The first call in a
@@ -237,44 +238,46 @@ def binary_form_action(g: SL2Element, degree: int) -> Matrix:
     return _binary_form_matrix(g, degree, _certify_binary_forms()[degree])
 
 
+def binary_form_image(g: SL2Element, degree: int,
+                      v: dict[int, int]) -> dict[int, int]:
+    """A positive multiple of ``binary_form_action(g, degree).int_apply(v)``
+    for the sparse integer vector v {column: entry}, from the columns j
+    with v_j != 0 alone; certified as that matrix is."""
+    phi = _certify_binary_forms()[degree]
+    cols = _binary_form_columns(g, degree, v, phi)[1]
+    return weighted_sum(v, {j: dict(enumerate(c)) for j, c in cols.items()})
+
+
 def _binary_form_matrix(g: SL2Element, n: int,
                         phi: tuple[int, tuple[tuple[int, ...], ...]]) -> Matrix:
-    """With q the lcm of the denominators of a, b, c, d and
-    (A, B, C, D) = q (a, b, c, d), the image of x^(n-j) y^j is the integer
-    expansion of (Ax + Cy)^(n-j) (Bx + Dy)^j divided by q^n; Phi turns its
-    coefficient of x^(n-k) y^k into entry (k, j) times c_j / c_k.  With
-    those ratios scaled to integers by their lcm l (phi = (l, ratios), from
-    ``_phi_ratios``), the matrix is built from integers over l q^n."""
-    q = math.lcm(g.a.denominator, g.b.denominator, g.c.denominator,
-                 g.d.denominator)
-    A, B, C, D = (x.numerator * (q // x.denominator)
-                  for x in (g.a, g.b, g.c, g.d))
-    lcm, ratios = phi
-    left, right = _linear_powers(A, C, n), _linear_powers(B, D, n)
-    size = n + 1
-    nums = [0] * (size * size)
-    for j in range(size):
-        col = [0] * size
-        for i, u in enumerate(left[n - j]):
-            if u:
-                for k, v in enumerate(right[j], i):
-                    col[k] += u * v
-        for k, (x, r) in enumerate(zip(col, ratios[j])):
-            nums[k * size + j] = x * r
-    return Matrix.from_ints(size, size, nums, lcm * q ** n)
+    """The matrix whose columns are the images of the n + 1 unit vectors."""
+    den, cols = _binary_form_columns(g, n, range(n + 1), phi)
+    return Matrix.from_ints(n + 1, n + 1, [
+        x for row in zip(*cols.values()) for x in row], den)
 
 
-def _linear_powers(s: int, t: int, n: int) -> list[list[int]]:
-    """The coefficients of (sx + ty)^m at x^(m-k) y^k, k = 0..m, for
-    m = 0..n."""
-    out = [[1]]
-    for _ in range(n):
-        prev = out[-1]
-        nxt = [s * a for a in prev] + [0]
-        for k, a in enumerate(prev, 1):
-            nxt[k] += t * a
-        out.append(nxt)
-    return out
+def _binary_form_columns(g: SL2Element, n: int, js: Iterable[int],
+                         phi: tuple[int, tuple[tuple[int, ...], ...]]
+                         ) -> tuple[int, dict[int, list[int]]]:
+    """(l q^n, {j: column j of the matrix times l q^n}) for j in js.  With
+    (A, B, C, D) = q (a, b, c, d) integral for the least q, the image of
+    x^(n-j) y^j is (Ax + Cy)^(n-j) (Bx + Dy)^j / q^n; Phi turns its
+    coefficient of x^(n-k) y^k into entry (k, j) times c_j / c_k, which
+    phi = (l, ratios) holds as ratios[j][k] / l (from ``_phi_ratios``)."""
+    abcd = (g.a, g.b, g.c, g.d)
+    q = math.lcm(*(x.denominator for x in abcd))
+    pa, pb, pc, pd = ([y ** e for e in range(n + 1)] for y in (
+        x.numerator * (q // x.denominator) for x in abcd))
+    cols = {}
+    for j in js:
+        right = [math.comb(j, k) * pb[j - k] * pd[k] for k in range(j + 1)]
+        col = [0] * (n + 1)
+        for i in range(n - j + 1):
+            u = math.comb(n - j, i) * pa[n - j - i] * pc[i]
+            for k, w in enumerate(right, i):
+                col[k] += u * w
+        cols[j] = [x * r for x, r in zip(col, phi[1][j])]
+    return phi[0] * q ** n, cols
 
 
 def _phi_ratios(scales: tuple[Fraction, ...]
@@ -302,10 +305,9 @@ def _certify_binary_forms() -> dict[int, tuple[int, tuple[tuple[int, ...], ...]]
     SL2(Q), so the two checks certify every later binary-form matrix.
     """
     phi = {n: _phi_ratios(scales) for n, scales in BINARY_FORM_SCALES.items()}
-    w = build_W()
     for g in (SL2Element.upper(1), SL2Element.lower(1)):
         on_v = group_action_on_V(sym2_embed(g))
-        on_vprime = quotient_action(induced_group_action(on_v), w)
+        on_vprime = quotient_action(induced_group_action(on_v), build_W())
         if (_binary_form_matrix(g, 4, phi[4]) != on_v
                 or _binary_form_matrix(g, 6, phi[6]) != on_vprime):
             raise CertificationError(

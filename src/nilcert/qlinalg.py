@@ -649,7 +649,7 @@ class Subspace:
         each listed j and zero elsewhere, computed on the integer rows:
         basis row i is echelon row i over its pivot entry a_i, so the
         weights coeffs[i] / a_i are brought to one denominator d first."""
-        terms = [(qf(c), row[p])
+        terms = [(c if isinstance(c, int) else qf(c), row[p])
                  for c, (p, row) in zip(coeffs, self.echelon, strict=True)]
         d = math.lcm(*(c.denominator * a for c, a in terms if c))
         return d, weighted_sum({

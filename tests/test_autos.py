@@ -42,12 +42,16 @@ from nilcert.models import (
     subspace_in_algebra,
     sym2_embed,
 )
+from nilcert.cli import Config, Context
 from nilcert.qlinalg import (
     Matrix,
     Subspace,
+    char_poly,
+    eigenspace,
     is_nilpotent,
     is_unipotent,
     kernel_basis,
+    rational_roots,
     unit_vector,
 )
 from nilcert.wedgerep import (
@@ -59,6 +63,7 @@ from nilcert.wedgerep import (
 )
 
 from dense_reference import mat_pow, wedge_derivation
+from shared import load_workloads
 
 
 @pytest.fixture(scope="module")
@@ -496,6 +501,38 @@ def test_max_eigenspace_dim_on_Vprime_samples(DATA):
     ell = group_action_on_V(sym2_embed(SL2Element.elliptic(1, 2)))
     e7 = quotient_action(induced_group_action(ell), DATA.W)
     assert max_eigenspace_dim(e7) == 1
+
+
+def largest_eigenspace(m):
+    """max dim ker(m - c I) over the rational roots c, each by its kernel."""
+    return max((eigenspace(m, c).dim for c in rational_roots(char_poly(m))),
+               default=0)
+
+
+def test_max_eigenspace_dim_is_the_largest_eigenspace_on_triangular_matrices():
+    # repeated diagonal entries with random superdiagonals: some roots are
+    # simple, and some repeated ones have a smaller eigenspace
+    rng = random.Random(30)
+    defective = simple = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        diag = [rng.randint(-2, 2) for _ in range(n)]
+        m = Matrix.from_rows([[diag[i] if i == j else rng.randint(-2, 2)
+                               if j > i else 0 for j in range(n)]
+                              for i in range(n)])
+        assert max_eigenspace_dim(m) == largest_eigenspace(m)
+        roots = rational_roots(char_poly(m))
+        simple += 1 in roots.values()
+        defective += any(eigenspace(m, c).dim < k for c, k in roots.items())
+    assert simple > 50 and defective > 50
+
+
+def test_max_eigenspace_dim_is_the_largest_eigenspace_on_verify_samples():
+    for seed in load_workloads().verify_pool():
+        ctx = Context(Config(seed=seed))
+        for i in range(9):
+            m = ctx.sample_on_Vprime(i)
+            assert max_eigenspace_dim(m) == largest_eigenspace(m)
 
 
 def test_max_eigenspace_dim_rejects_irrational_spectrum():

@@ -1,6 +1,7 @@
 """Sampled H-elements as binary forms: binary_form_action against the
-exterior-square path it replaces, its homomorphism property, and the
-once-per-process guard that certifies it."""
+exterior-square path it replaces, its homomorphism property, the image of
+one vector (binary_form_image) against the matrix, and the
+once-per-process guard that certifies both."""
 
 import math
 from fractions import Fraction as Q
@@ -16,6 +17,7 @@ from nilcert.models import (
     BINARY_FORM_SCALES,
     SL2Element,
     binary_form_action,
+    binary_form_image,
     build_W,
     group_action_on_V,
     sym2_embed,
@@ -101,6 +103,30 @@ def test_binary_form_action_is_a_homomorphism(g, h):
     for degree in (4, 6):
         assert (binary_form_action(g * h, degree)
                 == binary_form_action(g, degree) * binary_form_action(h, degree))
+
+
+@st.composite
+def sparse_int_vectors(draw, n):
+    """A unit vector, or up to three nonzero integer entries of Q^(n+1)."""
+    if draw(st.booleans()):
+        return {draw(st.integers(0, n)): 1}
+    return draw(st.dictionaries(st.integers(0, n),
+                                st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                                min_size=1, max_size=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sl2_elements(), st.data())
+def test_binary_form_image_is_a_positive_multiple_of_the_matrix_image(g,
+                                                                      data):
+    for degree in (4, 6):
+        v = data.draw(sparse_int_vectors(degree))
+        image = binary_form_image(g, degree, v)
+        ref = binary_form_action(g, degree).int_apply(v)
+        assert ref and image.keys() == ref.keys()
+        k = next(iter(ref))
+        t = Q(image[k], ref[k])
+        assert t > 0 and all(image[j] == t * ref[j] for j in ref)
 
 
 def test_binary_form_action_of_the_identity_is_the_identity():

@@ -261,6 +261,29 @@ def test_a_sample_without_a_fixed_vector_fails_its_check(monkeypatch):
         "fail", f"no fixed vector for {bad}")
 
 
+def test_a_sample_that_fixes_the_line_fails_its_check(monkeypatch):
+    # the quarter turn fixes the line through p14 + 2 p25 and moves the
+    # one through p14 + p25 + p45; no seeded sample fixes either line
+    element = cli.Context.element
+
+    def quarter_turn_at_5(self, index):
+        if index == 5:
+            return "elliptic", models.SL2Element(0, -1, 1, 0)
+        return element(self, index)
+
+    monkeypatch.setattr(cli.Context, "element", quarter_turn_at_5)
+    fixed, moved = (
+        run(["p.sampled-nonfixing"],
+            Config(p=models.validate_p(p.split(",")))).results[0]
+        for p in ("0,0,1,0,2,0,0", "0,0,1,0,1,0,1"))
+    assert (fixed.status, fixed.expected, fixed.actual) == (
+        "fail", "no sampled element fixes the line",
+        "fixed by [(5, 'elliptic')]")
+    assert (moved.status, moved.actual) == (
+        "warn", "none of 100 samples fixes it (sampling cannot exhaust "
+        "finite-order elliptic elements)")
+
+
 def test_a_model_table_that_is_not_alternating_fails_the_model_checks(
         monkeypatch):
     # +h at (p12, s1) passes N's Jacobi scan; the alternation guard in the
@@ -527,7 +550,7 @@ def test_sampled_checks_agree_alone_together_and_out_of_order():
     assert fresh.sample(7) == sample_action_on_V(5, 7)
     assert g7 == quotient_action(
         induced_group_action(sample_action_on_V(5, 7)[1]), fresh.data.W)
-    assert fresh.sample_on_Vprime(7) is g7
+    assert fresh.sample_on_Vprime(7) == g7
 
 
 #: sha256 of ``verify --json --suite PINNED_SUITE --seed S`` stdout at two

@@ -183,6 +183,21 @@ def test_contains_reduce_and_combination_match_the_dense_reference(args):
     assert s.reduce(combined) == (Q(0),) * n
 
 
+@settings(max_examples=60, deadline=None)
+@given(spanning_sets().flatmap(lambda case: st.tuples(
+    st.just(case), st.lists(st.integers(-BIG, BIG), min_size=7,
+                            max_size=7))))
+def test_int_combination_reads_int_weights_as_equal_fractions(args):
+    (n, rows), weights = args
+    s = Subspace.span(n, rows)
+    weights = weights[:s.dim]
+    assert s.int_combination(weights) == s.int_combination(
+        [Q(w) for w in weights])
+    if s.dim:
+        with pytest.raises(TypeError):
+            s.int_combination([0.5] + weights[1:])
+
+
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_zero_and_full_spaces(n):
     zero, full = Subspace.zero(n), Subspace.full(n)
