@@ -192,7 +192,8 @@ class HookFreeKernel(Subspace):
 
     def __init__(self, space: Subspace):
         self._set(space.ambient_dim, space.echelon)
-        self._columns = column_index([row for _, row in self.echelon])
+        self._columns = column_index([row for _, row in self.echelon],
+                                     self.ambient_dim)
         self._pencil: dict[int | None, dict[int, dict[int, int]]] = {}
 
     def pencil(self, k: int | None) -> dict[int, dict[int, int]]:
@@ -294,7 +295,7 @@ def derivation_defects(der: DerivationSpace) -> tuple[list[int], list[int]]:
     factor = [{r * n + k: e for r, e in eq.items()}
               for k in derived.free_columns() for eq in equations]
     rows = [row for _, row in der.space.echelon]
-    values = apply_equations([f for _, f in guard] + factor, rows)
+    values = apply_equations([f for _, f in guard] + factor, rows, n * n)
     moved = min(((idx, k) for (k, _), v in zip(guard, values) for idx in v),
                 default=None)
     if moved is not None:

@@ -35,6 +35,7 @@ from .liecore import (
 )
 from .models import (
     DEFAULT_P,
+    RAISING,
     CertificationError,
     ModelData,
     SL2Element,
@@ -191,15 +192,6 @@ class Context:
             self._elements[index] = sample_h_element(self.config.seed, index)
         return self._elements[index]
 
-    def sample(self, index: int) -> tuple[str, Matrix]:
-        """The index-th seeded H-element acting on V, with its kind."""
-        kind, g = self.element(index)
-        return kind, binary_form_action(g, 4)
-
-    def sample_on_Vprime(self, index: int) -> Matrix:
-        """The index-th seeded H-element acting on V'."""
-        return binary_form_action(self.element(index)[1], 6)
-
 
 class Check:
     __slots__ = ("id", "description", "claim", "fn")
@@ -275,20 +267,23 @@ _expect("nilclass.N-3", "nilpotency class of N", "N is 3-step nilpotent",
         "3", lambda ctx: str(nilpotency_class(ctx.data.N)))
 
 
-@_check("weights.V",
-        "weight decomposition of the Cartan action on V",
-        "s1..s5 are weight vectors of the Cartan action with weights "
-        "4, 2, 0, -2, -4, "
-        "each one-dimensional")
-def _weights_v(ctx):
+def _weights_v(ctx) -> str:
     wd = weight_decomposition(ctx.data.actions_on_V[0], (4, 2, 0, -2, -4))
     expected_lines = all(
         wd.spaces[qf(w)] == Subspace.span(5, [unit_vector(5, i)])
         for i, w in enumerate((4, 2, 0, -2, -4)))
-    ok = wd.complete and expected_lines
-    actual = ("five coordinate lines, direct sum is V" if ok else
-              f"dims {[s.dim for s in wd.spaces.values()]}, complete={wd.complete}")
-    return _status(ok), "five coordinate lines, direct sum is V", actual
+    if wd.complete and expected_lines:
+        return "five coordinate lines, direct sum is V"
+    return (f"dims {[s.dim for s in wd.spaces.values()]}, "
+            f"complete={wd.complete}")
+
+
+_expect("weights.V",
+        "weight decomposition of the Cartan action on V",
+        "s1..s5 are weight vectors of the Cartan action with weights "
+        "4, 2, 0, -2, -4, "
+        "each one-dimensional",
+        "five coordinate lines, direct sum is V", _weights_v)
 
 
 @_check("weights.Vprime",
@@ -537,9 +532,9 @@ def _eigenspace_bound(ctx):
     worst = 0
     details = []
     for i in range(9):
-        kind = ctx.element(i)[0]
+        kind, g = ctx.element(i)
         try:
-            d = max_eigenspace_dim(ctx.sample_on_Vprime(i))
+            d = max_eigenspace_dim(binary_form_action(g, 6))
         except IrrationalEigenvalueError:
             return FAIL, "rational spectra for shipped samples", \
                 f"sample {i} ({kind}) has an irrational real eigenvalue"
@@ -558,8 +553,8 @@ def _eigenspace_bound(ctx):
 def _coran_fixed(ctx):
     bad = []
     for i in range(25):
-        kind, g5 = ctx.sample(i)
-        if fixed_space(g5).dim == 0:
+        kind, g = ctx.element(i)
+        if fixed_space(binary_form_action(g, 4)).dim == 0:
             bad.append((i, kind))
     return (_status(not bad), "all 25 sampled elements fix a nonzero vector",
             "all fixed" if not bad else f"no fixed vector for {bad}")
@@ -572,8 +567,7 @@ def _coran_fixed(ctx):
 def _coran_specific(ctx):
     hyp = group_action_on_V(sym2_embed(SL2Element.hyperbolic(2)))
     fs_h = fixed_space(hyp)
-    uni = group_action_on_V(exp_nilpotent(
-        Matrix.from_rows([(0, 1, 0), (0, 0, 1), (0, 0, 0)])))
+    uni = group_action_on_V(exp_nilpotent(RAISING))
     fs_u = fixed_space(uni)
     ok = (fs_h == Subspace.span(5, [unit_vector(5, 2)])
           and fs_u == Subspace.span(5, [unit_vector(5, 0)]))

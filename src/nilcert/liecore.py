@@ -32,7 +32,6 @@ from .qlinalg import (
     column_index,
     fraction_vector,
     int_kernel,
-    is_zero_vector,
     qf,
     sparse_rows,
     unit_vector,
@@ -109,7 +108,7 @@ class LieAlgebra:
         adapted to the descending series its brackets are sparser."""
         d = self.dim
         cols, rows = _adapted_basis(self)
-        q_cols = column_index(rows)
+        q_cols = column_index(rows, d)
         table = [[()] * d for _ in range(d)]
         for i, j in itertools.combinations(range(d), 2):
             v = int_bracket(self, cols[i], cols[j])
@@ -206,7 +205,7 @@ def make_lie_algebra(dim: int,
         if len(v) != dim:
             raise ValueError(f"bracket coordinates for ({i}, {j}) have wrong length")
         if i == j:
-            if not is_zero_vector(v):
+            if any(v):
                 raise ValueError(f"[b{i}, b{i}] must be zero")
             continue
         neg = tuple(-x for x in v)

@@ -413,8 +413,12 @@ def validate_p(p: Sequence) -> tuple[Fraction, ...]:
     """A usable hook target: 7 rationals, nonzero, lying in L (so the p12
     coordinate vanishes: otherwise [s1, p12] would have a p12 component,
     ad s1 would not be nilpotent, and neither would N).  The one reader of
-    a hook target, ``--p``'s too: text, stripped, is read by the JSON
-    loader's ``parse_rational``, and a bad coordinate is named by label."""
+    a hook target, ``--p``'s too: p is a sequence, not one string; text,
+    stripped, is read by the JSON loader's ``parse_rational``, any other
+    coordinate must be an int (not a bool) or a Fraction, and a bad
+    coordinate is named by label, always in a ValueError."""
+    if isinstance(p, str):
+        raise ValueError("p must be a sequence of 7 coordinates, not a string")
     if len(p) != 7:
         raise ValueError("p needs 7 coordinates in the V' basis "
                          + "(" + ", ".join(VPRIME_LABELS) + ")")
@@ -429,6 +433,9 @@ def validate_p(p: Sequence) -> tuple[Fraction, ...]:
                 x = parse_rational(x)
             except ValueError as exc:
                 raise ValueError(f"the {label} coordinate {exc}") from None
+        elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise ValueError(f"the {label} coordinate is a {type(x).__name__}"
+                             ", not text, an integer or a rational")
         vec.append(qf(x))
     if not any(vec):
         raise ValueError("p must be nonzero")

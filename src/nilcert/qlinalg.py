@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -60,10 +59,6 @@ def _check_index(i: int, n: int, what: str) -> None:
     """Raise IndexError unless 0 <= i < n: no index wraps around."""
     if not 0 <= i < n:
         raise IndexError(f"{what} index {i} out of range for size {n}")
-
-
-def is_zero_vector(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
 
 
 class Matrix:
@@ -267,7 +262,8 @@ class Matrix:
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """Divide a nonzero sparse integer row by its content, in place."""
+    """Divide a nonzero sparse integer row by its content, in place: each
+    caller passes a row it built (``from_int_rows`` copies its rows)."""
     g = math.gcd(*row.values())
     if g != 1:
         for j, x in row.items():
@@ -478,9 +474,9 @@ class Subspace:
     def from_int_rows(cls, ambient_dim: int,
                       rows: Iterable[dict[int, int]]) -> "Subspace":
         """Span of sparse integer rows {column: entry}, which list nonzero
-        entries only; each row is divided by its content in place."""
+        entries only; copies of them are divided, never the given rows."""
         return cls.__new__(cls)._set(
-            ambient_dim, _rref_int((_primitive(r) for r in rows if r),
+            ambient_dim, _rref_int((_primitive(dict(r)) for r in rows if r),
                                    ambient_dim))
 
     @classmethod
@@ -555,7 +551,7 @@ class Subspace:
         """{v in this subspace : the sparse integer equations vanish at v}:
         the equations read on the echelon rows, then ``coordinate_kernel``."""
         return self.coordinate_kernel(apply_equations(
-            equations, [row for _, row in self.echelon]))
+            equations, [row for _, row in self.echelon], self.ambient_dim))
 
     def coordinate_kernel(self, rows: Iterable[dict[int, int]]
                           ) -> "Subspace":
@@ -585,7 +581,7 @@ class Subspace:
         for f in images:
             if len(f) != k:
                 raise ValueError(f"{len(f)} images where {k} are expected")
-            system += apply_equations(equations, f)
+            system += apply_equations(equations, f, self.ambient_dim)
         return int_kernel(system, k)
 
     def moved_by(self, m: Matrix) -> int | None:
@@ -702,7 +698,8 @@ def weighted_sum(weights: dict[int, int],
                  vectors: Sequence[dict[int, int]] | Mapping[int, dict]
                  ) -> dict[int, int]:
     """sum_i weights[i] * vectors[i] over sparse integer vectors, zeros
-    dropped."""
+    dropped.  vectors, a sequence or a mapping, must hold every key i of
+    weights: no missing key is read as empty or filled in."""
     out: dict[int, int] = {}
     get = out.get
     for i, w in weights.items():
@@ -713,11 +710,11 @@ def weighted_sum(weights: dict[int, int],
     return out
 
 
-def column_index(vectors: Sequence[dict[int, int]]
-                 ) -> defaultdict[int, dict[int, int]]:
-    """The sparse integer vectors read as rows, by column: t to
-    {j: vectors[j][t]}, with an empty column for every other t."""
-    by_col: defaultdict[int, dict[int, int]] = defaultdict(dict)
+def column_index(vectors: Sequence[dict[int, int]], n: int
+                 ) -> list[dict[int, int]]:
+    """The sparse integer vectors in Q^n read as rows, by column: the list
+    of the n columns {j: vectors[j][t]}, empty where no vector is nonzero."""
+    by_col: list[dict[int, int]] = [{} for _ in range(n)]
     for j, v in enumerate(vectors):
         for t, x in v.items():
             by_col[t][j] = x
@@ -725,12 +722,12 @@ def column_index(vectors: Sequence[dict[int, int]]
 
 
 def apply_equations(equations: Iterable[dict[int, int]],
-                    vectors: Sequence[dict[int, int]]
+                    vectors: Sequence[dict[int, int]], n: int
                     ) -> list[dict[int, int]]:
-    """For each sparse integer equation e, the sparse row {j: e . vectors[j]}
-    over the sparse integer vectors, zeros dropped: the weighted sum, with
-    e's weights, of the columns of the vectors read as rows."""
-    by_col = column_index(vectors)
+    """For each sparse integer equation e on Q^n, the sparse row
+    {j: e . vectors[j]} over the sparse integer vectors in Q^n, zeros
+    dropped: the weighted sum, with e's weights, of their columns."""
+    by_col = column_index(vectors, n)
     return [weighted_sum(eq, by_col) for eq in equations]
 
 

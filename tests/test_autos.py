@@ -12,6 +12,7 @@ from nilcert.autos import (
     IrrationalEigenvalueError,
     SampleStream,
     derivation_algebra,
+    derivation_defects,
     eigen_relation_kernel,
     exp_nilpotent,
     factor_on_abelianization,
@@ -31,16 +32,23 @@ from nilcert.liecore import (
     abelian_lie_algebra,
     ad_matrix,
     bracket,
+    check_jacobi,
     derived_subalgebra,
     heisenberg3,
+    lower_central_series,
+    make_lie_algebra,
 )
 from nilcert.models import (
+    DEFAULT_P,
     SL2Element,
+    binary_form_action,
     build_W,
     build_Wprime,
+    build_three_step,
     group_action_on_V,
     subspace_in_algebra,
     sym2_embed,
+    validate_p,
 )
 from nilcert.cli import Config, Context
 from nilcert.qlinalg import (
@@ -63,7 +71,7 @@ from nilcert.wedgerep import (
 )
 
 from dense_reference import mat_pow, wedge_derivation
-from shared import load_workloads
+from shared import full_kernel, load_workloads
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +176,44 @@ def test_derivation_space_of_N_splits_off_the_euler_line(DATA, N, DER_N):
     assert claimed.dim == 32
     assert DER_N.space.contains_subspace(claimed)
     assert DER_N.space != claimed  # the Euler line is missing
+
+
+def hook_variant(G, i, p):
+    """G's brackets plus the one bracket [s_i, p12] = p; N is i = 1."""
+    brackets = {(a, b): G.sc[a][b]
+                for a, b in itertools.combinations(range(12), 2)}
+    brackets[(i - 1, 5)] = (0,) * 5 + tuple(p)
+    return make_lie_algebra(12, brackets, G.labels)
+
+
+def test_the_claims_about_n_hold_with_the_hook_at_s2_and_not_at_s1(DATA, G):
+    """Which pair carries the hook decides the n.* verdicts.  At each of
+    four targets p: [s3, p12], [s4, p12] or [s5, p12] = p breaks Jacobi;
+    with [s2, p12] = p, der has dimension 32, equals the derivations with
+    image in L plus span(ad s1, ad s2) and has no nonzero factor or cube;
+    with the shipped [s1, p12] = p, der has dimension 33 and that equality
+    fails."""
+    in_L = subspace_in_algebra(DATA.L)
+    for text in (None, "0,1/2,0,-2,0,3/2,0", "0,0,1,0,1,0,1",
+                 "0,0,1,0,2,0,0"):
+        p = DEFAULT_P if text is None else validate_p(text.split(","))
+        for i in (3, 4, 5):
+            assert check_jacobi(hook_variant(G, i, p)), (text, i)
+        N, N2 = hook_variant(G, 1, p), hook_variant(G, 2, p)
+        assert N == build_three_step(p)
+        assert not check_jacobi(N2)
+        assert [s.dim for s in lower_central_series(N2)] == [12, 7, 1, 0]
+        for A, dim, splits in ((N, 33, False), (N2, 32, True)):
+            der = derivation_algebra(A)
+            shear = der.with_image_in(in_L)
+            ads = Subspace.span(144, [ad_matrix(A, A.basis_vector(k)).flatten()
+                                      for k in (0, 1)])
+            assert (der.dim, shear.dim, shear.sum(ads) == der.space) == (
+                dim, 30, splits)
+        # der is N2's now, solved in the adapted basis
+        assert derivation_defects(der) == ([], [])
+        if text is None:
+            assert der.space == full_kernel(N2)
 
 
 # -------------------------------------------------------------------- shears
@@ -531,7 +577,7 @@ def test_max_eigenspace_dim_is_the_largest_eigenspace_on_verify_samples():
     for seed in load_workloads().verify_pool():
         ctx = Context(Config(seed=seed))
         for i in range(9):
-            m = ctx.sample_on_Vprime(i)
+            m = binary_form_action(ctx.element(i)[1], 6)
             assert max_eigenspace_dim(m) == largest_eigenspace(m)
 
 

@@ -1,7 +1,8 @@
 """A cache in nilcert earns its place by traffic: over one run of each
 benchmark workload (nilbench/workloads.py), every ``functools`` cache in the
-package must be read a second time.  A cache that no workload reads twice
-is a guess, and fails here by name."""
+package, and each hand-written memo (``MEMOS``), must be read a second
+time.  A cache that no workload reads twice is a guess, and fails here by
+name."""
 
 import importlib
 import pkgutil
@@ -27,7 +28,30 @@ def nilcert_caches() -> dict:
     return caches
 
 
-def test_every_cache_is_read_twice_by_the_workloads(capsys):
+#: the hand-written memos: (class, method, the attribute that holds the
+#: memo dict keyed by the method's argument)
+MEMOS = ((cli.Context, "element", "_elements"),
+         (autos.HookFreeKernel, "pencil", "_pencil"))
+
+
+def count_memo_hits(monkeypatch) -> dict[str, int]:
+    """The reads of each memo in ``MEMOS`` that find their key stored, by
+    qualified method name, from here on."""
+    hits = {}
+    for cls, method, memo in MEMOS:
+        name = f"{cls.__module__.rsplit('.', 1)[-1]}.{cls.__name__}.{method}"
+        hits[name] = 0
+
+        def counted(self, key, _read=getattr(cls, method), _memo=memo,
+                    _name=name):
+            hits[_name] += key in getattr(self, _memo)
+            return _read(self, key)
+        monkeypatch.setattr(cls, method, counted)
+    return hits
+
+
+def test_every_cache_is_read_twice_by_the_workloads(capsys, monkeypatch):
+    hits = count_memo_hits(monkeypatch)
     caches = nilcert_caches()
     assert {"models.build_W", "autos.hook_free_derivations"} <= set(caches)
     for cache in caches.values():
@@ -51,4 +75,8 @@ def test_every_cache_is_read_twice_by_the_workloads(capsys):
         autos.derivation_algebra(L).space.basis_vectors()
     unread = {name: cache.cache_info() for name, cache in caches.items()
               if not cache.cache_info().hits}
+    unread.update((name, n) for name, n in hits.items() if not n)
     assert unread == {}
+    # and reading K's pencil left the column index it reads as it was built
+    K = autos.hook_free_derivations()
+    assert K._columns == autos.HookFreeKernel(K)._columns

@@ -248,13 +248,14 @@ def test_a_sample_without_a_fixed_vector_fails_its_check(monkeypatch):
     # twice an element of SL2 on V has no eigenvalue 1: a rational
     # hyperbolic element's are the powers a^4, a^2, 1, a^-2, a^-4 of a
     # rational a, and the others' lie on the unit circle
-    sample = cli.Context.sample
+    action = cli.binary_form_action
+    doubled = {sample_h_element(0, i)[1] for i in (6, 11)}
 
-    def doubled_at_6_and_11(self, index):
-        kind, g5 = sample(self, index)
-        return kind, g5.scale(2) if index in (6, 11) else g5
+    def doubled_at_6_and_11(g, degree):
+        m = action(g, degree)
+        return m.scale(2) if g in doubled else m
 
-    monkeypatch.setattr(cli.Context, "sample", doubled_at_6_and_11)
+    monkeypatch.setattr(cli, "binary_form_action", doubled_at_6_and_11)
     bad = [(i, sample_h_element(0, i)[0]) for i in (6, 11)]
     result, = run(["fixed.sampled-nonzero"], Config()).results
     assert (result.status, result.actual) == (
@@ -546,11 +547,11 @@ def test_sampled_checks_agree_alone_together_and_out_of_order():
         assert [status, expected, actual] == [
             together[cid][k] for k in ("status", "expected", "actual")]
     fresh = Context(config)
-    g7 = fresh.sample_on_Vprime(7)
-    assert fresh.sample(7) == sample_action_on_V(5, 7)
-    assert g7 == quotient_action(
+    kind, g = fresh.element(7)
+    assert (kind, models.binary_form_action(g, 4)) == sample_action_on_V(5, 7)
+    assert models.binary_form_action(g, 6) == quotient_action(
         induced_group_action(sample_action_on_V(5, 7)[1]), fresh.data.W)
-    assert fresh.sample_on_Vprime(7) == g7
+    assert fresh.element(7) is fresh.element(7)
 
 
 #: sha256 of ``verify --json --suite PINNED_SUITE --seed S`` stdout at two

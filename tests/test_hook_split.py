@@ -281,17 +281,17 @@ def test_the_pencil_indexes_k_once(monkeypatch):
     index = autos.column_index
     calls = []
 
-    def recording(vectors):
-        calls.append(len(vectors))
-        return index(vectors)
+    def recording(vectors, n):
+        calls.append((len(vectors), n))
+        return index(vectors, n)
 
     monkeypatch.setattr(autos, "column_index", recording)
     fresh = autos.HookFreeKernel(K)
-    assert calls == [72]
+    assert calls == [(72, 144)]
     for k in PENCIL:
         assert fresh.pencil(k) == K.pencil(k)
     # A0 and every Delta_k read the index built with K
-    assert calls == [72]
+    assert calls == [(72, 144)]
 
 
 def test_the_pencil_split_equals_the_rebuilt_rows_on_g():

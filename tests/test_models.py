@@ -261,6 +261,23 @@ def test_three_step_rejects_bad_p():
         validate_p((1, 2, 3))
 
 
+@pytest.mark.parametrize("p, message", [
+    ("0100001", "p must be a sequence of 7 coordinates, not a string"),
+    ([None] * 7, "the p12 coordinate is a NoneType, not text, an integer "
+                 "or a rational"),
+    ([0, 0, 0, None, 0, 0, 1], "the p15 coordinate is a NoneType"),
+    ([False, True, 0, 0, 0, 0, 1], "the p12 coordinate is a bool"),
+    ([0, True, 0, 0, 0, 0, 1], "the p13 coordinate is a bool"),
+    ([0, 1.0, 0, 0, 0, 0, 1], "the p13 coordinate is a float"),
+    ([0, 0, 0, 0, 0, 0, 0.5], "the p45 coordinate is a float"),
+])
+def test_validate_p_rejects_what_the_json_loader_rejects(p, message):
+    # only text, an int (not a bool) or a Fraction is read as a coordinate
+    with pytest.raises(ValueError, match="^" + message) as err:
+        validate_p(p)
+    assert "Fraction" not in str(err.value)
+
+
 def test_an_alternating_table_that_fails_jacobi_is_refuted():
     # [e0, e1] = e2 and [e0, e2] = e0: the Jacobi sum on (e0, e1, e2) is
     # [e1, [e2, e0]] + [e2, [e0, e1]] = [e1, -e0] + 0 = e2
