@@ -46,6 +46,7 @@ from .qlinalg import (
     column_index,
     count_real_roots,
     eigenspace,
+    fraction_vector,
     int_kernel,
     int_matmul,
     rank,
@@ -321,7 +322,7 @@ def is_automorphism(L: LieAlgebra, t_mat: Matrix) -> bool:
     d = L.dim
     cols = [t_mat.col(j) for j in range(d)]
     for i, j in itertools.combinations(range(d), 2):
-        lhs = t_mat.apply(L.sc[i][j])
+        lhs = t_mat.apply(fraction_vector(d, L.table[i][j], L.denom))
         rhs = bracket(L, cols[i], cols[j])
         if lhs != rhs:
             return False

@@ -49,7 +49,8 @@ from .models import (
     sym2_embed,
     validate_p,
 )
-from .qlinalg import Matrix, Subspace, is_unipotent, qf, unit_vector
+from .qlinalg import (Matrix, Subspace, fraction_vector, is_unipotent, qf,
+                      unit_vector)
 from .wedgerep import (
     commutant,
     induced_algebra_action,
@@ -635,7 +636,8 @@ def _show_model(name: str, config: Config) -> str:
             if L.table[i][j]:
                 terms = " + ".join(
                     (f"{c}*{L.labels[k]}" if c != 1 else L.labels[k])
-                    for k, c in enumerate(L.sc[i][j]) if c)
+                    for k, c in enumerate(
+                        fraction_vector(L.dim, L.table[i][j], L.denom)) if c)
                 lines.append(f"  [{L.labels[i]}, {L.labels[j]}] = {terms}")
     series = lower_central_series(L)
     lines.append("lower central series dims: "

@@ -10,8 +10,8 @@ system of ``autos`` and the JSON loader's Jacobi decision read the same
 integer form of the copy P^-1 L P in a basis adapted to the descending
 series (``LieAlgebra.adapted``), which is sparser and built once per
 algebra, so the loader builds the descending series before it decides
-Jacobi.  The dense antisymmetric tensor ``sc[i][j]`` of ``Fraction``
-coordinates is built only when read.
+Jacobi.  A reader that wants the ``Fraction`` coordinates of [b_i, b_j]
+takes ``fraction_vector(dim, table[i][j], denom)``.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class LieAlgebra:
     nonzero entries only, by increasing k, and denom is the lcm of their
     lowest-terms denominators (1 when there are none).  That form is
     canonical, so two algebras are equal when dim, denom, table and labels
-    are; the dense tensor ``sc`` and the derived data below are computed on
-    first use and kept in the instance dict."""
+    are; the derived data below are computed on first use and kept in the
+    instance dict."""
 
     def __init__(self, dim: int, denom: int,
                  table: tuple[tuple[tuple[tuple[int, int], ...], ...], ...],
@@ -64,13 +64,6 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim {self.dim}: {', '.join(self.labels)})"
-
-    @cached_property
-    def sc(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        """The full antisymmetric tensor: sc[i][j] holds the coordinates
-        of [b_i, b_j]; built on first read."""
-        return tuple(tuple(fraction_vector(self.dim, e, self.denom)
-                           for e in row) for row in self.table)
 
     @cached_property
     def descending_series(self) -> tuple[Subspace, ...]:
@@ -349,11 +342,10 @@ def heisenberg3() -> LieAlgebra:
 # ValueError that names it and quotes the value short (``_echo``).
 
 #: the largest dim a JSON document may declare; a dim-d algebra's table has
-#: d^2 slots at load, its dense tensor ``sc`` d^3 entries when read, and
-#: the loader builds the descending series (a span of C(d, 2) brackets and
-#: more per term) and the adapted table (C(d, 2) brackets) before its
-#: Jacobi check scans C(d, 3) basis triples, so an unbounded dim would let
-#: one small document exhaust memory or time
+#: d^2 slots at load, and the loader builds the descending series (a span
+#: of C(d, 2) brackets and more per term) and the adapted table (C(d, 2)
+#: brackets) before its Jacobi check scans C(d, 3) basis triples, so an
+#: unbounded dim would let one small document exhaust memory or time
 MAX_JSON_DIM = 128
 
 #: the one grammar of a string coordinate, "n" or "n/d": an ASCII integer
@@ -546,6 +538,7 @@ def lie_algebra_to_json(L: LieAlgebra) -> str:
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             if L.table[i][j]:
-                entries.append([i, j, [str(c) for c in L.sc[i][j]]])
+                entries.append([i, j, [str(c) for c in fraction_vector(
+                    L.dim, L.table[i][j], L.denom)]])
     return json.dumps({"dim": L.dim, "labels": list(L.labels),
                        "brackets": entries})

@@ -413,12 +413,14 @@ def validate_p(p: Sequence) -> tuple[Fraction, ...]:
     """A usable hook target: 7 rationals, nonzero, lying in L (so the p12
     coordinate vanishes: otherwise [s1, p12] would have a p12 component,
     ad s1 would not be nilpotent, and neither would N).  The one reader of
-    a hook target, ``--p``'s too: p is a sequence, not one string; text,
-    stripped, is read by the JSON loader's ``parse_rational``, any other
-    coordinate must be an int (not a bool) or a Fraction, and a bad
-    coordinate is named by label, always in a ValueError."""
-    if isinstance(p, str):
-        raise ValueError("p must be a sequence of 7 coordinates, not a string")
+    a hook target, ``--p``'s too: p is a sequence, not one string, bytes or
+    a mapping; text, stripped, is read by the JSON loader's
+    ``parse_rational``, any other coordinate must be an int (not a bool) or
+    a Fraction, and a bad coordinate is named by label, always in a
+    ValueError."""
+    if isinstance(p, (str, bytes, bytearray)) or not isinstance(p, Sequence):
+        kind = "string" if isinstance(p, str) else type(p).__name__
+        raise ValueError(f"p must be a sequence of 7 coordinates, not a {kind}")
     if len(p) != 7:
         raise ValueError("p needs 7 coordinates in the V' basis "
                          + "(" + ", ".join(VPRIME_LABELS) + ")")

@@ -1,15 +1,16 @@
 """Dense ``Fraction`` references shared by the tests: Gauss-Jordan
 elimination and nullspaces, polynomial long division, matrix powers, the
-derivation action on the exterior square, the bracket, a change of basis
-and the Leibniz rows from the dense structure constants ``sc``, written out
-plainly so that the integer routines of ``nilcert`` can be checked against
-them."""
+derivation action on the exterior square, the dense structure-constant
+tensor, and the bracket, a change of basis and the Leibniz rows from it,
+written out plainly so that the integer routines of ``nilcert`` can be
+checked against them."""
 
 import itertools
 from fractions import Fraction as Q
 
 from nilcert.liecore import make_lie_algebra
-from nilcert.qlinalg import Matrix, Polynomial, Subspace, unit_vector
+from nilcert.qlinalg import (Matrix, Polynomial, Subspace, fraction_vector,
+                             unit_vector)
 from nilcert.wedgerep import wedge_pairs, wedge_vector
 
 
@@ -90,12 +91,20 @@ def assert_kernel(space, rows, ncols):
         assert not any(sum(a * b for a, b in zip(row, v)) for row in rows)
 
 
+def dense_tensor(L):
+    """The full antisymmetric tensor of L: entry [i][j] holds the Fraction
+    coordinates of [b_i, b_j], read from the integer table."""
+    return tuple(tuple(fraction_vector(L.dim, e, L.denom) for e in row)
+                 for row in L.table)
+
+
 def dense_bracket(L, x, y):
+    sc = dense_tensor(L)
     out = [Q(0)] * L.dim
     for i in range(L.dim):
         for j in range(L.dim):
             for k in range(L.dim):
-                out[k] += x[i] * y[j] * L.sc[i][j][k]
+                out[k] += x[i] * y[j] * sc[i][j][k]
     return tuple(out)
 
 
@@ -125,13 +134,14 @@ def change_basis(dim, brackets, u):
 
 def dense_leibniz_rows(L):
     d = L.dim
+    sc = dense_tensor(L)
     rows = []
     for i, j in itertools.combinations(range(d), 2):
         for m in range(d):
             row = [Q(0)] * (d * d)
             for k in range(d):
-                row[m * d + k] += L.sc[i][j][k]
-                row[k * d + i] -= L.sc[k][j][m]
-                row[k * d + j] -= L.sc[i][k][m]
+                row[m * d + k] += sc[i][j][k]
+                row[k * d + i] -= sc[k][j][m]
+                row[k * d + j] -= sc[i][k][m]
             rows.append(row)
     return rows

@@ -30,6 +30,7 @@ from dense_reference import (
     assert_kernel,
     change_basis,
     dense_leibniz_rows,
+    dense_tensor,
 )
 from shared import full_kernel, load_workloads
 
@@ -229,8 +230,8 @@ def documents(draw):
     one unit added to a drawn structure constant, which mostly breaks
     Jacobi."""
     L = draw(nilpotent_algebras())
-    d = L.dim
-    brackets = {(i, j): list(L.sc[i][j])
+    d, sc = L.dim, dense_tensor(L)
+    brackets = {(i, j): list(sc[i][j])
                 for i, j in itertools.combinations(range(d), 2)
                 if L.table[i][j]}
     if draw(st.booleans()):

@@ -70,7 +70,7 @@ from nilcert.wedgerep import (
     wedge_vector,
 )
 
-from dense_reference import mat_pow, wedge_derivation
+from dense_reference import dense_tensor, mat_pow, wedge_derivation
 from shared import full_kernel, load_workloads
 
 
@@ -101,9 +101,10 @@ def test_derivation_dims_models(DER_G, DER_N):
 
 def test_basis_derivations_satisfy_leibniz(G, N, DER_G, DER_N):
     for space, L in ((DER_G, G), (DER_N, N)):
+        sc = dense_tensor(L)
         for dm in space.basis_matrices()[:6]:
             for i, j in itertools.combinations(range(L.dim), 2):
-                lhs = dm.apply(L.sc[i][j])
+                lhs = dm.apply(sc[i][j])
                 rhs_1 = bracket(L, dm.col(i), L.basis_vector(j))
                 rhs_2 = bracket(L, L.basis_vector(i), dm.col(j))
                 assert lhs == tuple(a + b for a, b in zip(rhs_1, rhs_2))
@@ -180,7 +181,8 @@ def test_derivation_space_of_N_splits_off_the_euler_line(DATA, N, DER_N):
 
 def hook_variant(G, i, p):
     """G's brackets plus the one bracket [s_i, p12] = p; N is i = 1."""
-    brackets = {(a, b): G.sc[a][b]
+    sc = dense_tensor(G)
+    brackets = {(a, b): sc[a][b]
                 for a, b in itertools.combinations(range(12), 2)}
     brackets[(i - 1, 5)] = (0,) * 5 + tuple(p)
     return make_lie_algebra(12, brackets, G.labels)

@@ -1,11 +1,13 @@
 """A cache in nilcert earns its place by traffic: over one run of each
 benchmark workload (nilbench/workloads.py), every ``functools`` cache in the
-package, and each hand-written memo (``MEMOS``), must be read a second
-time.  A cache that no workload reads twice is a guess, and fails here by
-name."""
+package, every ``cached_property`` of a nilcert class (the instance caches
+of ``LieAlgebra`` and ``cli.Context``), and each hand-written memo
+(``MEMOS``), must be read a second time.  A cache that no workload reads
+twice is a guess, and fails here by name."""
 
 import importlib
 import pkgutil
+from functools import cached_property
 
 import nilcert
 from nilcert import autos, cli, liecore, models
@@ -13,19 +15,65 @@ from nilcert import autos, cli, liecore, models
 from shared import load_workloads
 
 
-def nilcert_caches() -> dict:
-    """Every ``functools`` cache defined in a nilcert module, by
-    module-qualified name."""
-    caches = {}
+def nilcert_definitions():
+    """(module-qualified name, value) of each top-level name that a
+    nilcert module defines itself."""
     for info in pkgutil.iter_modules(nilcert.__path__):
         if info.name == "__main__":
             continue
         module = importlib.import_module(f"nilcert.{info.name}")
         for name, value in vars(module).items():
-            if (hasattr(value, "cache_info")
-                    and value.__module__ == module.__name__):
-                caches[f"{info.name}.{name}"] = value
-    return caches
+            if getattr(value, "__module__", None) == module.__name__:
+                yield f"{info.name}.{name}", value
+
+
+def nilcert_caches() -> dict:
+    """Every ``functools`` cache defined in a nilcert module, by
+    module-qualified name."""
+    return {name: value for name, value in nilcert_definitions()
+            if hasattr(value, "cache_info")}
+
+
+def nilcert_instance_caches() -> dict:
+    """Every ``cached_property`` of a class defined in a nilcert module, by
+    module-qualified class and attribute name: (class, attribute)."""
+    return {f"{name}.{attr}": (value, attr)
+            for name, value in nilcert_definitions() if isinstance(value, type)
+            for attr, prop in vars(value).items()
+            if isinstance(prop, cached_property)}
+
+
+class CountedProperty:
+    """A stand-in for a ``cached_property`` that keeps its value in the
+    same instance dict slot and counts the reads that find it stored.  It
+    defines ``__set__``, so as a data descriptor it sees every read, not
+    only the first."""
+
+    def __init__(self, prop: cached_property):
+        self.prop, self.hits = prop, 0
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        stored = vars(obj)
+        name = self.prop.attrname
+        if name in stored:
+            self.hits += 1
+        else:
+            stored[name] = self.prop.func(obj)
+        return stored[name]
+
+    def __set__(self, obj, value):
+        vars(obj)[self.prop.attrname] = value
+
+
+def count_instance_cache_hits(monkeypatch) -> dict[str, CountedProperty]:
+    """A counting stand-in for each instance cache, in place from here on."""
+    counted = {}
+    for name, (cls, attr) in nilcert_instance_caches().items():
+        counted[name] = CountedProperty(vars(cls)[attr])
+        monkeypatch.setattr(cls, attr, counted[name])
+    return counted
 
 
 #: the hand-written memos: (class, method, the attribute that holds the
@@ -52,6 +100,8 @@ def count_memo_hits(monkeypatch) -> dict[str, int]:
 
 def test_every_cache_is_read_twice_by_the_workloads(capsys, monkeypatch):
     hits = count_memo_hits(monkeypatch)
+    props = count_instance_cache_hits(monkeypatch)
+    assert {"liecore.LieAlgebra.adapted", "cli.Context.data"} <= set(props)
     caches = nilcert_caches()
     assert {"models.build_W", "autos.hook_free_derivations"} <= set(caches)
     for cache in caches.values():
@@ -76,6 +126,8 @@ def test_every_cache_is_read_twice_by_the_workloads(capsys, monkeypatch):
     unread = {name: cache.cache_info() for name, cache in caches.items()
               if not cache.cache_info().hits}
     unread.update((name, n) for name, n in hits.items() if not n)
+    unread.update((name, prop.hits) for name, prop in props.items()
+                  if not prop.hits)
     assert unread == {}
     # and reading K's pencil left the column index it reads as it was built
     K = autos.hook_free_derivations()

@@ -285,6 +285,42 @@ def test_a_sample_that_fixes_the_line_fails_its_check(monkeypatch):
         "finite-order elliptic elements)")
 
 
+def test_plus_and_minus_identity_samples_are_skipped_by_the_line_check(
+        monkeypatch):
+    # -I acts on the sextics of V' as (-1)^6 = 1, and I as 1: both fix
+    # every line, and both act trivially on V, so the check skips them
+    element = cli.Context.element
+    identities = (models.SL2Element(-1, 0, 0, -1),
+                  models.SL2Element(1, 0, 0, 1))
+
+    def identities_first(self, index):
+        if index < len(identities):
+            return "elliptic", identities[index]
+        return element(self, index)
+
+    monkeypatch.setattr(cli.Context, "element", identities_first)
+    [result] = run(["p.sampled-nonfixing"], Config()).results
+    assert (result.status, result.expected, result.actual) == (
+        "warn", "no sampled element fixes the line",
+        "none of 100 samples fixes it (sampling cannot exhaust "
+        "finite-order elliptic elements)")
+
+
+def test_an_incomplete_weight_decomposition_fails_weights_v(monkeypatch):
+    # s4 and s5 joined in one Jordan block of eigenvalue -2: the weight -4
+    # has no eigenvector, and the eigenspaces sum to 4 of V's 5 dimensions
+    jordan = Matrix.from_rows([[4, 0, 0, 0, 0], [0, 2, 0, 0, 0],
+                               [0, 0, 0, 0, 0], [0, 0, 0, -2, 1],
+                               [0, 0, 0, 0, -2]])
+    decompose = cli.weight_decomposition
+    monkeypatch.setattr(cli, "weight_decomposition",
+                        lambda m, candidates: decompose(jordan, candidates))
+    [result] = run(["weights.V"], Config()).results
+    assert (result.status, result.expected, result.actual) == (
+        "fail", "five coordinate lines, direct sum is V",
+        "dims [1, 1, 1, 1, 0], complete=False")
+
+
 def test_a_model_table_that_is_not_alternating_fails_the_model_checks(
         monkeypatch):
     # +h at (p12, s1) passes N's Jacobi scan; the alternation guard in the

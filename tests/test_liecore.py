@@ -1,13 +1,11 @@
 import hashlib
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction as Q
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +29,10 @@ from nilcert.liecore import (
     nilpotency_class,
     non_alternating_pair,
 )
-from nilcert.autos import derivation_algebra
 from nilcert.models import build_three_step, vprime_to_algebra
 from nilcert.qlinalg import Subspace, is_nilpotent, unit_vector
 
+from dense_reference import dense_tensor
 from shared import load_workloads
 
 
@@ -89,10 +87,11 @@ def test_jacobi_shipped_models(G, N):
 def test_jacobi_violating_mutation(N):
     # adding [s3, p12] = p13 on top of N's brackets breaks Jacobi at
     # (s1, s2, s3): the cyclic sum picks up the new hook through [s1, s2] = p12
+    sc = dense_tensor(N)
     brackets = {}
     for i in range(12):
         for j in range(i + 1, 12):
-            v = N.sc[i][j]
+            v = sc[i][j]
             if any(c != 0 for c in v):
                 brackets[(i, j)] = v
     brackets[(2, 5)] = unit_vector(12, 6)
@@ -104,10 +103,11 @@ def test_jacobi_second_hook_still_lie(N):
     # [s2, p12] = p13 leaves every cyclic sum zero: each summand needs a
     # bracket with p12-component, which only [s1, s2] has, and the third
     # element of such a triple never carries the new hook
+    sc = dense_tensor(N)
     brackets = {}
     for i in range(12):
         for j in range(i + 1, 12):
-            v = N.sc[i][j]
+            v = sc[i][j]
             if any(c != 0 for c in v):
                 brackets[(i, j)] = v
     brackets[(1, 5)] = unit_vector(12, 6)
@@ -189,7 +189,7 @@ def test_json_round_trip():
     text = lie_algebra_to_json(heisenberg3())
     L = lie_algebra_from_json(text)
     assert L.dim == 3
-    assert L.sc == heisenberg3().sc
+    assert dense_tensor(L) == dense_tensor(heisenberg3())
     assert L.labels == ("x", "y", "z")
 
 
@@ -199,11 +199,12 @@ def test_equal_algebras_compare_and_hash_equal(G, N):
         assert twin is not L and twin == L and hash(twin) == hash(L)
         assert len({L, twin}) == 1
     assert build_three_step() == N and hash(build_three_step()) == hash(N)
-    # dim, sc and labels each take part in the comparison
+    # dim, the brackets and labels each take part in the comparison
     relabeled = make_lie_algebra(3, {(0, 1): (0, 0, 1)}, ("a", "b", "c"))
-    assert relabeled.sc == heisenberg3().sc and relabeled != heisenberg3()
+    assert (dense_tensor(relabeled) == dense_tensor(heisenberg3())
+            and relabeled != heisenberg3())
     assert G != N and abelian_lie_algebra(2) != abelian_lie_algebra(3)
-    assert heisenberg3() != heisenberg3().sc
+    assert heisenberg3() != heisenberg3().table
 
 
 def test_json_load_with_rational_strings():
@@ -217,10 +218,11 @@ def test_json_load_with_rational_strings():
 
 
 def test_json_load_rejects_jacobi_violation(N):
+    sc = dense_tensor(N)
     entries = []
     for i in range(12):
         for j in range(i + 1, 12):
-            v = N.sc[i][j]
+            v = sc[i][j]
             if any(c != 0 for c in v):
                 entries.append([i, j, [str(c) for c in v]])
     entries.append([2, 5, [str(c) for c in unit_vector(12, 6)]])
@@ -401,7 +403,7 @@ def test_json_load_rejects_conflicts():
     # identical repeats, plain or swapped, are consistent
     L = lie_algebra_from_json({"dim": 3, "brackets": [
         [0, 1, [0, 0, 1]], [0, 1, [0, 0, "1"]], [1, 0, [0, 0, -1]]]})
-    assert L.sc == heisenberg3().sc
+    assert dense_tensor(L) == dense_tensor(heisenberg3())
 
 
 def test_make_lie_algebra_rejects_nonzero_diagonal():
@@ -444,7 +446,8 @@ def test_json_coordinates_load_as_the_rationals_they_write(coord, value):
         [0, 1, [0, "0", coord]], [0, 2, ["0", coord, 0]]]})
     assert L == make_lie_algebra(3, {(0, 1): (Q(0), Q(0), value),
                                      (0, 2): (Q(0), value, Q(0))})
-    assert L.sc[0][1][2] == value and L.sc[2][0][1] == -value
+    sc = dense_tensor(L)
+    assert sc[0][1][2] == value and sc[2][0][1] == -value
 
 
 #: strings that Fraction() reads (" 3", "+3", "1.5", "1e3", "3_0" and the
@@ -481,7 +484,7 @@ def test_a_coordinate_with_more_digits_than_int_reads_names_the_bound():
     # the bound itself is read
     L = lie_algebra_from_json({"dim": 3, "brackets": [
         [0, 1, [0, 0, "1" * bound]], [0, 2, [0, "1" * bound, 0]]]})
-    assert L.sc[0][1][2] == int("1" * bound)
+    assert dense_tensor(L)[0][1][2] == int("1" * bound)
 
 
 def _long_literal_documents(literal: str) -> list[tuple[str, str]]:
@@ -520,7 +523,8 @@ def test_a_json_integer_at_the_digit_bound_is_read():
     L = lie_algebra_from_json(
         f'{{"dim": 3, "brackets": [[0, 1, [0, 0, {"1" * bound}]], '
         f'[0, 2, [0, -{"1" * bound}, 0]]]}}')
-    assert L.sc[0][1][2] == int("1" * bound) == -L.sc[0][2][1]
+    sc = dense_tensor(L)
+    assert sc[0][1][2] == int("1" * bound) == -sc[0][2][1]
     # a long literal where no integer belongs is echoed short, not in full
     with pytest.raises(ValueError, match=r"labels must be a list of 3 strings, "
                        r"got \['x', 'y', <integer literal '7777777777777777'"
@@ -586,7 +590,7 @@ def test_json_load_accepts_integer_and_string_coordinates_and_labels():
     L = lie_algebra_from_json({"dim": 3, "labels": ["x", "y", "z"],
                                "brackets": [[0, 1, [0, "0", "-1/2"]]]})
     assert L.labels == ("x", "y", "z")
-    assert L.sc[0][1] == (Q(0), Q(0), Q(-1, 2))
+    assert dense_tensor(L)[0][1] == (Q(0), Q(0), Q(-1, 2))
 
 
 def test_json_load_rejects_a_dim_above_the_limit(monkeypatch):
@@ -671,7 +675,7 @@ def test_the_integer_table_is_the_algebra(data):
     dim = data.draw(st.integers(0, 5))
     values = data.draw(bracket_values(dim))
     A = make_lie_algebra(dim, presentation(data.draw, dim, values))
-    assert A.sc == dense(dim, values)
+    assert dense_tensor(A) == dense(dim, values)
     # a second presentation of the same brackets is the same algebra
     B = make_lie_algebra(dim, presentation(data.draw, dim, values))
     assert A == B and hash(A) == hash(B)
@@ -685,32 +689,10 @@ def test_the_integer_table_is_the_algebra(data):
         None, tuple(f"e{i + 1}" for i in range(dim)),
         tuple(f"f{i + 1}" for i in range(dim))]))
     C = make_lie_algebra(dim, presentation(data.draw, dim, other), labels)
-    same = A.sc == C.sc and A.labels == C.labels
+    same = dense_tensor(A) == dense_tensor(C) and A.labels == C.labels
     assert (A == C) == same and (C == A) == same
     if same:
         assert hash(A) == hash(C)
-
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def test_verify_never_builds_the_dense_tensor(N):
-    # a fresh process, since G and N are shared within one; the record
-    # inspected is the one the run built, kept by wrapping model_data
-    code = ("import nilcert.cli as c; kept = []; f = c.model_data; "
-            "c.model_data = lambda p=None: kept.append(f(p)) or kept[-1]; "
-            "c.run(None, c.Config()); [d] = kept; "
-            "print([name for name in ('G', 'N') "
-            "if 'sc' in vars(getattr(d, name))])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": SRC})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-    L = lie_algebra_from_json(lie_algebra_to_json(N))
-    lower_central_series(L), center(L), derivation_algebra(L)
-    assert "sc" not in vars(L)
-    assert L.sc == N.sc and "sc" in vars(L)
 
 
 #: sha256 of lie_algebra_to_json of G and N at the default p, recorded

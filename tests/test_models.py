@@ -36,6 +36,8 @@ from nilcert.liecore import (
 from nilcert.qlinalg import Matrix, Subspace, rank, unit_vector
 from nilcert.wedgerep import NotInvariantError, induced_group_action
 
+from dense_reference import dense_tensor
+
 
 def test_v_basis_matrices():
     s = v_basis()
@@ -263,6 +265,17 @@ def test_three_step_rejects_bad_p():
 
 @pytest.mark.parametrize("p, message", [
     ("0100001", "p must be a sequence of 7 coordinates, not a string"),
+    # a mapping is not read by its keys, nor bytes as small integers
+    ({i: 9 for i in range(7)},
+     "p must be a sequence of 7 coordinates, not a dict"),
+    (b"\x00\x01\x00\x00\x00\x00\x01",
+     "p must be a sequence of 7 coordinates, not a bytes"),
+    (bytearray(7), "p must be a sequence of 7 coordinates, not a bytearray"),
+    (None, "p must be a sequence of 7 coordinates, not a NoneType"),
+    (5, "p must be a sequence of 7 coordinates, not a int"),
+    (iter(range(7)),
+     "p must be a sequence of 7 coordinates, not a range_iterator"),
+    ({0, 1}, "p must be a sequence of 7 coordinates, not a set"),
     ([None] * 7, "the p12 coordinate is a NoneType, not text, an integer "
                  "or a rational"),
     ([0, 0, 0, None, 0, 0, 1], "the p15 coordinate is a NoneType"),
@@ -297,23 +310,23 @@ def test_three_step_any_nonzero_p_in_L_works():
 
 
 def test_models_share_basis_and_differ_at_hook():
-    G, N = build_two_step(), build_three_step()
+    G, N = dense_tensor(build_two_step()), dense_tensor(build_three_step())
     diffs = [(i, j) for i in range(12) for j in range(12)
-             if G.sc[i][j] != N.sc[i][j]]
+             if G[i][j] != N[i][j]]
     assert set(diffs) == {(0, 5), (5, 0)}
 
 
 def test_n_at_other_p_leaves_the_shared_two_step_brackets_alone():
     p1, p2 = (0, 0, 1, 0, 1, 0, 0), (0, Q(1, 2), 0, 0, 0, 0, -2)
     for p in (p1, p2):
-        assert build_three_step(p).sc[0][5] == vprime_to_algebra(p)
+        assert dense_tensor(build_three_step(p))[0][5] == vprime_to_algebra(p)
     fresh = models._two_step_brackets()
     assert build_two_step() == make_lie_algebra(12, fresh, ALGEBRA_LABELS)
     hooked = dict(fresh)
     hooked[(0, 5)] = vprime_to_algebra(DEFAULT_P)
     assert build_three_step() == make_lie_algebra(12, hooked, ALGEBRA_LABELS)
     assert (0, 5) not in fresh
-    assert not any(build_two_step().sc[0][5])
+    assert not any(dense_tensor(build_two_step())[0][5])
 
 
 def test_model_data_bundle():
