@@ -263,20 +263,29 @@ def _binary_form_columns(g: SL2Element, n: int, js: Iterable[int],
     (A, B, C, D) = q (a, b, c, d) integral for the least q, the image of
     x^(n-j) y^j is (Ax + Cy)^(n-j) (Bx + Dy)^j / q^n; Phi turns its
     coefficient of x^(n-k) y^k into entry (k, j) times c_j / c_k, which
-    phi = (l, ratios) holds as ratios[j][k] / l (from ``_phi_ratios``)."""
+    phi = (l, ratios) holds as ratios[j][k] / l (from ``_phi_ratios``).
+
+    The product is taken at x = 1, y = 2^s (Kronecker substitution): one
+    integer product per column, whose base-2^s digits, lowest first and
+    read in [-2^(s-1), 2^(s-1)), are the coefficients for k = 0, ..., n.
+    They fit: their sizes sum to at most (|A| + |C|)^(n-j) (|B| + |D|)^j
+    <= M^n, for M the larger of the two sums, and M^n < 2^(s-1) for
+    s = n bits(M) + 1."""
     abcd = (g.a, g.b, g.c, g.d)
     q = math.lcm(*(x.denominator for x in abcd))
-    pa, pb, pc, pd = ([y ** e for e in range(n + 1)] for y in (
-        x.numerator * (q // x.denominator) for x in abcd))
+    a, b, c, d = (x.numerator * (q // x.denominator) for x in abcd)
+    s = n * max(abs(a) + abs(c), abs(b) + abs(d)).bit_length() + 1
+    left, right = a + (c << s), b + (d << s)
+    half, mask = 1 << (s - 1), (1 << s) - 1
     cols = {}
     for j in js:
-        right = [math.comb(j, k) * pb[j - k] * pd[k] for k in range(j + 1)]
-        col = [0] * (n + 1)
-        for i in range(n - j + 1):
-            u = math.comb(n - j, i) * pa[n - j - i] * pc[i]
-            for k, w in enumerate(right, i):
-                col[k] += u * w
-        cols[j] = [x * r for x, r in zip(col, phi[1][j])]
+        x = left ** (n - j) * right ** j
+        col = []
+        for r in phi[1][j]:
+            digit = ((x + half) & mask) - half
+            col.append(digit * r)
+            x = (x - digit) >> s
+        cols[j] = col
     return phi[0] * q ** n, cols
 
 

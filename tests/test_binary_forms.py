@@ -73,6 +73,25 @@ def test_integer_binary_forms_equal_the_fraction_construction(seed,
             assert m == ref and m.entries == ref.entries
 
 
+#: elements whose scaled entries are large, or of the form 2^t - 1, where
+#: the largest coefficient of a column comes nearest to its digit width
+WIDE_ELEMENTS = [
+    *(SL2Element.hyperbolic(s * (2 ** t - 1)) for t in (1, 2, 7, 40)
+      for s in (1, -1)),
+    SL2Element.hyperbolic(Q(2 ** 40 - 1, 2 ** 33 + 1)),
+    SL2Element.upper(2 ** 50 - 1), SL2Element.lower(-(2 ** 50 - 1)),
+    SL2Element(Q(2 ** 64 + 3, 7), Q(-5, 2 ** 61 - 1), Q(2 ** 31, 3),
+               (1 + Q(-5, 2 ** 61 - 1) * Q(2 ** 31, 3)) / Q(2 ** 64 + 3, 7)),
+]
+
+
+@pytest.mark.parametrize("g", WIDE_ELEMENTS, ids=str)
+def test_wide_entries_equal_the_fraction_construction(g):
+    for degree in (4, 6):
+        assert (binary_form_action(g, degree)
+                == fraction_binary_form_matrix(g, degree))
+
+
 def test_context_samples_read_the_binary_forms():
     ctx = Context(Config(seed=12345))
     for i in range(20):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -700,16 +701,72 @@ def test_python_m_nilcert_is_the_cli():
     assert proc.stdout.strip() == "False", proc.stderr
 
 
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with this tree's ``src`` on its path; its
+    output as text."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
 def test_cli_import_loads_neither_dataclasses_nor_typing():
     """Each verify is a fresh process: the start-up of ``nilcert.cli``
     pulls in no stdlib machinery that no check uses.  ``-S`` keeps site
     hooks, which may import typing themselves, out of the measurement."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys, nilcert.cli; "
             "print(sorted({'dataclasses', 'inspect', 'typing'} "
             "& set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": src})
+    proc = fresh_python("-S", "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+#: a probe registered before ``main`` runs after ``main``'s exit hook, since
+#: exit hooks run last in, first out; it prints ``report()`` to stderr
+EXIT_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: print(report(), file=sys.stderr))
+from nilcert.cli import main
+"""
+
+
+def test_main_freezes_the_heap_at_exit():
+    """A fresh process ends with every object in the permanent
+    generation, which CPython's shutdown collections skip."""
+    proc = fresh_python("-c", EXIT_PROBE + "report = gc.get_freeze_count\n"
+                        "main(['list'])")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr) > 0
+
+
+def test_main_freezes_nothing_while_it_runs_or_after(capsys):
+    before = gc.get_freeze_count()
+    main(["list"])
+    main(["verify", "--json", "--suite", "jacobi.G"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_main_registers_its_exit_hook_once_per_process():
+    """``atexit._ncallbacks()`` also counts hooks unregistered since, so a
+    stand-in for ``gc.freeze`` counts the hook's calls at exit instead."""
+    code = EXIT_PROBE + """\
+calls = []
+freeze = gc.freeze
+gc.freeze = lambda: calls.append(freeze())
+report = calls.__len__
+main(['list'])
+main(['list'])
+"""
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr) == 1
+
+
+def test_the_report_is_complete_before_the_exit_hook_runs():
+    proc = fresh_python("-m", "nilcert", "verify", "--json", "--suite",
+                        ",".join(PINNED_SUITE), "--seed", "0")
+    assert proc.returncode == 1, proc.stderr  # the n.* checks fail by design
+    assert (hashlib.sha256(proc.stdout.encode()).hexdigest()
+            == PINNED_REPORT_SHA256)
