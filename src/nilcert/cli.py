@@ -659,6 +659,9 @@ def _show_model(name: str, config: Config) -> str:
     return "\n".join(lines) + "\n"
 
 
+_exit_hook_registered = False
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """The ``nilcert`` command line; returns the exit code.
 
@@ -670,8 +673,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     finalizers do not run; Python does not promise them at exit, and
     nilcert holds nothing that needs one.
     """
-    atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
+    global _exit_hook_registered
+    if not _exit_hook_registered:
+        atexit.register(gc.freeze)
+        _exit_hook_registered = True
     parser = argparse.ArgumentParser(
         prog="nilcert",
         description="exact certificates for the shipped nilpotent Lie algebra models")

@@ -1,11 +1,14 @@
 """Constants and helpers that more than one test module reads: the pinned
-hook targets and check suites, the benchmark's workload module, the
-recorder of Fraction matrix traffic and the full Leibniz kernel.  No test
-module imports another; what they share lives here or in
-dense_reference.py."""
+hook targets and check suites, the rational strategies, the benchmark's
+workload module, the recorder of Fraction matrix traffic and the full
+Leibniz kernel.  No test module imports another; what they share lives here
+or in dense_reference.py."""
 
 import importlib.util
+from fractions import Fraction as Q
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from nilcert.autos import _leibniz_rows
 from nilcert.qlinalg import Matrix, int_kernel
@@ -25,6 +28,31 @@ P_DEPENDENT_SUITE = (
 #: the checks that draw seeded group elements
 SAMPLED_CHECKS = ["p.sampled-nonfixing", "bound.eigenspace-max3",
                   "fixed.sampled-nonzero"]
+
+
+def rationals(lo: int, hi: int, max_den: int):
+    """The n/d in [lo, hi] with d <= max_den, the values of Hypothesis's
+    ``fractions``, drawn uniformly from a table ordered by denominator, size
+    and sign: a failing example shrinks toward small denominators and 0."""
+    return st.sampled_from(sorted(
+        {Q(n, d) for d in range(1, max_den + 1)
+         for n in range(lo * d, hi * d + 1)},
+        key=lambda x: (x.denominator, abs(x), x < 0)))
+
+
+BIG = 2 ** 64
+#: zero half the time (SMALL), four times in five (SPARSE)
+SMALL = st.one_of(st.just(Q(0)), rationals(-9, 9, 7))
+SPARSE = st.one_of(st.just(Q(0)), st.just(Q(0)), st.just(Q(0)), SMALL)
+#: nonzero, up to 2^128 in size, over denominators from 2^64 (HUGE) or 1
+HUGE = st.builds(Q, st.integers(-BIG ** 2, BIG ** 2).filter(bool),
+                 st.integers(BIG, BIG ** 2))
+HUGE_ANY_DEN = st.builds(Q, st.integers(-BIG ** 2, BIG ** 2).filter(bool),
+                         st.integers(1, BIG ** 2))
+#: one kind of entry per drawn matrix: dense, sparse, or with huge entries
+ENTRIES = st.sampled_from([SMALL, SPARSE, SPARSE | HUGE])
+ENTRIES_ANY_DEN = st.sampled_from([SMALL, SPARSE, SMALL | HUGE_ANY_DEN])
+VECTOR_ENTRIES = st.one_of(st.just(Q(0)), st.just(Q(0)), rationals(-5, 5, 4))
 
 
 def load_workloads():

@@ -71,7 +71,7 @@ from nilcert.wedgerep import (
 )
 
 from dense_reference import dense_tensor, mat_pow, wedge_derivation
-from shared import full_kernel, load_workloads
+from shared import VECTOR_ENTRIES, full_kernel, load_workloads, rationals
 
 
 @pytest.fixture(scope="module")
@@ -361,15 +361,18 @@ def test_exp_nilpotent_rejects_nonzero_and_zero_trace_alike():
             exp_nilpotent(m)
 
 
+NILPOTENT_ENTRIES = rationals(-4, 4, 3)
+ANY_ENTRIES = st.one_of(st.just(Q(0)), st.just(Q(0)), rationals(-4, 4, 5))
+
+
 @st.composite
 def nilpotent_matrices(draw, max_n=6):
     """L U L^-1 for a strictly upper triangular U and a unit lower
     triangular L: nilpotent, but in general with no zero pattern."""
     n = draw(st.integers(1, max_n))
-    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-    u = Matrix(n, n, (draw(small) if j > i else Q(0)
+    u = Matrix(n, n, (draw(NILPOTENT_ENTRIES) if j > i else Q(0)
                       for i in range(n) for j in range(n)))
-    e = Matrix(n, n, (draw(small) if j < i else Q(0)
+    e = Matrix(n, n, (draw(NILPOTENT_ENTRIES) if j < i else Q(0)
                       for i in range(n) for j in range(n)))
     ident = Matrix.identity(n)
     l_inv = ident
@@ -403,10 +406,7 @@ def any_matrices(draw, max_n=5):
     if draw(st.integers(0, 9)) == 0:
         return Matrix.zero(draw(st.integers(1, 3)), draw(st.integers(4, 5)))
     n = draw(st.integers(1, max_n))
-    small = st.one_of(st.just(Q(0)), st.just(Q(0)),
-                      st.fractions(min_value=-4, max_value=4,
-                                   max_denominator=5))
-    rows = [[draw(small) for _ in range(n)] for _ in range(n)]
+    rows = [[draw(ANY_ENTRIES) for _ in range(n)] for _ in range(n)]
     if draw(st.booleans()):
         rows[n - 1][n - 1] -= sum((rows[i][i] for i in range(n)), Q(0))
     return Matrix.from_rows(rows)
@@ -705,16 +705,11 @@ def dense_stabilizer(w):
     return kernel_basis(Matrix.from_columns(images))
 
 
-WEDGE_ENTRIES = st.one_of(st.just(Q(0)), st.just(Q(0)),
-                          st.fractions(min_value=-5, max_value=5,
-                                       max_denominator=4))
-
-
 @st.composite
 def wedge_subspaces(draw):
     n = draw(st.integers(2, 5))
     amb = n * (n - 1) // 2
-    vectors = draw(st.lists(st.lists(WEDGE_ENTRIES, min_size=amb,
+    vectors = draw(st.lists(st.lists(VECTOR_ENTRIES, min_size=amb,
                                      max_size=amb), max_size=4))
     return Subspace.span(amb, vectors)
 
@@ -730,9 +725,7 @@ def test_stabilizer_rows_match_the_dense_system_on_W_and_Wprime():
         assert stabilizer_algebra(w) == dense_stabilizer(w)
 
 
-LINE_ENTRIES = st.one_of(st.just(Q(0)),
-                         st.fractions(min_value=-4, max_value=4,
-                                      max_denominator=5))
+LINE_ENTRIES = st.one_of(st.just(Q(0)), rationals(-4, 4, 5))
 
 
 @st.composite

@@ -25,7 +25,7 @@ from nilcert.models import (
 from nilcert.qlinalg import Matrix
 from nilcert.wedgerep import induced_group_action, quotient_action
 
-from shared import SAMPLED_CHECKS, record_fraction_matrices
+from shared import SAMPLED_CHECKS, rationals, record_fraction_matrices
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
@@ -100,9 +100,8 @@ def test_context_samples_read_the_binary_forms():
         assert (kind, binary_form_action(g, 4)) == sample_action_on_V(12345, i)
 
 
-NONZERO = st.fractions(min_value=-12, max_value=12,
-                       max_denominator=9).filter(bool)
-RATIONAL = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+RATIONAL = rationals(-12, 12, 9)
+NONZERO = RATIONAL.filter(bool)
 
 
 @st.composite

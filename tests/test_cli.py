@@ -764,6 +764,21 @@ main(['list'])
     assert int(proc.stderr) == 1
 
 
+def test_repeated_main_calls_leave_the_exit_hook_table_as_it_was():
+    """An unregistered hook keeps its slot in CPython's table, so a hook
+    unregistered and registered again on each call would grow it."""
+    code = EXIT_PROBE + """\
+counts = []
+report = lambda: counts[2] - counts[0]
+for _ in range(3):
+    main(['list'])
+    counts.append(atexit._ncallbacks())
+"""
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr) == 0
+
+
 def test_the_report_is_complete_before_the_exit_hook_runs():
     proc = fresh_python("-m", "nilcert", "verify", "--json", "--suite",
                         ",".join(PINNED_SUITE), "--seed", "0")

@@ -29,23 +29,14 @@ from nilcert.qlinalg import (
 )
 
 from dense_reference import ref_nullspace, ref_rref
-
-BIG = 2 ** 64
-
-SMALL = st.one_of(st.just(Q(0)),
-                  st.fractions(min_value=-9, max_value=9, max_denominator=7))
-HUGE = st.builds(Q, st.integers(-BIG ** 2, BIG ** 2).filter(bool),
-                 st.integers(1, BIG ** 2))
-SPARSE = st.one_of(st.just(Q(0)), st.just(Q(0)), st.just(Q(0)), SMALL)
-ENTRIES = st.one_of(st.just(SMALL), st.just(SPARSE),
-                    st.just(st.one_of(SMALL, HUGE)))
+from shared import BIG, ENTRIES_ANY_DEN, SMALL
 
 
 @st.composite
 def row_lists(draw, max_rows=7, max_cols=8):
     """Rows of one kind of entry (dense, sparse, or with entries above
     2^64), plus zero rows and duplicate or scaled copies of drawn rows."""
-    entries = draw(ENTRIES)
+    entries = draw(ENTRIES_ANY_DEN)
     ncols = draw(st.integers(1, max_cols))
     rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                          max_size=max_rows))
@@ -141,7 +132,7 @@ def test_span_matches_sympy(case):
 def test_intersect_matches_sympy(case, data):
     sympy = pytest.importorskip("sympy")
     ncols, rows_a = case
-    entries = data.draw(ENTRIES)
+    entries = data.draw(ENTRIES_ANY_DEN)
     rows_b = data.draw(st.lists(
         st.lists(entries, min_size=ncols, max_size=ncols), max_size=4))
     a, b = Subspace.span(ncols, rows_a), Subspace.span(ncols, rows_b)
@@ -160,7 +151,7 @@ def test_intersect_matches_sympy(case, data):
 @st.composite
 def square_row_lists(draw, max_n=7):
     n = draw(st.integers(0, max_n))
-    entries = draw(ENTRIES)
+    entries = draw(ENTRIES_ANY_DEN)
     rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                          min_size=n, max_size=n))
     if n >= 2 and draw(st.booleans()):  # a singular matrix

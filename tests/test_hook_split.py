@@ -43,13 +43,14 @@ from nilcert.models import (
 from nilcert.qlinalg import int_kernel, sparse_rows
 
 from dense_reference import dense_tensor
-from shared import P_DEPENDENT_SUITE, PINNED_P, full_kernel, load_workloads
+from shared import (P_DEPENDENT_SUITE, PINNED_P, full_kernel, load_workloads,
+                    rationals)
 
 ALL_PAIRS = tuple(itertools.combinations(range(12), 2))
 FREE_PAIRS = tuple(pair for pair in ALL_PAIRS if pair not in HOOK_PAIRS)
 
 COORD = st.one_of(st.just(Q(0)), st.integers(-5, 5).map(Q),
-                  st.fractions(min_value=-9, max_value=9, max_denominator=12))
+                  rationals(-9, 9, 12))
 
 
 @st.composite

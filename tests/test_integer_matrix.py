@@ -24,7 +24,6 @@ from nilcert.autos import (
 from nilcert.cli import _REGISTRY, Config, Context, run
 from nilcert.liecore import check_jacobi, lower_central_series
 from nilcert.models import (
-    DEFAULT_P,
     SL2Element,
     binary_form_action,
     build_three_step,
@@ -47,7 +46,8 @@ from nilcert.qlinalg import (
 from nilcert.wedgerep import wedge_vector
 
 from dense_reference import poly_divmod, ref_nullspace
-from shared import record_fraction_matrices
+from shared import (P_DEPENDENT_SUITE, PINNED_P, rationals,
+                    record_fraction_matrices)
 
 # ------------------------------------------------------------ the reference
 
@@ -97,6 +97,7 @@ ENTRIES = st.one_of(
     st.just(Q(0)),
     st.builds(Q, st.integers(-30, 30), DENOMS),
     st.builds(Q, st.integers(-2 ** 70, 2 ** 70), DENOMS))
+SCALARS = rationals(-20, 20, 9).filter(bool)
 
 
 @st.composite
@@ -233,7 +234,7 @@ def fraction_sturm_chain(p):
 def polynomials(draw):
     """Products of small rational factors of degree 1 and 2, some repeated,
     scaled by a rational of either sign."""
-    p = Polynomial([draw(st.fractions(-20, 20, max_denominator=9).filter(bool))])
+    p = Polynomial([draw(SCALARS)])
     for _ in range(draw(st.integers(1, 5))):
         factor = Polynomial(draw(st.lists(st.integers(-6, 6), min_size=2,
                                           max_size=3)))
@@ -300,12 +301,8 @@ def test_sample_derivation_is_the_flattened_subspace_sample(monkeypatch):
 
 # ------------------------------ integer systems against the dense reference
 
-PINNED_PS = [DEFAULT_P] + [validate_p(p.split(",")) for p in (
-    "0,1/2,0,0,0,0,-2", "0,1,-1/2,2,-3/2,1,1/2", "0,0,1,0,1,0,0",
-    "0,0,1,0,2,0,0", "0,0,1,0,-2,0,0")]
-
-
-@pytest.mark.parametrize("p", PINNED_PS, ids=lambda p: ",".join(map(str, p)))
+@pytest.mark.parametrize("p", [validate_p(p.split(",")) for p in PINNED_P],
+                         ids=lambda p: ",".join(map(str, p)))
 def test_line_stabilizer_matches_the_dense_system(p):
     gens = model_data().vprime_actions
     columns = [wedge_vector(g.apply(p), p) for g in gens]
@@ -323,12 +320,6 @@ def test_eigen_relation_kernel_matches_the_dense_system():
 
 # ------------------------------------------- per-algebra memos of the Lie layer
 
-P_SCAN_SUITE = (
-    "jacobi.N", "lcs.N-12-7-1-0", "nilclass.N-3", "n.der-dim-32",
-    "n.der-decomposition", "n.derivations-nilpotent", "p.line-stabilizer-zero",
-)
-
-
 def test_p_scan_checks_build_the_central_series_once(monkeypatch):
     calls = []
     original = liecore.bracket_subspace
@@ -339,7 +330,7 @@ def test_p_scan_checks_build_the_central_series_once(monkeypatch):
 
     monkeypatch.setattr(liecore, "bracket_subspace", counting)
     # a p no other test uses, so its N is built here, series and all
-    report = run(P_SCAN_SUITE, Config(p=validate_p(
+    report = run(P_DEPENDENT_SUITE, Config(p=validate_p(
         ["0", "3", "0", "0", "0", "0", "-5"])))
     assert [r.actual for r in report.results[1:3]] == ["(12, 7, 1, 0)", "3"]
     # [N, N] (12 > 7) is N.derived; one call per later step 7 > 1 > 0

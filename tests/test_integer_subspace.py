@@ -41,17 +41,8 @@ from nilcert.qlinalg import (
 from nilcert.wedgerep import NotInvariantError, commutant
 
 from dense_reference import ref_nullspace, ref_rref
-from shared import P_DEPENDENT_SUITE, PINNED_P
-
-BIG = 2 ** 64
-
-SMALL = st.one_of(st.just(Q(0)),
-                  st.fractions(min_value=-9, max_value=9, max_denominator=7))
-HUGE = st.builds(Q, st.integers(-BIG ** 2, BIG ** 2).filter(bool),
-                 st.integers(BIG, BIG ** 2))
-SPARSE = st.one_of(st.just(Q(0)), st.just(Q(0)), st.just(Q(0)), SMALL)
-ENTRIES = st.one_of(st.just(SMALL), st.just(SPARSE),
-                    st.just(st.one_of(SPARSE, HUGE)))
+from shared import (BIG, ENTRIES, HUGE, P_DEPENDENT_SUITE, PINNED_P, SMALL,
+                    SPARSE)
 
 
 # --------------------------------------------------------------------------

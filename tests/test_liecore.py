@@ -33,7 +33,7 @@ from nilcert.models import build_three_step, vprime_to_algebra
 from nilcert.qlinalg import Subspace, is_nilpotent, unit_vector
 
 from dense_reference import dense_tensor
-from shared import load_workloads
+from shared import load_workloads, rationals
 
 
 def lcs_dims(L):
@@ -263,7 +263,7 @@ JSON_VALUES = st.recursive(
                    | st.dictionaries(st.text(max_size=3), inner, max_size=2)),
     max_leaves=5)
 RETYPED = st.sampled_from(["3", 3.0, True, None, {"dim": 3}])
-COORDS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4).map(str)
+COORDS = st.integers(-3, 3) | rationals(-3, 3, 4).map(str)
 NESTED = "nested"  # where a deeply nested value is spliced into JSON text
 
 
@@ -631,7 +631,7 @@ def test_json_load_rejects_a_huge_dim_under_a_memory_limit():
 
 # ------------------------------------------------------------------ one form
 
-ENTRIES = st.one_of(st.just(Q(0)), st.fractions(-3, 3, max_denominator=4))
+ENTRIES = st.one_of(st.just(Q(0)), rationals(-3, 3, 4))
 
 
 @st.composite
@@ -731,8 +731,7 @@ def test_a_table_that_is_not_alternating_is_found_where_jacobi_is_blind(G, N):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 5).flatmap(lambda d: st.tuples(st.just(d), st.lists(
     st.tuples(st.integers(0, d - 1), st.integers(0, d - 1),
-              st.lists(st.fractions(-5, 5, max_denominator=4),
-                       min_size=d, max_size=d)),
+              st.lists(rationals(-5, 5, 4), min_size=d, max_size=d)),
     max_size=8) if d else st.just([]))))
 def test_every_algebra_make_lie_algebra_builds_is_alternating(drawn):
     dim, entries = drawn

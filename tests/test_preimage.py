@@ -18,6 +18,7 @@ from nilcert.qlinalg import Matrix, Subspace, unit_vector
 from nilcert.wedgerep import invariant_closure, wedge_vector
 
 from dense_reference import ref_nullspace
+from shared import VECTOR_ENTRIES as ENTRIES
 
 # ------------------------------------------------------------ the reference
 
@@ -48,8 +49,6 @@ def fraction_closure(seeds, gens):
 
 # ------------------------------------------------------------ strategies
 
-ENTRIES = st.one_of(st.just(Q(0)), st.just(Q(0)),
-                    st.fractions(min_value=-5, max_value=5, max_denominator=4))
 INTS = st.one_of(st.just(0), st.just(0), st.integers(-6, 6))
 
 

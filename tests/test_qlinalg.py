@@ -21,6 +21,7 @@ from nilcert.qlinalg import (
 )
 
 from dense_reference import mat_pow
+from shared import rationals
 
 
 def rand_matrix(rng, rows, cols, bound=4):
@@ -126,9 +127,7 @@ def test_char_poly_block_triangular_product_randomized():
 
 
 # small rationals, with zero and non-integer entries both common
-RATIONALS = st.one_of(st.just(Q(0)),
-                      st.fractions(min_value=-12, max_value=12,
-                                   max_denominator=9))
+RATIONALS = st.one_of(st.just(Q(0)), rationals(-12, 12, 9))
 
 
 @st.composite

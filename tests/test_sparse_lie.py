@@ -30,16 +30,9 @@ from dense_reference import (
     dense_tensor,
     ref_nullspace,
 )
+from shared import ENTRIES, HUGE, SMALL, SPARSE
 
-BIG = 2 ** 64
 ZERO = Q(0)
-
-SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=7)
-HUGE = st.builds(Q, st.integers(-BIG ** 2, BIG ** 2).filter(bool),
-                 st.integers(BIG, BIG ** 2))
-SPARSE = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ZERO), SMALL)
-ENTRIES = st.one_of(st.just(SMALL), st.just(SPARSE),
-                    st.just(st.one_of(SPARSE, HUGE)))
 
 
 @st.composite

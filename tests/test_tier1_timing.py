@@ -44,7 +44,7 @@ def test_the_parser_reads_counts_times_and_slow_tests():
     record = tier1_timing.parse_junit_xml(CANNED)
     # an error or a skip is neither a pass nor a failure
     assert (record["passed"], record["failed"]) == (5, 2)
-    assert record["pytest_s"] == 24.42
+    assert (record["pytest_s"], record["tests_s"]) == (24.42, 6.0)
     # every file is summed, one whose tests all take under 5 ms too
     assert record["per_file_s"] == {"tests/test_acceptance.py": 4.43,
                                     "tests/test_cli.py": 1.56,
@@ -61,8 +61,8 @@ def test_the_parser_reads_a_long_run_and_needs_a_summary():
         '<testsuites><testsuite name="pytest" tests="1" time="65.104">'
         '<testcase classname="tests.test_x" name="test_y" '
         'file="tests/test_x.py" time="65.0" /></testsuite></testsuites>')
-    assert (record["passed"], record["failed"], record["pytest_s"]) == (
-        1, 0, 65.1)
+    assert (record["passed"], record["failed"], record["pytest_s"],
+            record["tests_s"]) == (1, 0, 65.1, 65.0)
     assert record["slow_tests_s"] == {"tests/test_x.py::test_y": 65.0}
     with pytest.raises(ValueError, match="no testsuite element"):
         tier1_timing.parse_junit_xml('<testsuites name="pytest tests" />')

@@ -7,11 +7,12 @@ Run from the repository root (standard library only):
 It runs ``python -m pytest -q -p no:cacheprovider`` with ``PYTHONPATH=src``
 and a JUnit XML report (``--junitxml``, xunit1 flavour, which names each
 test's file), and records the wall time of that process, the time pytest
-reports, the passed and failed counts, the summed duration of each test
-file, and every test whose setup, call and teardown sum to more than
-0.5 s.  The report lists every test, however short, so every test file is
-summed.  The suite's own exit status (1 while the refuted claims stay red)
-is recorded, not passed on.
+reports, the summed time of the test cases (``tests_s``; ``pytest_s -
+tests_s`` is collection and session set-up), the passed and failed counts,
+the summed duration of each test file, and every test whose setup, call
+and teardown sum to more than 0.5 s.  The report lists every test, however
+short, so every test file is summed.  The suite's own exit status (1 while
+the refuted claims stay red) is recorded, not passed on.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ SLOW_S = 0.5
 
 
 def parse_junit_xml(text: str) -> dict:
-    """The counts, pytest's reported time, the per-file sums and the slow
-    tests from a pytest JUnit XML report (xunit1, whose test cases carry
-    ``file``; a case's ``time`` is its setup, call and teardown)."""
+    """The counts, pytest's reported time, the summed time of the cases,
+    the per-file sums and the slow tests from a pytest JUnit XML report
+    (xunit1, whose test cases carry ``file``; a case's ``time`` is its
+    setup, call and teardown)."""
     suite = ET.fromstring(text).find("testsuite")
     if suite is None:
         raise ValueError("no testsuite element in the report")
@@ -58,6 +60,7 @@ def parse_junit_xml(text: str) -> dict:
             passed += 1
     return {
         "pytest_s": round(float(suite.get("time")), 2),
+        "tests_s": round(sum(per_test.values()), 2),
         "passed": passed,
         "failed": failed,
         "per_file_s": {f: round(s, 2) for f, s in sorted(per_file.items())},
@@ -92,7 +95,8 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(record, f, indent=2)
         f.write("\n")
     print(f"{record['passed']} passed, {record['failed']} failed in "
-          f"{record['pytest_s']} s (wall {record['wall_s']} s) -> {args.out}")
+          f"{record['pytest_s']} s ({record['tests_s']} s in tests, wall "
+          f"{record['wall_s']} s) -> {args.out}")
     return 0
 
 
