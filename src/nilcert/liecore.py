@@ -104,9 +104,8 @@ class LieAlgebra:
         q_cols = column_index(rows, d)
         table = [[()] * d for _ in range(d)]
         for i, j in itertools.combinations(range(d), 2):
-            v = int_bracket(self, cols[i], cols[j])
             w = tuple(sorted(weighted_sum(
-                {m: x for m, x in enumerate(v) if x}, q_cols).items()))
+                int_bracket(self, cols[i], cols[j]), q_cols).items()))
             table[i][j], table[j][i] = w, tuple((k, -t) for k, t in w)
         return cols, rows, tuple(map(tuple, table))
 
@@ -129,12 +128,17 @@ def _jacobi_triples(table: Sequence[Sequence[Sequence[tuple[int, int]]]]
 
     [b_a, [b_b, b_c]] has coordinate n equal to the sum over m of
     c_bc^m c_am^n; the three cyclic terms are summed in integers, scaled
-    by denom^2, which does not change which sums vanish."""
+    by denom^2, which does not change which sums vanish.  The sum reads
+    only [b_j, b_k], [b_k, b_i] and [b_i, b_j], so a triple where all
+    three are zero is skipped without an accumulator."""
     for i, j, k in itertools.combinations(range(len(table)), 3):
+        jk, ki, ij = table[j][k], table[k][i], table[i][j]
+        if not (jk or ki or ij):
+            continue
         acc: dict[int, int] = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for a, bc in ((i, jk), (j, ki), (k, ij)):
             ta = table[a]
-            for m, x in table[b][c]:
+            for m, x in bc:
                 for n, y in ta[m]:
                     acc[n] = acc.get(n, 0) + x * y
         if any(acc.values()):
@@ -214,17 +218,20 @@ def make_lie_algebra(dim: int,
 
 
 def int_bracket(L: LieAlgebra, x: dict[int, int],
-                y: dict[int, int]) -> list[int]:
-    """denom * [x, y] for integer coordinate maps x and y, over the nonzero
-    coordinates and nonzero structure constants only."""
-    out = [0] * L.dim
+                y: dict[int, int]) -> dict[int, int]:
+    """denom * [x, y] for integer coordinate maps x and y, as the map of
+    its nonzero coordinates, over the nonzero coordinates and nonzero
+    structure constants only."""
+    out: dict[int, int] = {}
     table = L.table
     for i, xi in x.items():
         ti = table[i]
         for j, yj in y.items():
             c = xi * yj
             for k, t in ti[j]:
-                out[k] += c * t
+                out[k] = out.get(k, 0) + c * t
+    if 0 in out.values():
+        return {k: v for k, v in out.items() if v}
     return out
 
 
@@ -236,7 +243,7 @@ def bracket(L: LieAlgebra,
         raise ValueError("element length does not match algebra dimension")
     dx, xi = clear_denominators(enumerate(x))
     dy, yi = clear_denominators(enumerate(y))
-    return fraction_vector(L.dim, enumerate(int_bracket(L, xi, yi)),
+    return fraction_vector(L.dim, int_bracket(L, xi, yi).items(),
                            L.denom * dx * dy)
 
 
@@ -245,10 +252,12 @@ def non_alternating_pair(L: LieAlgebra) -> tuple[int, int] | None:
     table is not alternating: [b_i, b_i] != 0 or [b_j, b_i] != -[b_i, b_j];
     None when there is none.  ``make_lie_algebra`` always builds an
     alternating table, but ``LieAlgebra`` takes any, and ``check_jacobi``
-    scans only the triples i < j < k, which never compare the two orders."""
+    scans only the triples i < j < k, which never compare the two orders.
+    A pair whose two orders are both zero is alternating and skipped."""
     table = L.table
     for i, j in itertools.combinations_with_replacement(range(L.dim), 2):
-        if table[j][i] != tuple((k, -t) for k, t in table[i][j]):
+        ij, ji = table[i][j], table[j][i]
+        if (ij or ji) and ji != tuple((k, -t) for k, t in ij):
             return i, j
     return None
 
@@ -270,8 +279,7 @@ def bracket_subspace(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != L.dim or b.ambient_dim != L.dim:
         raise ValueError("subspace ambient dimension does not match the algebra")
     return Subspace.from_int_rows(L.dim, (
-        {k: v for k, v in enumerate(int_bracket(L, x, y)) if v}
-        for _, x in a.echelon for _, y in b.echelon))
+        int_bracket(L, x, y) for _, x in a.echelon for _, y in b.echelon))
 
 
 def lower_central_series(L: LieAlgebra) -> list[Subspace]:

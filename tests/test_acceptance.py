@@ -11,8 +11,6 @@ down and verified, with the true values, in tests/test_autos.py.
 
 from fractions import Fraction as Q
 
-import pytest
-
 from nilcert.autos import (
     derivation_algebra,
     eigen_relation_kernel,

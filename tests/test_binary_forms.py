@@ -7,7 +7,7 @@ import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilcert import models
@@ -115,6 +115,11 @@ def sl2_elements(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(sl2_elements(), sl2_elements())
+# products of WIDE_ELEMENTS, whose columns come nearest to the digit
+# width: a width one bit short makes the two sides differ in both degrees
+@example(SL2Element.hyperbolic(127), SL2Element.hyperbolic(127))
+@example(SL2Element.hyperbolic(2 ** 40 - 1),
+         SL2Element.hyperbolic(Q(1, 2 ** 40 - 1)))
 def test_binary_form_action_is_a_homomorphism(g, h):
     for degree in (4, 6):
         assert (binary_form_action(g * h, degree)

@@ -1,7 +1,8 @@
 """The sparse integer view of the structure constants, checked against
 dense Fraction references (in this file and dense_reference.py): the
-bracket, the Jacobi scan, the center, the Leibniz, shear and commutant
-kernels, and Matrix.apply."""
+bracket and its integer map ``int_bracket``, the Jacobi scan and the
+alternation test (also on tables that are not alternating), the center,
+the Leibniz, shear and commutant kernels, and Matrix.apply."""
 
 import itertools
 from fractions import Fraction as Q
@@ -11,11 +12,14 @@ from hypothesis import strategies as st
 
 from nilcert.autos import derivation_algebra, shear_space
 from nilcert.liecore import (
+    LieAlgebra,
     bracket,
     center,
     check_jacobi,
     heisenberg3,
+    int_bracket,
     make_lie_algebra,
+    non_alternating_pair,
 )
 from nilcert.models import model_data, subspace_in_algebra
 from nilcert.qlinalg import Matrix, Subspace
@@ -30,7 +34,7 @@ from dense_reference import (
     dense_tensor,
     ref_nullspace,
 )
-from shared import ENTRIES, HUGE, SMALL, SPARSE
+from shared import BIG, ENTRIES, HUGE, SMALL, SPARSE
 
 ZERO = Q(0)
 
@@ -68,6 +72,45 @@ def vectors(dim, entries=SPARSE):
     return st.lists(st.one_of(entries, HUGE), min_size=dim, max_size=dim)
 
 
+def int_vectors(dim):
+    """A sparse integer coordinate map {k: x} of Q^dim, x nonzero."""
+    return st.dictionaries(st.integers(0, dim - 1),
+                           st.integers(-3, 3).filter(bool) | st.just(BIG),
+                           max_size=dim)
+
+
+def raw_algebra(dim, slots, denom=1):
+    """A LieAlgebra built directly from {(a, b): {k: t}}, every other slot
+    empty, with no alternation filled in."""
+    return LieAlgebra(dim, denom, tuple(
+        tuple(tuple(sorted(slots.get((a, b), {}).items()))
+              for b in range(dim)) for a in range(dim)),
+        tuple(f"e{i + 1}" for i in range(dim)))
+
+
+@st.composite
+def raw_tables(draw, max_dim=5):
+    """A LieAlgebra built directly from an integer table: a random one,
+    each of the dim^2 slots (the diagonal and the lower triangle included)
+    empty two times in three, so mostly neither alternating nor Jacobi; or
+    an alternating one with one slot drawn again, so that at most that
+    slot's pair breaks alternation."""
+    dim = draw(st.integers(1, max_dim))
+    slot = st.one_of(st.just({}), st.just({}), st.dictionaries(
+        st.integers(0, dim - 1), st.integers(-3, 3).filter(bool),
+        min_size=1, max_size=2))
+    pairs = list(itertools.product(range(dim), repeat=2))
+    if draw(st.booleans()):
+        slots = {ab: draw(slot) for ab in pairs}
+    else:
+        slots = {}
+        for a, b in itertools.combinations(range(dim), 2):
+            slots[(a, b)] = draw(slot)
+            slots[(b, a)] = {k: -t for k, t in slots[(a, b)].items()}
+        slots[draw(st.sampled_from(pairs))] = draw(slot)
+    return raw_algebra(dim, slots, draw(st.integers(1, 3)))
+
+
 # --------------------------------------------------------------------------
 # dense references
 # --------------------------------------------------------------------------
@@ -82,6 +125,13 @@ def dense_jacobi(L):
         if any(a + b + c for a, b, c in zip(*terms)):
             bad.append((i, j, k))
     return bad
+
+
+def dense_non_alternating_pair(L):
+    sc = dense_tensor(L)
+    return next(((i, j) for i, j in itertools.combinations_with_replacement(
+        range(L.dim), 2) if any(a + b for a, b in zip(sc[i][j], sc[j][i]))),
+        None)
 
 
 def dense_membership_rows(d, c):
@@ -116,6 +166,48 @@ def test_check_jacobi_on_known_algebras():
     assert check_jacobi(L) == dense_jacobi(L) == [(0, 1, 2)]
     for dim, brackets in REDUCTIVE:
         assert check_jacobi(make_lie_algebra(dim, brackets)) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_tables())
+def test_check_jacobi_matches_the_bracket_of_brackets_on_any_table(L):
+    assert check_jacobi(L) == dense_jacobi(L)
+
+
+def test_check_jacobi_reads_the_lower_triangle_of_a_triple():
+    # of (0, 1, 2)'s three inner brackets only [b_2, b_0] = b_0 is nonzero,
+    # and [b_1, [b_2, b_0]] = [b_1, b_0] = b_1 (the table is not
+    # alternating: [b_0, b_2] and [b_0, b_1] are zero)
+    L = raw_algebra(3, {(2, 0): {0: 1}, (1, 0): {1: 1}})
+    assert check_jacobi(L) == dense_jacobi(L) == [(0, 1, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_tables())
+def test_non_alternating_pair_matches_a_scan_of_all_pairs(L):
+    assert non_alternating_pair(L) == dense_non_alternating_pair(L)
+
+
+def test_non_alternating_pair_reads_the_lower_triangle():
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        L = raw_algebra(3, {(j, i): {2: 5}})
+        assert non_alternating_pair(L) == dense_non_alternating_pair(L) == (i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables().flatmap(lambda case: st.tuples(
+    st.just(case), int_vectors(case[0]), int_vectors(case[0]))))
+def test_int_bracket_is_the_map_of_the_nonzero_coordinates(args):
+    (dim, brackets), x, y = args
+    L = make_lie_algebra(dim, brackets)
+    dense = dense_bracket(L, *(
+        tuple(Q(v.get(k, 0)) for k in range(dim)) for v in (x, y)))
+    out = int_bracket(L, x, y)
+    assert 0 not in out.values()
+    assert all(out.get(k, 0) == L.denom * c for k, c in enumerate(dense))
+    assert out.keys() <= set(range(dim))
+    # the table is alternating, so every coordinate of [x, x] cancels
+    assert int_bracket(L, x, x) == {}
 
 
 def test_bracket_on_the_shipped_models():
